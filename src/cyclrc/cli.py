@@ -22,6 +22,7 @@ from . import bounds
 from .constructions import (
     FAMILY_NAMES,
     BuildResult,
+    ConstructionInternalError,
     ConstructionRequest,
     HypothesisViolated,
     build,
@@ -32,6 +33,7 @@ from .cyclic import (
     code_from_defining_set,
     min_distance,
 )
+from .field import FieldError
 from .locality import punctured_distance_at_least, BudgetExceededInconclusive
 
 CSV_HEADER = ["family", "q", "n", "r", "delta", "k", "d", "optimal", "divides"]
@@ -125,6 +127,9 @@ def cmd_construct(args) -> int:
         res = build(req, args.budget)
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
+        return 1
+    except (FieldError, BudgetExceededInconclusive, ConstructionInternalError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     fmt = _default_format(args.format)
     if fmt == "json":

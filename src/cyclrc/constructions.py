@@ -633,28 +633,3 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
     )
     return BuildResult(code=code, locality=cert, optimality=opt)
 
-
-def _family_builder(name: str):
-    def builder(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult:
-        if req.family != name:
-            req = ConstructionRequest(**{**req.to_dict(), "family": name, "tails": req.tails})
-        return build(req, budget)
-
-    builder.__name__ = f"build_{name}"
-    builder.__doc__ = f"Build and certify a {name} family request."
-    return builder
-
-
-build_T41 = _family_builder("T41")
-build_C42 = _family_builder("C42")
-build_C44 = _family_builder("C44")
-build_C46 = _family_builder("C46")
-build_T48 = _family_builder("T48")
-build_P49 = _family_builder("P49")
-build_P410 = _family_builder("P410")
-build_T51 = _family_builder("T51")
-build_C52 = _family_builder("C52")
-build_C56 = _family_builder("C56")
-build_T58 = _family_builder("T58")
-build_C59 = _family_builder("C59")
-build_C511 = _family_builder("C511")

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, linalg
-from .field import FieldSpec, field_create, prime_power_split
+from .field import FieldSpec, field_create, is_in_subfield, ord_mod, prime_power_split, primitive_nth_root
 from .poly import Polynomial, product_from_roots, reciprocal
 
 DEFAULT_BUDGET = 10**8
@@ -57,6 +57,14 @@ class CombinatorialBudgetExceeded(RuntimeError):
     pass
 
 
+class InvariantViolated(RuntimeError):
+    """An internal invariant failed; nothing built on it may be certified."""
+
+
+class BoundInversion(InvariantViolated):
+    """A lower bound on a distance exceeds its upper bound."""
+
+
 @lru_cache(maxsize=None)
 def cyc_context(q: int, n: int) -> "CycContext":
     return CycContext(q, n)
@@ -73,10 +81,8 @@ class CycContext:
         self.n = n
         self.p = p
         self.m = m
-        self.d = bounds_ord(q, n)
+        self.d = ord_mod(q, n)
         self.field = field_create(p, m * self.d)
-        from .field import primitive_nth_root
-
         self.alpha = primitive_nth_root(self.field, n).repr
         self._alpha_log = int(self.field._log[self.alpha])
         self.base_elements = self.field.subfield_elements(q)
@@ -97,12 +103,6 @@ class CycContext:
 
     def __repr__(self):
         return f"CycContext(q={self.q}, n={self.n}, ambient=GF({self.field.q}))"
-
-
-def bounds_ord(q: int, n: int) -> int:
-    from .field import ord_mod
-
-    return ord_mod(q, n)
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,10 @@ class DistanceResult:
 
     def __post_init__(self):
         if not self.undefined and self.exact is not None:
-            assert self.lower <= self.exact <= self.upper
+            if not self.lower <= self.exact <= self.upper:
+                raise BoundInversion(
+                    f"exact distance {self.exact} outside [{self.lower}, {self.upper}] ({self.method})"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -225,10 +228,6 @@ class CyclicCode:
         return self.ctx.field
 
     @property
-    def is_subfield_code(self) -> bool:
-        return self.base_q == self.ctx.q and self.ctx.d > 1
-
-    @property
     def base_elements(self) -> np.ndarray:
         return self.field.subfield_elements(self.base_q)
 
@@ -254,7 +253,8 @@ class CyclicCode:
 
     def encode(self, msg) -> np.ndarray:
         msg = [int(x) for x in msg]
-        assert len(msg) == self.k
+        if len(msg) != self.k:
+            raise ValueError(f"message length {len(msg)} differs from k={self.k}")
         mp = Polynomial.make(self.field, msg)
         cw = mp * self.gen
         out = np.zeros(self.n, dtype=np.int64)
@@ -345,8 +345,6 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
     gen = product_from_roots(ctx.field, roots)
     base_q = ctx.q if base == "subfield" else ctx.field.q
     if base == "subfield":
-        from .field import is_in_subfield
-
         for c in gen.coeffs:
             if not is_in_subfield(ctx.field.el(c), ctx.q):
                 raise CoefficientLeak(
@@ -400,7 +398,8 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, witness=None, u
         if h < upper:
             upper = h
             upper_tag = "singleton_like"
-    assert lower <= upper, f"bound inversion: {lower} > {upper} ({upper_tag})"
+    if lower > upper:
+        raise BoundInversion(f"bound inversion: {lower} ({lower_tag}) > {upper} ({upper_tag})")
     if lower == upper:
         return DistanceResult(lower, upper, lower, "sandwich")
 
@@ -489,14 +488,15 @@ def _support_rank_climb(
         sup = _first_dependent_support(F, H, w)
         if sup is not None:
             ker = linalg.nullspace(F, H[:, list(sup)])
-            assert ker.shape[0] >= 1
+            if ker.shape[0] == 0:
+                raise InvariantViolated(f"dependent support {sup} has a trivial kernel")
             vec = ker[0]
             word = np.zeros(n, dtype=np.int64)
             word[list(sup)] = vec
             word = _normalize_word(F, word)
             return w, w, word
         w += 1
-    raise AssertionError(
+    raise InvariantViolated(
         f"no dependent support up to certified upper bound {upper} ([{n},{k}])"
     )
 
@@ -572,9 +572,11 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 819
     F = code.field
     ctx = code.ctx
     n, k = code.n, code.k
-    assert code.base_q == F.q, "zero-core scan requires an ambient-field code"
+    if code.base_q != F.q:
+        raise InvariantViolated("zero-core scan requires an ambient-field code")
     nonzero_exps = list(code.defining.complement().exps)
-    assert len(nonzero_exps) == k
+    if len(nonzero_exps) != k:
+        raise InvariantViolated(f"{len(nonzero_exps)} nonzero exponents for dimension {k}")
     if k == 1:
         row = ctx.root_powers(nonzero_exps, range(n))[0]
         word = _normalize_word(F, np.array([row[(-i) % n] for i in range(n)], dtype=np.int64))
@@ -583,60 +585,10 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 819
     V = ctx.root_powers(range(n), nonzero_exps)  # (n, k): V[t, j] = alpha^(t * N_j)
     best_zero = k - 2
     best_fs: list[np.ndarray] = []
-    degenerates: list[tuple[int, ...]] = []
-    it = itertools.combinations(range(1, n), k - 2)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            break
-        cores = np.zeros((len(block), k - 1), dtype=np.int64)
-        if k >= 3:
-            cores[:, 1:] = np.array(block, dtype=np.int64)
-        mats = V[cores]  # (B, k-1, k)
-        fs = linalg.batch_nullvec(F, mats)
-        dead = ~fs.any(axis=1)
-        if dead.any():
-            degenerates.extend(tuple(int(x) for x in cores[i]) for i in np.nonzero(dead)[0])
-            fs = fs[~dead]
+    for fs in _zero_core_candidates(F, V, chunk, degenerate_cap):
         if fs.shape[0] == 0:
             continue
-        evals = np.zeros((fs.shape[0], n), dtype=np.int64)
-        for j in range(k):
-            evals = F.vadd(evals, F.vmul(fs[:, j : j + 1], V[:, j][None, :]))
-        zeros = (evals == 0).sum(axis=1)
-        mz = int(zeros.max())
-        if mz > best_zero:
-            best_zero = mz
-            best_fs = []
-        if want_words and mz == best_zero:
-            for r in np.nonzero(zeros == best_zero)[0]:
-                best_fs.append(fs[int(r)].copy())
-    # degenerate cores: kernel dimension > 1; deduplicate kernels (structured
-    # codes repeat them heavily) and sweep each kernel's projective points in
-    # one vectorized pass
-    seen_kernels: set[bytes] = set()
-    spent = 0
-    for core in degenerates:
-        ker = linalg.nullspace(F, V[list(core)])
-        key = ker.tobytes()
-        if key in seen_kernels:
-            continue
-        seen_kernels.add(key)
-        t = ker.shape[0]
-        count = (F.q**t - 1) // (F.q - 1)
-        spent += count
-        if spent > degenerate_cap:
-            raise CombinatorialBudgetExceeded(
-                f"degenerate zero-core kernels need {spent}+ projective points"
-            )
-        coeffs = _projective_coeff_block(F, t)  # (count, t)
-        fs = np.zeros((coeffs.shape[0], k), dtype=np.int64)
-        for j in range(t):
-            fs = F.vadd(fs, F.vmul(coeffs[:, j : j + 1], ker[j][None, :]))
-        evals = np.zeros((fs.shape[0], n), dtype=np.int64)
-        for j in range(k):
-            evals = F.vadd(evals, F.vmul(fs[:, j : j + 1], V[:, j][None, :]))
-        zeros = (evals == 0).sum(axis=1)
+        zeros = (linalg.mat_mul(F, fs, V.T) == 0).sum(axis=1)
         mz = int(zeros.max())
         if mz > best_zero:
             best_zero = mz
@@ -657,6 +609,48 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 819
                 seen.add(key)
                 words.append(word)
     return d, words
+
+
+def _zero_core_candidates(F: FieldSpec, V: np.ndarray, chunk: int, degenerate_cap: int):
+    """Coefficient blocks of the polynomials vanishing on each zero core.
+
+    Yields the kernel vector of every (k-1)-core containing 0, one chunk at
+    a time, then the projective points of each distinct kernel of dimension
+    > 1.  A degenerate core's kernel is fixed by its RREF, and structured
+    codes repeat kernels heavily, so each chunk's degenerate cores are
+    reduced in one batch and only unseen kernels are kept, in core order.
+    """
+    n, k = V.shape
+    kernels: list[np.ndarray] = []
+    seen: set[bytes] = set()
+    spent = 0
+    it = itertools.combinations(range(1, n), k - 2)
+    while block := list(itertools.islice(it, chunk)):
+        cores = np.zeros((len(block), k - 1), dtype=np.int64)
+        if k >= 3:
+            cores[:, 1:] = np.array(block, dtype=np.int64)
+        mats = V[cores]  # (B, k-1, k)
+        fs = linalg.batch_nullvec(F, mats)
+        dead = ~fs.any(axis=1)
+        if dead.any():
+            reduced = linalg.gauss_jordan(F, mats[dead]).reduced
+            flat = reduced.reshape(len(reduced), -1)
+            _, first = np.unique(flat, axis=0, return_index=True)
+            for i in np.sort(first):
+                key = flat[i].tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+                ker = linalg.nullspace(F, reduced[i])
+                spent += (F.q ** len(ker) - 1) // (F.q - 1)
+                if spent > degenerate_cap:
+                    raise CombinatorialBudgetExceeded(
+                        f"degenerate zero-core kernels need {spent}+ projective points"
+                    )
+                kernels.append(ker)
+        yield fs[~dead]
+    for ker in kernels:
+        yield linalg.mat_mul(F, _projective_coeff_block(F, len(ker)), ker)
 
 
 def _projective_coeff_block(F: FieldSpec, t: int) -> np.ndarray:

@@ -83,7 +83,8 @@ def crosscheck_distance(code, d: int, budget: int) -> Optional[str]:
     qb = code.base_q
     if qb**k * n <= min(budget, 10**8):
         got = exhaustive_min_weight(code)
-        assert got == d, f"exhaustive oracle found {got}, expected {d}"
+        if got != d:
+            raise AssertionError(f"exhaustive oracle found {got}, expected {d}")
         return "exhaustive"
     try:
         if d > 1 and has_weight_at_most(code, d - 1, budget):

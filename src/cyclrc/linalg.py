@@ -1,62 +1,87 @@
 """Dense linear algebra over a FieldSpec.
 
-Two flavors: single-matrix routines (rref, rank, nullspace) used for code
-machinery, and batched routines operating on stacks of small matrices, which
-carry the heavy enumeration loops (support scans, zero-core sweeps) at numpy
-speed.  All matrices are numpy int64 arrays of element indices.
+Every elimination runs through one batched Gauss-Jordan kernel,
+`gauss_jordan`: it reduces a (batch, rows, cols) stack to reduced row
+echelon form at numpy speed and reports each entry's rank, pivot columns
+and signed pivot product.  The other routines are views over it.  The
+single-matrix ones (`rref`, `rank`, `nullspace`) run a batch of one, and the
+batched ones (`batch_rank`, `batch_det`, `batch_nullvec`) read their answer
+off the reduced stack.  All matrices are numpy int64 arrays of element
+indices.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .field import FieldSpec
 
 
+class Elimination(NamedTuple):
+    reduced: np.ndarray  # (batch, rows, cols) RREF stack, zero rows last
+    rank: np.ndarray  # (batch,)
+    pivots: np.ndarray  # (batch, rows): pivot column of row i < rank, else -1
+    scales: np.ndarray  # (batch, rows): pivot of row i < rank before it was scaled to 1, else 1
+
+
+def gauss_jordan(F: FieldSpec, mats) -> Elimination:
+    """Batched Gauss-Jordan elimination of a (batch, rows, cols) stack.
+
+    Row swaps negate the row moved down, which keeps the row space (so the
+    RREF) and the determinant; the determinant of a full-rank square entry
+    is then the product of its scales.
+    """
+    R = np.array(mats, dtype=np.int64, copy=True)
+    nb, rows, cols = R.shape
+    rank = np.zeros(nb, dtype=np.int64)
+    pivots = np.full((nb, rows), -1, dtype=np.int64)
+    scales = np.ones((nb, rows), dtype=np.int64)
+    ridx = np.arange(rows)
+    for c in range(cols):
+        cand = (R[:, :, c] != 0) & (ridx >= rank[:, None])
+        bi = np.flatnonzero(cand.any(axis=1))
+        if len(bi) == 0:
+            continue
+        r0 = rank[bi]
+        sel = cand[bi].argmax(axis=1)
+        swap = sel != r0
+        if swap.any():
+            sb, a, b = bi[swap], r0[swap], sel[swap]
+            R[sb, a], R[sb, b] = R[sb, b], F.vneg(R[sb, a])
+        # rows from r0 down are zero left of column c, so only columns c.. change
+        pivrow = R[bi, r0, c:]
+        scales[bi, r0] = pivrow[:, 0]
+        pivrow = F.vdiv_nz(pivrow, pivrow[:, :1])
+        block = R[bi, :, c:]
+        R[bi, :, c:] = F.vsub(block, F.vmul(block[:, :, :1], pivrow[:, None, :]))
+        R[bi, r0, c:] = pivrow  # the update zeroed it
+        pivots[bi, r0] = c
+        rank[bi] = r0 + 1
+    return Elimination(R, rank, pivots, scales)
+
+
 def rref(F: FieldSpec, M) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    M = np.array(M, dtype=np.int64, copy=True)
-    if M.size == 0:
-        return M.reshape(0, M.shape[1] if M.ndim == 2 else 0), []
-    rows, cols = M.shape
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        M[r] = F.vdiv_nz(M[r], int(M[r, c]))
-        other = np.nonzero(M[:, c])[0]
-        other = other[other != r]
-        if len(other):
-            factors = M[other, c]
-            M[other] = F.vsub(M[other], F.vmul(factors[:, None], M[r][None, :]))
-        piv_cols.append(c)
-        r += 1
-    return M[:r], piv_cols
+    e = gauss_jordan(F, np.asarray(M)[None])
+    r = int(e.rank[0])
+    return e.reduced[0, :r], e.pivots[0, :r].tolist()
 
 
 def rank(F: FieldSpec, M) -> int:
-    return rref(F, M)[0].shape[0]
+    return int(gauss_jordan(F, np.asarray(M)[None]).rank[0])
 
 
 def nullspace(F: FieldSpec, M) -> np.ndarray:
-    """Basis of the right kernel, one vector per row."""
-    M = np.asarray(M, dtype=np.int64)
-    cols = M.shape[1]
+    """Basis of the right kernel, one vector per row, read off the RREF."""
     R, piv = rref(F, M)
-    pivset = set(piv)
-    free = [c for c in range(cols) if c not in pivset]
+    cols = R.shape[1]
+    free = np.delete(np.arange(cols), piv)
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for i, pc in enumerate(piv):
-            basis[bi, pc] = F.neg(int(R[i, fc]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, piv] = F.vneg(R[:, free].T)
     return basis
 
 
@@ -81,98 +106,39 @@ def mat_mul(F: FieldSpec, A, B) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched routines.  mats has shape (batch, rows, cols).
+# Batched views.  mats has shape (batch, rows, cols).
 
 
 def batch_rank(F: FieldSpec, mats) -> np.ndarray:
-    mats = np.array(mats, dtype=np.int64, copy=True)
-    nb, rows, cols = mats.shape
-    piv = np.zeros(nb, dtype=np.int64)
-    ridx = np.arange(rows)
-    for c in range(cols):
-        col = mats[:, :, c]
-        cand = (col != 0) & (ridx[None, :] >= piv[:, None])
-        has = cand.any(axis=1)
-        bi = np.nonzero(has)[0]
-        if len(bi) == 0:
-            continue
-        sel = np.argmax(cand[bi], axis=1)
-        r0 = piv[bi]
-        swap = sel != r0
-        if swap.any():
-            sb = bi[swap]
-            a, b = piv[sb], sel[swap]
-            tmp = mats[sb, a, :].copy()
-            mats[sb, a, :] = mats[sb, b, :]
-            mats[sb, b, :] = tmp
-        pivrow = mats[bi, r0, :]
-        pivval = mats[bi, r0, c]
-        below = ridx[None, :] > r0[:, None]
-        colv = np.where(below, mats[bi, :, c], 0)
-        factors = F.vdiv_nz(colv, pivval[:, None])
-        delta = F.vmul(factors[:, :, None], pivrow[:, None, :])
-        mats[bi] = F.vsub(mats[bi], delta)
-        piv[bi] += 1
-    return piv
+    return gauss_jordan(F, mats).rank
 
 
 def batch_det(F: FieldSpec, mats) -> np.ndarray:
     """Determinants of a stack of square matrices (0 for singular ones)."""
-    mats = np.array(mats, dtype=np.int64, copy=True)
-    nb, n, n2 = mats.shape
-    assert n == n2
-    det = np.ones(nb, dtype=np.int64)
-    alive = np.ones(nb, dtype=bool)
-    ridx = np.arange(n)
-    piv = np.zeros(nb, dtype=np.int64)
-    for c in range(n):
-        col = mats[:, :, c]
-        cand = (col != 0) & (ridx[None, :] >= piv[:, None])
-        has = cand.any(axis=1)
-        died = alive & ~has
-        det[died] = 0
-        alive &= has
-        bi = np.nonzero(alive)[0]
-        if len(bi) == 0:
-            break
-        sel = np.argmax(cand[bi], axis=1)
-        r0 = piv[bi]
-        swap = sel != r0
-        if swap.any():
-            sb = bi[swap]
-            a, b = piv[sb], sel[swap]
-            tmp = mats[sb, a, :].copy()
-            mats[sb, a, :] = mats[sb, b, :]
-            mats[sb, b, :] = tmp
-            det[sb] = F.vneg(det[sb])
-        pivval = mats[bi, piv[bi], c]
-        det[bi] = F.vmul(det[bi], pivval)
-        pivrow = mats[bi, piv[bi], :]
-        below = ridx[None, :] > piv[bi][:, None]
-        colv = np.where(below, mats[bi, :, c], 0)
-        factors = F.vdiv_nz(colv, pivval[:, None])
-        delta = F.vmul(factors[:, :, None], pivrow[:, None, :])
-        mats[bi] = F.vsub(mats[bi], delta)
-        piv[bi] += 1
-    det[~alive] = 0
-    return det
+    e = gauss_jordan(F, mats)
+    nb, n, cols = e.reduced.shape
+    if n != cols:
+        raise ValueError(f"determinant of non-square {n}x{cols} matrices")
+    det = reduce(F.vmul, e.scales.T, np.ones(nb, dtype=np.int64))
+    return np.where(e.rank == n, det, 0)
 
 
 def batch_nullvec(F: FieldSpec, mats) -> np.ndarray:
-    """One kernel vector for each (c-1) x c matrix via signed maximal minors.
+    """One kernel vector for each (c-1) x c matrix, read off its RREF.
 
-    Rows of the result are all-zero exactly for the batch entries whose rank
-    is below c-1 (kernel dimension > 1); callers handle those separately.
+    The one free column f gets v[f] = 1 and each pivot column v[p_i] =
+    -R[i, f].  Rows of the result are all-zero exactly for the batch entries
+    whose rank is below c-1 (kernel dimension > 1); callers handle those
+    separately.
     """
-    mats = np.asarray(mats, dtype=np.int64)
-    nb, r, c = mats.shape
-    assert r == c - 1
-    out = np.empty((nb, c), dtype=np.int64)
-    cols = np.arange(c)
-    for j in range(c):
-        sub = mats[:, :, cols != j]
-        dj = batch_det(F, sub)
-        if j % 2 == 1:
-            dj = F.vneg(dj)
-        out[:, j] = dj
+    R, rk, piv, _ = gauss_jordan(F, mats)
+    nb, r, c = R.shape
+    if r != c - 1:
+        raise ValueError(f"kernel vector of {r}x{c} matrices needs {c - 1} rows")
+    out = np.zeros((nb, c), dtype=np.int64)
+    full = np.nonzero(rk == r)[0][:, None]
+    piv = piv[full[:, 0]]
+    free = c * (c - 1) // 2 - piv.sum(axis=1, keepdims=True)  # the column no pivot took
+    out[full, piv] = F.vneg(R[full, np.arange(r)[None, :], free])
+    out[full, free] = 1
     return out

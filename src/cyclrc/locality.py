@@ -27,6 +27,7 @@ from .cyclic import (
     CyclicCode,
     DEFAULT_BUDGET,
     ExponentSet,
+    InvariantViolated,
     code_from_defining_set,
     min_distance,
     min_weight_word,
@@ -143,7 +144,8 @@ def _subgroup_word(ctx, ell: int, t: int) -> np.ndarray:
     scal = 0
     for _ in range(ell % ctx.p):
         scal = F.add(scal, 1)
-    assert scal != 0  # gcd(ell, p) = 1 because ell | n and gcd(n, q) = 1
+    if scal == 0:  # impossible: gcd(ell, p) = 1 because ell | n and gcd(n, q) = 1
+        raise InvariantViolated(f"coset order {ell} is divisible by the characteristic {ctx.p}")
     for j in range(0, n, ell):
         word[j] = F.mul(scal, ctx.root(j * t))
     return word
@@ -248,11 +250,13 @@ def locality_from_product(
     # the partition into residue classes
     seen = set()
     groups_list = []
+    shifts = []  # one representative shift per distinct group
     for s in range(n):
         g = tuple(sorted((i + s) % n for i in support))
         if g not in seen:
             seen.add(g)
             groups_list.append(g)
+            shifts.append(s)
     groups = tuple(sorted(groups_list))
     disjoint = sum(len(g) for g in groups) == n
     group_mode = "subgroup_partition" if disjoint else "shift_cover"
@@ -260,14 +264,15 @@ def locality_from_product(
     covered = set()
     for g in groups:
         covered.update(g)
-    assert covered == set(range(n)), "repair groups fail to cover all coordinates"
+    if covered != set(range(n)):
+        raise InvariantViolated("repair groups fail to cover all coordinates")
 
     # h0 itself is only a dual word of the anchor code; the rows entering the
     # certificate are its run-exponent translates, which land in the dual of
     # any code whose defining set contains the product set
     G = target.generator_matrix()
     run_rows = np.array(run.exps, dtype=np.int64)
-    for shift in _group_shifts(groups, support, n):
+    for shift in shifts:
         shifted = np.roll(word, shift)
         rows = _local_parity_rows(ctx, shifted, run_rows)
         sup = np.nonzero(shifted)[0]
@@ -299,19 +304,6 @@ def locality_from_product(
     )
 
 
-def _group_shifts(groups, support, n: int) -> list[int]:
-    """One representative shift per distinct group."""
-    base = tuple(sorted(support))
-    out = []
-    seen = set()
-    for s in range(n):
-        g = tuple(sorted((i + s) % n for i in base))
-        if g not in seen:
-            seen.add(g)
-            out.append(s)
-    return out
-
-
 def _local_parity_rows(ctx, word: np.ndarray, run_exps: np.ndarray) -> np.ndarray:
     """Rows alpha^(j*e) * word_j for each run exponent e."""
     n = ctx.n
@@ -328,16 +320,13 @@ def punctured_distance_at_least(code: CyclicCode, group, delta: int, budget: int
     """Decide d(C|_group) >= delta by scanning the punctured parity columns."""
     F = code.field
     group = sorted({int(i) for i in group})
-    Gs = code.generator_matrix()[:, group]
-    R, piv = linalg.rref(F, Gs)
-    k_s = R.shape[0]
-    if k_s == 0:
+    H = linalg.nullspace(F, code.generator_matrix()[:, group])  # punctured parity checks
+    if H.shape[0] == len(group):
         return True  # zero punctured code, vacuously tolerant
     if delta <= 1:
         return True
     if len(group) < delta:
         return False  # nonzero code on fewer than delta coordinates
-    H = linalg.nullspace(F, R)
     if H.shape[0] == 0:
         return False  # punctured code is the full space, distance 1
     t = delta - 1

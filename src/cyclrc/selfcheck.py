@@ -50,7 +50,8 @@ def _exact(code, budget: int):
     res = min_distance(code, budget)
     if res.undefined:
         return None
-    assert res.exact is not None, f"sweep code [{code.n},{code.k}] not settled exactly"
+    if res.exact is None:
+        raise AssertionError(f"sweep code [{code.n},{code.k}] not settled exactly")
     return res.exact
 
 

@@ -43,6 +43,16 @@ def test_construct_hypothesis_violation_exit1(capsys):
     assert "floor((r-1)/2)" in err
 
 
+def test_construct_nonprime_field_exit1(capsys):
+    code, out, err = run_cli(
+        capsys, "construct", "--family", "C56", "--q", "6", "--n", "7",
+        "--delta", "2", "--m", "2",
+    )
+    assert code == 1
+    assert out == ""
+    assert "NonPrime: 6 is not a prime power" in err and "Traceback" not in err
+
+
 def test_construct_missing_flag_exit1(capsys):
     code, _, err = run_cli(capsys, "construct", "--family", "C44", "--q", "19")
     assert code == 1

@@ -1,11 +1,15 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from cyclrc import linalg
 from cyclrc.cyclic import (
+    BoundInversion,
     CombinatorialBudgetExceeded,
+    DistanceResult,
     EmptySupport,
     NotQClosed,
     all_cyclotomic_cosets,
@@ -255,3 +259,15 @@ def test_serialization_shape():
     assert d["q"] == 2 and d["n"] == 31 and d["k"] == code.k
     assert d["defining_exponents"] == list(code.defining.exps)
     assert d["generator_coeffs"] == list(code.gen.coeffs)
+
+
+def test_inverted_distance_result_raises_named_error():
+    with pytest.raises(BoundInversion):
+        DistanceResult(lower=5, upper=3, exact=4, method="sandwich")
+    # the check is not an assert, so it holds under python -O as well
+    probe = (
+        "from cyclrc.cyclic import BoundInversion, DistanceResult\n"
+        "try:\n    DistanceResult(5, 3, 4, 'sandwich')\nexcept BoundInversion:\n    print('raised')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"
