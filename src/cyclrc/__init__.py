@@ -37,7 +37,6 @@ from .cyclic import (
     product_set,
 )
 from .field import (
-    FieldElement,
     FieldSpec,
     field_create,
     is_in_subfield,
@@ -64,7 +63,6 @@ __all__ = [
     "CyclicCode",
     "DistanceResult",
     "ExponentSet",
-    "FieldElement",
     "FieldSpec",
     "HypothesisViolated",
     "LocalityCertificate",

@@ -284,6 +284,7 @@ def cmd_search(args) -> int:
         return 1
     rows = []
     skipped = 0
+    failed = 0
     for block in blocks:
         for reqdict in _expand_grid(block):
             try:
@@ -291,6 +292,11 @@ def cmd_search(args) -> int:
                 res = build(req, args.budget)
             except HypothesisViolated:
                 skipped += 1
+                continue
+            except (FieldError, BudgetExceededInconclusive, ConstructionInternalError) as exc:
+                print(f"{type(exc).__name__}: {exc} at {json.dumps(reqdict, sort_keys=True)}",
+                      file=sys.stderr)
+                failed += 1
                 continue
             rows.append(_result_row(res))
     fmt = args.format or "csv"
@@ -304,7 +310,7 @@ def cmd_search(args) -> int:
         _emit(buf.getvalue(), args.output)
     if skipped:
         print(f"skipped {skipped} grid points with violated hypotheses", file=sys.stderr)
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_table(args) -> int:

@@ -6,18 +6,22 @@ roots of unity.  Exponent sets live in Z_n; codes carry their generator
 polynomial over the ambient field with coefficients verified to lie in the
 base field when the code is declared over it.
 
-Minimum distances come from a dispatcher that picks the cheapest exact
-strategy fitting the work budget:
+Minimum distances and minimum-weight words come from one dispatcher,
+`_settle`, which runs the exact strategies in order of estimated cost:
 
 * message-space enumeration (dimension small),
 * zero-core enumeration for codes over the ambient field: every codeword is
   an evaluation of a polynomial supported on the nonzero exponents, and any
   minimum-weight word vanishes on at least k-1 points, so sweeping (k-1)-
   subsets that contain 0 (after a cyclic shift) hits every candidate,
-* support scans that test parity-check columns for dependence, climbing from
-  the run lower bound to the Singleton ceiling,
+* a support climb that tests parity-check columns for dependence, one weight
+  at a time from the lower bound up to the upper bound.
 
-falling back to a certified (lower, upper) sandwich when nothing fits.
+One cost model ranks them: the enumerations by their whole cost, which must
+fit the budget, and the climb by its whole cost up to the upper bound, though
+it is admitted when its first step fits.  The climb is cut where the budget
+runs out and reports the lower bound it reached, so `min_distance` falls back
+to a certified (lower, upper) sandwich, and `min_weight_word` raises.
 """
 
 from __future__ import annotations
@@ -83,10 +87,14 @@ class CycContext:
         self.m = m
         self.d = ord_mod(q, n)
         self.field = field_create(p, m * self.d)
-        self.alpha = primitive_nth_root(self.field, n).repr
+        self.alpha = primitive_nth_root(self.field, n)
         self._alpha_log = int(self.field._log[self.alpha])
         self.base_elements = self.field.subfield_elements(q)
+        # per-context caches: codes by (exponents, base), exact run-code
+        # distances by exponents, anchor dual words by (exponents, budget)
         self._code_cache: dict = {}
+        self._run_dist_cache: dict = {}
+        self._dual_word_cache: dict = {}
 
     def root(self, j: int) -> int:
         """Element index of the j-th power of the primitive n-th root."""
@@ -314,14 +322,6 @@ class CyclicCode:
         R, _ = linalg.rref(self.field, sub)
         return R
 
-    # -- distance machinery --------------------------------------------------
-
-    def min_distance(self, budget: int = DEFAULT_BUDGET, witness=None, upper_hints=()) -> DistanceResult:
-        return min_distance(self, budget=budget, witness=witness, upper_hints=upper_hints)
-
-    def has_weight_at_most(self, w: int, budget: int = DEFAULT_BUDGET) -> bool:
-        return has_weight_at_most(self, w, budget=budget)
-
 
 def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfield") -> CyclicCode:
     """Build the cyclic code whose generator vanishes exactly on S's roots.
@@ -346,7 +346,7 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
     base_q = ctx.q if base == "subfield" else ctx.field.q
     if base == "subfield":
         for c in gen.coeffs:
-            if not is_in_subfield(ctx.field.el(c), ctx.q):
+            if not is_in_subfield(ctx.field, c, ctx.q):
                 raise CoefficientLeak(
                     f"generator coefficient {c} escapes GF({ctx.q}) despite closed defining set"
                 )
@@ -357,25 +357,6 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
 
 # ---------------------------------------------------------------------------
 # Distance strategies.
-
-
-def _strategy_costs(code: CyclicCode, lower: int, upper: int) -> dict[str, float]:
-    n, k = code.n, code.k
-    qb = code.base_q
-    costs: dict[str, float] = {}
-    try:
-        costs["exhaustive"] = float(qb**k) * n
-    except OverflowError:
-        costs["exhaustive"] = float("inf")
-    if code.base_q == code.ctx.field.q and k >= 2:
-        costs["zero_core"] = float(comb(n - 1, k - 2)) * (k * (k - 1) ** 2 + n * k)
-    else:
-        costs["zero_core"] = float("inf")
-    sr = 0.0
-    for w in range(max(1, lower), upper + 1):
-        sr += comb(n, w) * (n - k) * w * min(w, n - k)
-    costs["support_rank"] = sr
-    return costs
 
 
 def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, witness=None, upper_hints=()) -> DistanceResult:
@@ -402,31 +383,87 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, witness=None, u
         raise BoundInversion(f"bound inversion: {lower} ({lower_tag}) > {upper} ({upper_tag})")
     if lower == upper:
         return DistanceResult(lower, upper, lower, "sandwich")
+    d, _, method, reached = _settle(code, lower, upper, budget, want_words=False)
+    if d is not None:
+        return DistanceResult(lower, upper, d, method)
+    if reached == upper:
+        return DistanceResult(reached, upper, upper, "sandwich")
+    return DistanceResult(reached, upper, None, lower_tag if reached == lower else "low_weight")
 
-    costs = _strategy_costs(code, lower, upper)
-    order = sorted(costs, key=lambda s: costs[s])
-    for strat in order:
-        if costs[strat] > budget:
+
+def min_weight_word(code: CyclicCode, budget: int = DEFAULT_BUDGET):
+    """Exact minimum weight plus a canonical achieving word.
+
+    Returns (d, word, support) with the word scaled to leading coefficient 1
+    and the support lexicographically smallest among all minimum-weight
+    codewords (including cyclic shifts).  Raises if no exact strategy fits.
+    """
+    n, k = code.n, code.k
+    if k == 0:
+        raise ValueError("zero code has no nonzero codeword")
+    bch_val, _ = bounds.bch_lower(code.defining)
+    d, words, _, _ = _settle(code, bch_val, n - k + 1, budget, want_words=True)
+    if d is None:
+        raise CombinatorialBudgetExceeded(
+            f"no exact minimum-weight strategy fits budget {budget} for [{n},{k}]"
+        )
+    sup, word = _canonical_word(code.field, words)
+    return d, word, sup
+
+
+def _canonical_word(F: FieldSpec, words):
+    """(support, word) with the lexicographically smallest support among the
+    words and all their cyclic shifts, the word scaled to leading coefficient 1."""
+    best_sup = None
+    best_word = None
+    for w0 in words:
+        n = len(w0)
+        sup0 = np.nonzero(w0)[0]
+        for s in range(n):
+            sup = tuple(sorted((int(x) + s) % n for x in sup0))
+            if best_sup is None or sup < best_sup:
+                best_sup = sup
+                best_word = _normalize_word(F, np.roll(w0, s))
+    return best_sup, best_word
+
+
+def _settle(code: CyclicCode, lower: int, upper: int, budget: int, want_words: bool):
+    """The one strategy dispatcher for a distance known to lie in [lower, upper].
+
+    Strategies run in order of estimated cost, each only if it fits the
+    budget.  The support climb is ranked by its whole cost up to `upper` but
+    admitted when its first step fits: it usually stops far below the
+    ceiling, and it is cut where the budget runs out.  Returns (d or None,
+    minimum-weight words if `want_words`, method, lower bound reached).
+    """
+    n, k = code.n, code.k
+    try:
+        exhaustive = float(code.base_q**k) * n
+    except OverflowError:
+        exhaustive = float("inf")
+    zero_core = float("inf")
+    if code.base_q == code.ctx.field.q and k >= 2:
+        zero_core = float(comb(n - 1, k - 2)) * (k * (k - 1) ** 2 + n * k)
+    climb = sum(linalg.column_scan_cost(n, n - k, w) for w in range(lower, upper + 1))
+    costs = {"exhaustive": exhaustive, "zero_core": zero_core, "low_weight": climb}
+    entry = {**costs, "low_weight": linalg.column_scan_cost(n, n - k, lower)}
+    for method in sorted(costs, key=costs.get):
+        if entry[method] > budget:
             continue
         try:
-            if strat == "exhaustive":
-                d, _ = _exhaustive_scan(code, early_stop_at=lower)
-                return DistanceResult(lower, upper, d, "exhaustive")
-            if strat == "zero_core":
-                d, _ = _zero_core_scan(code)
-                return DistanceResult(lower, upper, d, "zero_core")
-            if strat == "support_rank":
-                d, _, _ = _support_rank_climb(code, lower, upper, budget)
-                return DistanceResult(lower, upper, d, "low_weight")
+            if method == "exhaustive":
+                d, words = _exhaustive_scan(code, early_stop_at=lower, want_words=want_words)
+            elif method == "zero_core":
+                d, words = _zero_core_scan(code, want_words=want_words)
+            else:
+                d, word, reached = _support_climb(code, lower, upper, budget)
+                if d is None:
+                    return None, [], method, reached
+                words = [word]
         except CombinatorialBudgetExceeded:
             continue
-    # partial climb: spend the budget raising the lower bound
-    d, new_lower, _ = _support_rank_climb(code, lower, upper, budget, allow_partial=True)
-    if d is not None:
-        return DistanceResult(lower, upper, d, "low_weight")
-    if new_lower == upper:
-        return DistanceResult(new_lower, upper, upper, "sandwich")
-    return DistanceResult(new_lower, upper, None, lower_tag if new_lower == lower else "low_weight")
+        return d, words, method, lower
+    return None, [], None, lower
 
 
 def has_weight_at_most(code: CyclicCode, w: int, budget: int = DEFAULT_BUDGET) -> bool:
@@ -442,60 +479,38 @@ def has_weight_at_most(code: CyclicCode, w: int, budget: int = DEFAULT_BUDGET) -
         return False
     if w > n - k:
         return True  # any n-k+1 columns of a rank n-k matrix are dependent
-    cost = comb(n, w) * (n - k) * w * min(w, n - k)
+    return _dependent_support(code, w, budget) is not None
+
+
+def _dependent_support(code: CyclicCode, w: int, budget: float):
+    """One step of the support climb: the lex-first size-w support of
+    dependent parity-check columns, or None; raises if the scan exceeds budget."""
+    cost = linalg.column_scan_cost(code.n, code.n - code.k, w)
     if cost > budget:
         raise CombinatorialBudgetExceeded(
             f"support scan at weight {w} needs ~{cost:.2e} ops, budget {budget:.2e}"
         )
-    H = code.parity_check_matrix()
-    return _first_dependent_support(code.field, H, w) is not None
+    return linalg.first_dependent_columns(code.field, code.parity_check_matrix(), w)
 
 
-def _first_dependent_support(F: FieldSpec, H: np.ndarray, w: int, chunk: int = 4096):
-    """Lex-first size-w column support of H with dependent columns, or None."""
-    n = H.shape[1]
-    it = itertools.combinations(range(n), w)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return None
-        combos = np.array(block, dtype=np.int64)
-        mats = H[:, combos].transpose(1, 0, 2)
-        ranks = linalg.batch_rank(F, mats)
-        dep = np.nonzero(ranks < w)[0]
-        if len(dep):
-            return tuple(int(x) for x in combos[int(dep[0])])
-
-
-def _support_rank_climb(
-    code: CyclicCode, lower: int, upper: int, budget: int, allow_partial: bool = False
-):
-    """Climb weights from `lower`; returns (exact or None, new_lower, word)."""
+def _support_climb(code: CyclicCode, lower: int, upper: int, budget: int):
+    """Climb weights from `lower` until a dependent support turns up or the
+    budget runs out; returns (exact or None, word, lower bound reached)."""
     F = code.field
     n, k = code.n, code.k
-    H = code.parity_check_matrix()
-    spent = 0.0
-    w = max(1, lower)
-    while w <= upper:
-        step_cost = comb(n, w) * (n - k) * w * min(w, n - k)
-        if spent + step_cost > budget:
-            if allow_partial:
-                return None, w, None
-            raise CombinatorialBudgetExceeded(
-                f"support climb exhausted budget at weight {w}"
-            )
-        spent += step_cost
-        sup = _first_dependent_support(F, H, w)
+    for w in range(lower, upper + 1):
+        try:
+            sup = _dependent_support(code, w, budget)
+        except CombinatorialBudgetExceeded:
+            return None, None, w
+        budget -= linalg.column_scan_cost(n, n - k, w)
         if sup is not None:
-            ker = linalg.nullspace(F, H[:, list(sup)])
+            ker = linalg.nullspace(F, code.parity_check_matrix()[:, list(sup)])
             if ker.shape[0] == 0:
                 raise InvariantViolated(f"dependent support {sup} has a trivial kernel")
-            vec = ker[0]
             word = np.zeros(n, dtype=np.int64)
-            word[list(sup)] = vec
-            word = _normalize_word(F, word)
-            return w, w, word
-        w += 1
+            word[list(sup)] = ker[0]
+            return w, _normalize_word(F, word), w
     raise InvariantViolated(
         f"no dependent support up to certified upper bound {upper} ([{n},{k}])"
     )
@@ -668,51 +683,3 @@ def _projective_coeff_block(F: FieldSpec, t: int) -> np.ndarray:
             v //= F.q
         blocks.append(rows)
     return np.concatenate(blocks, axis=0)
-
-
-def min_weight_word(code: CyclicCode, budget: int = DEFAULT_BUDGET):
-    """Exact minimum weight plus a canonical achieving word.
-
-    Returns (d, word, support) with the word scaled to leading coefficient 1
-    and the support lexicographically smallest among all minimum-weight
-    codewords (including cyclic shifts).  Raises if no exact strategy fits.
-    """
-    F = code.field
-    n, k = code.n, code.k
-    if k == 0:
-        raise ValueError("zero code has no nonzero codeword")
-    bch_val, _ = bounds.bch_lower(code.defining)
-    upper = n - k + 1
-    costs = _strategy_costs(code, bch_val, upper)
-    # the support climb usually stops far below the Singleton ceiling, so
-    # rank it by its first step and let the budget cut it off mid-flight
-    costs["support_rank"] = float(comb(n, bch_val)) * (n - k) * bch_val * min(bch_val, n - k)
-    order = sorted(costs, key=lambda s: costs[s])
-    for strat in order:
-        if costs[strat] > budget:
-            continue
-        try:
-            if strat == "support_rank":
-                d, _, word = _support_rank_climb(code, bch_val, upper, budget)
-                sup = tuple(int(x) for x in np.nonzero(word)[0])
-                return d, word, sup
-            if strat == "exhaustive":
-                d, words = _exhaustive_scan(code, want_words=True)
-            else:
-                d, words = _zero_core_scan(code, want_words=True)
-        except CombinatorialBudgetExceeded:
-            continue
-        best_sup = None
-        best_word = None
-        for w0 in words:
-            sup0 = np.nonzero(w0)[0]
-            for s in range(n):
-                sup = tuple(sorted((int(x) + s) % n for x in sup0))
-                if best_sup is None or sup < best_sup:
-                    shifted = np.roll(w0, s)
-                    best_sup = sup
-                    best_word = _normalize_word(F, shifted)
-        return d, best_word, best_sup
-    raise CombinatorialBudgetExceeded(
-        f"no exact minimum-weight strategy fits budget {budget} for [{n},{k}]"
-    )

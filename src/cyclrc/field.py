@@ -11,7 +11,6 @@ order and the generator is the smallest index of full multiplicative order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -192,52 +191,6 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
         if _is_irreducible(f, p):
             return tuple(f)
     raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """One element of a FieldSpec, by canonical index."""
-
-    spec: "FieldSpec"
-    repr: int
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.spec is not self.spec:
-            raise MixedFields("operands live in different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add(self.repr, other.repr))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.repr, other.repr))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.repr, other.repr))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.div(self.repr, other.repr))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.repr))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.repr, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.repr))
-
-    def __bool__(self):
-        return self.repr != 0
-
-    def __repr__(self):
-        return f"GF({self.spec.q})[{self.repr}]"
 
 
 class FieldSpec:
@@ -465,19 +418,6 @@ class FieldSpec:
         la = int(self._log[a])
         return (self.q - 1) // gcd(la, self.q - 1)
 
-    def el(self, idx: int) -> FieldElement:
-        if not 0 <= idx < self.q:
-            raise FieldError(f"index {idx} outside 0..{self.q - 1}")
-        return FieldElement(self, idx)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
     # -- vector ops on numpy index arrays -----------------------------------
 
     def vadd(self, a, b):
@@ -545,21 +485,19 @@ def field_create(p: int, m: int) -> FieldSpec:
     return FieldSpec(p, m)
 
 
-def is_in_subfield(x: FieldElement, q0: int) -> bool:
-    """True iff x lies in the subfield of size q0 (fixed by y -> y^q0)."""
-    spec = x.spec
+def is_in_subfield(spec: FieldSpec, x: int, q0: int) -> bool:
+    """True iff element x lies in the subfield of size q0 (fixed by y -> y^q0)."""
     p0, m0 = prime_power_split(q0)
     if p0 != spec.p or spec.m % m0 != 0:
         raise NotASubfield(f"GF({q0}) is not a subfield of GF({spec.q})")
-    return spec.pow(x.repr, q0) == x.repr
+    return spec.pow(x, q0) == x
 
 
-def primitive_nth_root(spec: FieldSpec, n: int) -> FieldElement:
+def primitive_nth_root(spec: FieldSpec, n: int) -> int:
     """The canonical primitive n-th root of unity g^((q-1)/n)."""
     if n < 1 or (spec.q - 1) % n != 0:
         raise OrderNotDividing(f"n={n} does not divide q-1={spec.q - 1}")
-    alpha = spec.pow(spec.generator, (spec.q - 1) // n)
-    return FieldElement(spec, alpha)
+    return spec.pow(spec.generator, (spec.q - 1) // n)
 
 
 def ord_mod(q: int, n: int) -> int:

@@ -8,12 +8,18 @@ single-matrix ones (`rref`, `rank`, `nullspace`) run a batch of one, and the
 batched ones (`batch_rank`, `batch_det`, `batch_nullvec`) read their answer
 off the reduced stack.  All matrices are numpy int64 arrays of element
 indices.
+
+`first_dependent_columns` is the one column-dependence scan: it batches the
+t-subsets of a matrix's columns through `batch_rank`, and
+`column_scan_cost` is its work estimate.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
-from typing import NamedTuple
+from math import comb
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -142,3 +148,24 @@ def batch_nullvec(F: FieldSpec, mats) -> np.ndarray:
     out[full, piv] = F.vneg(R[full, np.arange(r)[None, :], free])
     out[full, free] = 1
     return out
+
+
+def column_scan_cost(cols: int, rows: int, t: int) -> int:
+    """Work estimate of `first_dependent_columns`: one rows x t elimination
+    per t-subset of the columns."""
+    return comb(cols, t) * rows * t * min(t, rows)
+
+
+def first_dependent_columns(F: FieldSpec, M, t: int, chunk: int = 4096) -> Optional[tuple[int, ...]]:
+    """Lex-first t-subset of the columns of M that is linearly dependent, or None."""
+    M = np.asarray(M, dtype=np.int64)
+    rows, cols = M.shape
+    if rows < t:
+        return tuple(range(t)) if cols >= t else None  # rank never reaches t
+    it = itertools.combinations(range(cols), t)
+    while block := list(itertools.islice(it, chunk)):
+        combos = np.array(block, dtype=np.int64)
+        dep = np.flatnonzero(batch_rank(F, M[:, combos].transpose(1, 0, 2)) < t)
+        if len(dep):
+            return tuple(int(x) for x in combos[dep[0]])
+    return None

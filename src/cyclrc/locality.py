@@ -103,22 +103,7 @@ def check_delta_independence(F, M, delta: int) -> bool:
         return True
     if M.shape[1] < t:
         return False
-    if M.shape[0] < t:
-        return False  # rank can never reach t
-    for block in _combo_blocks(M.shape[1], t):
-        mats = M[:, block].transpose(1, 0, 2)
-        if (linalg.batch_rank(F, mats) < t).any():
-            return False
-    return True
-
-
-def _combo_blocks(n: int, w: int, chunk: int = 4096):
-    it = itertools.combinations(range(n), w)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
+    return linalg.first_dependent_columns(F, M, t) is None
 
 
 def repair_groups_from_subgroup(t: int, s: int, ctx) -> list[tuple[int, ...]]:
@@ -151,11 +136,6 @@ def _subgroup_word(ctx, ell: int, t: int) -> np.ndarray:
     return word
 
 
-# caches keyed by (q, n, exponents); certificates must be deterministic anyway
-_dual_word_cache: dict = {}
-_run_dist_cache: dict = {}
-
-
 def anchor_dual_word(anchor: ExponentSet, budget: int = DEFAULT_BUDGET):
     """Low-weight dual codeword of the anchor's ambient code.
 
@@ -166,9 +146,10 @@ def anchor_dual_word(anchor: ExponentSet, budget: int = DEFAULT_BUDGET):
       `lower` carries the certified run lower bound on the dual distance.
     """
     ctx = anchor.ctx
-    key = (ctx.q, ctx.n, anchor.exps)
-    if key in _dual_word_cache:
-        return _dual_word_cache[key]
+    # the fallback depends on the budget, so the budget is part of the key
+    key = (anchor.exps, budget)
+    if key in ctx._dual_word_cache:
+        return ctx._dual_word_cache[key]
     n = ctx.n
     exact_val = bounds.exact_dual_distance(anchor)
     cosets = bounds.subgroup_coset_in(anchor)
@@ -198,20 +179,20 @@ def anchor_dual_word(anchor: ExponentSet, budget: int = DEFAULT_BUDGET):
             word = _subgroup_word(ctx, ell, t)
             support = tuple(int(i) for i in np.nonzero(word)[0])
             result = (word, support, n // ell, False, min(lower, n // ell))
-    _dual_word_cache[key] = result
+    ctx._dual_word_cache[key] = result
     return result
 
 
 def run_code_distance(run: ExponentSet, budget: int = DEFAULT_BUDGET) -> int:
     ctx = run.ctx
-    key = (ctx.q, ctx.n, run.exps)
-    if key not in _run_dist_cache:
+    # only exact distances are stored, and they do not depend on the budget
+    if run.exps not in ctx._run_dist_cache:
         cb = code_from_defining_set(ctx, run, base="extension")
         res = min_distance(cb, budget)
         if res.exact is None:
             raise BudgetExceededInconclusive("run-code distance not settled within budget")
-        _run_dist_cache[key] = res.exact
-    return _run_dist_cache[key]
+        ctx._run_dist_cache[run.exps] = res.exact
+    return ctx._run_dist_cache[run.exps]
 
 
 def locality_from_product(
@@ -330,14 +311,10 @@ def punctured_distance_at_least(code: CyclicCode, group, delta: int, budget: int
     if H.shape[0] == 0:
         return False  # punctured code is the full space, distance 1
     t = delta - 1
-    cost = comb(len(group), t) * H.shape[0] * t * t
+    cost = linalg.column_scan_cost(len(group), H.shape[0], t)
     if cost > budget:
         raise BudgetExceededInconclusive(f"punctured scan needs ~{cost:.2e} ops")
-    for block in _combo_blocks(len(group), t):
-        mats = H[:, block].transpose(1, 0, 2)
-        if (linalg.batch_rank(F, mats) < t).any():
-            return False
-    return True
+    return linalg.first_dependent_columns(F, H, t) is None
 
 
 def verify_locality_exhaustive(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import DivisionByZero, FieldElement, FieldSpec, MixedFields
+from .field import DivisionByZero, FieldSpec, MixedFields
 
 
 class DuplicateRoot(ValueError):
@@ -140,10 +140,8 @@ class Polynomial:
         return a.monic()
 
     def eval_at(self, x) -> int:
-        """Horner evaluation; accepts an element index or FieldElement."""
+        """Horner evaluation at the element index x."""
         F = self.spec
-        if isinstance(x, FieldElement):
-            x = x.repr
         acc = 0
         for c in reversed(self.coeffs):
             acc = F.add(F.mul(acc, x), c)
@@ -168,7 +166,7 @@ class Polynomial:
 
 def product_from_roots(spec: FieldSpec, roots) -> Polynomial:
     """Monic polynomial with exactly the given distinct roots."""
-    idx = [r.repr if isinstance(r, FieldElement) else int(r) for r in roots]
+    idx = [int(r) for r in roots]
     if len(set(idx)) != len(idx):
         raise DuplicateRoot("root list contains repeats")
     out = Polynomial.one(spec)

@@ -11,7 +11,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-import cyclrc.locality as locality_mod
 from cyclrc.cli import main as cli_main
 from cyclrc.constructions import ConstructionRequest, build, validate
 from cyclrc.cyclic import CycContext, code_from_defining_set, cyc_context, cyclotomic_coset, product_set
@@ -187,9 +186,10 @@ def test_criterion_8_property_battery():
         ConstructionRequest(family="C52", q=23, n=24, delta=4, r=3, i=1, ell=0, case=2),
     ):
         first = json.dumps(build(req).to_json_dict(), sort_keys=True)
-        locality_mod._dual_word_cache.clear()
-        locality_mod._run_dist_cache.clear()
-        cyc_context(req.q, req.n)._code_cache.clear()
+        ctx = cyc_context(req.q, req.n)
+        ctx._dual_word_cache.clear()
+        ctx._run_dist_cache.clear()
+        ctx._code_cache.clear()
         second = json.dumps(build(req).to_json_dict(), sort_keys=True)
         assert first == second
         cases += 1

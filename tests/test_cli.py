@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,8 @@ def test_verify_malformed_exit1(capsys, tmp_path):
 def test_search_headline_grid(capsys):
     code, out, _ = run_cli(capsys, "search", "--grid", GRID)
     assert code == 0
+    # byte-identical to the recorded grid output
+    assert out == (Path(__file__).parent / "data" / "search_nondividing.csv").read_bytes().decode()
     lines = out.strip().splitlines()
     assert lines[0] == "family,q,n,r,delta,k,d,optimal,divides"
     rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
@@ -117,6 +120,16 @@ def test_search_empty_grid(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "search", "--grid", str(grid))
     assert code == 0
     assert out.strip() == "family,q,n,r,delta,k,d,optimal,divides"
+
+
+def test_search_bad_point_reported_and_grid_continues(capsys, tmp_path):
+    grid = tmp_path / "mixed.json"
+    grid.write_text(json.dumps({"grids": [{"family": "C56", "q": [6, 13], "n": 7, "m": 2, "delta": [2]}]}))
+    code, out, err = run_cli(capsys, "search", "--grid", str(grid))
+    assert code == 1
+    assert "NonPrime: 6 is not a prime power" in err and '"q": 6' in err
+    assert "Traceback" not in err
+    assert out.splitlines() == ["family,q,n,r,delta,k,d,optimal,divides", "C56,13,7,4,2,4,4,False,False"]
 
 
 def test_search_invalid_grid(capsys, tmp_path):

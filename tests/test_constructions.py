@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +134,28 @@ def test_certificate_determinism():
     a = json.dumps(build(req).to_json_dict(), sort_keys=True)
     b = json.dumps(build(req).to_json_dict(), sort_keys=True)
     assert a == b
+
+
+def test_certificate_independent_of_earlier_budgets():
+    # at budget 1e6 the anchor dual word of this build falls back to an
+    # inexact subgroup witness; a default-budget build later in the same
+    # process must not reuse it, so it matches a build in a fresh process
+    probe = (
+        "import json, sys\n"
+        "from cyclrc.constructions import ConstructionRequest, build\n"
+        "req = ConstructionRequest(family='C56', q=32, n=33, delta=2, m=6)\n"
+        "if sys.argv[1] == 'mixed':\n    build(req, 10**6)\n"
+        "print(json.dumps(build(req).to_json_dict(), sort_keys=True))\n"
+    )
+    procs = [
+        subprocess.Popen([sys.executable, "-c", probe, mode], stdout=subprocess.PIPE, text=True)
+        for mode in ("mixed", "fresh")
+    ]
+    mixed, fresh = (p.communicate()[0] for p in procs)
+    assert [p.returncode for p in procs] == [0, 0]
+    cert = json.loads(fresh)
+    assert cert["locality"]["r"] == 22 and cert["optimality"]["optimal"] is True
+    assert mixed == fresh
 
 
 def test_every_product_defining_set_is_closed():

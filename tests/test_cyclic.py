@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclrc import linalg
 from cyclrc.cyclic import (
@@ -236,20 +237,57 @@ def test_min_weight_word_properties():
     assert not linalg.mat_vec(ctx.field, G, np.asarray(word)).any()
 
 
-def test_strategy_cross_agreement_ambient():
-    # zero-core equals message enumeration on ambient codes where both fit
+# (q, n) with small ambient fields: binary, prime and odd-characteristic
+# extension ambients (GF(8), GF(16), GF(9), GF(19), GF(25), GF(27))
+DIFF_CONTEXTS = [(2, 7), (2, 15), (4, 5), (3, 8), (19, 18), (5, 6), (3, 13)]
+MESSAGE_CAP = 4096
+CLIMB_BUDGET = 2 * 10**6
+
+
+@st.composite
+def closed_codes(draw):
+    """A code from a closed defining set, over the base or the ambient field,
+    whose message space stays small enough to enumerate."""
+    q, n = draw(st.sampled_from(DIFF_CONTEXTS))
+    ctx = cyc_context(q, n)
+    base = draw(st.sampled_from(["subfield", "extension"]))
+    qb = q if base == "subfield" else ctx.field.q
+    cosets = all_cyclotomic_cosets(ctx)
+    order = draw(st.permutations(range(len(cosets))))
+    # grow the nonzero set coset by coset while the message space fits
+    nonzeros: list[int] = []
+    for i in order[: draw(st.integers(1, len(cosets)))]:
+        if qb ** (len(nonzeros) + len(cosets[i])) <= MESSAGE_CAP:
+            nonzeros.extend(cosets[i].exps)
+    if not nonzeros:  # the coset {0} always fits
+        nonzeros = [0]
+    return code_from_defining_set(ctx, ctx.exponent_set(nonzeros).complement(), base=base)
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_codes())
+def test_strategy_cross_agreement_ambient(code):
+    # every exact strategy finds one distance and one canonical (support, word)
     import cyclrc.cyclic as cy
 
-    ctx = cyc_context(19, 18)
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        exps = sorted({int(x) for x in rng.integers(0, 18, rng.integers(1, 14))})
-        code = code_from_defining_set(ctx, ctx.exponent_set(exps), base="extension")
-        if code.k < 2 or 19**code.k > 10**7:
-            continue
-        d_zc, _ = cy._zero_core_scan(code)
-        d_ex = exhaustive_min_weight(code)
-        assert d_zc == d_ex, exps
+    F = code.field
+    n, k = code.n, code.k
+    d_ex, ex_words = cy._exhaustive_scan(code, want_words=True)
+    found = {"exhaustive": (d_ex, ex_words)}
+    d_climb, climb_word, reached = cy._support_climb(code, 1, n - k + 1, CLIMB_BUDGET)
+    if d_climb is None:
+        assert reached <= d_ex  # a cut climb still certifies a sound lower bound
+    else:
+        found["low_weight"] = (d_climb, [climb_word])
+    if code.base_q == F.q:
+        found["zero_core"] = cy._zero_core_scan(code, want_words=True)
+    assert {d for d, _ in found.values()} == {d_ex}, (code.defining.exps, found)
+    assert min_distance(code).exact == d_ex
+    d, word, sup = min_weight_word(code)
+    assert d == d_ex
+    pairs = [cy._canonical_word(F, words) for _, words in found.values()] + [(sup, word)]
+    canonical = {(s, tuple(int(x) for x in w)) for s, w in pairs}
+    assert len(canonical) == 1, (code.defining.exps, canonical)
 
 
 def test_serialization_shape():
