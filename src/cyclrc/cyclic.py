@@ -592,10 +592,10 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 819
     nonzero_exps = list(code.defining.complement().exps)
     if len(nonzero_exps) != k:
         raise InvariantViolated(f"{len(nonzero_exps)} nonzero exponents for dimension {k}")
+    rev = (-np.arange(n)) % n  # word[i] is the evaluation at alpha^(-i)
     if k == 1:
         row = ctx.root_powers(nonzero_exps, range(n))[0]
-        word = _normalize_word(F, np.array([row[(-i) % n] for i in range(n)], dtype=np.int64))
-        return n, ([word] if want_words else [])
+        return n, ([_normalize_word(F, row[rev])] if want_words else [])
     # evaluation matrix over all points, columns = nonzero exponents
     V = ctx.root_powers(range(n), nonzero_exps)  # (n, k): V[t, j] = alpha^(t * N_j)
     best_zero = k - 2
@@ -609,21 +609,15 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 819
             best_zero = mz
             best_fs = []
         if want_words and mz == best_zero:
-            for r in np.nonzero(zeros == best_zero)[0]:
-                best_fs.append(fs[int(r)].copy())
+            best_fs.append(fs[zeros == best_zero])
     d = n - best_zero
-    words: list[np.ndarray] = []
-    if want_words:
-        seen = set()
-        for f in best_fs:
-            ev = linalg.mat_vec(F, V, f)
-            word = np.array([ev[(-i) % n] for i in range(n)], dtype=np.int64)
-            word = _normalize_word(F, word)
-            key = tuple(int(x) for x in word)
-            if key not in seen:
-                seen.add(key)
-                words.append(word)
-    return d, words
+    if not best_fs:
+        return d, []
+    words = linalg.mat_mul(F, np.concatenate(best_fs), V.T)[:, rev]
+    lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
+    words = F.vdiv_nz(words, lead[:, None])
+    _, first = np.unique(words, axis=0, return_index=True)
+    return d, list(words[np.sort(first)])
 
 
 def _zero_core_candidates(F: FieldSpec, V: np.ndarray, chunk: int, degenerate_cap: int):
@@ -631,9 +625,12 @@ def _zero_core_candidates(F: FieldSpec, V: np.ndarray, chunk: int, degenerate_ca
 
     Yields the kernel vector of every (k-1)-core containing 0, one chunk at
     a time, then the projective points of each distinct kernel of dimension
-    > 1.  A degenerate core's kernel is fixed by its RREF, and structured
-    codes repeat kernels heavily, so each chunk's degenerate cores are
-    reduced in one batch and only unseen kernels are kept, in core order.
+    > 1, in kernel order.  A degenerate core's kernel is fixed by its RREF,
+    and structured codes repeat kernels heavily, so each chunk's degenerate
+    cores are reduced in one batch, only unseen RREFs are kept, in core
+    order, and their kernels are read off that reduction one rank at a time.
+    Consecutive kernels of one dimension share a projective block of about
+    `chunk` rows; a block is larger only when one kernel alone is.
     """
     n, k = V.shape
     kernels: list[np.ndarray] = []
@@ -648,24 +645,38 @@ def _zero_core_candidates(F: FieldSpec, V: np.ndarray, chunk: int, degenerate_ca
         fs = linalg.batch_nullvec(F, mats)
         dead = ~fs.any(axis=1)
         if dead.any():
-            reduced = linalg.gauss_jordan(F, mats[dead]).reduced
+            reduced, rank, pivots, _ = linalg.gauss_jordan(F, mats[dead])
             flat = reduced.reshape(len(reduced), -1)
             _, first = np.unique(flat, axis=0, return_index=True)
-            for i in np.sort(first):
+            new = []
+            for i in np.sort(first).tolist():
                 key = flat[i].tobytes()
                 if key in seen:
                     continue
                 seen.add(key)
-                ker = linalg.nullspace(F, reduced[i])
-                spent += (F.q ** len(ker) - 1) // (F.q - 1)
+                new.append(i)
+                spent += (F.q ** (k - int(rank[i])) - 1) // (F.q - 1)
                 if spent > degenerate_cap:
                     raise CombinatorialBudgetExceeded(
                         f"degenerate zero-core kernels need {spent}+ projective points"
                     )
-                kernels.append(ker)
+            found = {}
+            for r in np.unique(rank[new]):
+                idx = [i for i in new if rank[i] == r]
+                found.update(zip(idx, linalg.kernel_from_rref(F, reduced[idx, :r], pivots[idx, :r])))
+            kernels.extend(found[i] for i in new)
         yield fs[~dead]
-    for ker in kernels:
-        yield linalg.mat_mul(F, _projective_coeff_block(F, len(ker)), ker)
+    coeffs: dict[int, np.ndarray] = {}
+    for t, run in itertools.groupby(kernels, key=len):
+        if t not in coeffs:
+            coeffs[t] = _projective_coeff_block(F, t)
+        C = coeffs[t]
+        run = list(run)
+        per = max(1, chunk // len(C))
+        for s in range(0, len(run), per):
+            part = run[s:s + per]
+            pts = linalg.mat_mul(F, C, np.concatenate(part, axis=1))  # (points, kernels * k)
+            yield pts.reshape(len(C), len(part), k).transpose(1, 0, 2).reshape(-1, k)
 
 
 def _projective_coeff_block(F: FieldSpec, t: int) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 Elements are canonical integer indices in 0..q-1: the base-p digits of the
 index are the polynomial-basis coordinates (constant term = least significant
-digit).  Multiplication runs on log/antilog tables, addition on digit
-arithmetic (plain XOR in characteristic 2), so everything vectorizes over
-numpy index arrays.  Two calls with the same (p, m) always produce identical
-arithmetic: the reducing polynomial is the first monic irreducible in index
-order and the generator is the smallest index of full multiplicative order.
+digit).  Multiplication runs on log/antilog tables.  Addition is plain XOR in
+characteristic 2 and a sum mod p in prime fields; odd-characteristic
+extensions gather it from a q x q addition table for q <= 1024 and use digit
+arithmetic above that, and negate by a gather from a q-entry table.  So
+everything vectorizes over numpy index arrays.  Two calls with the same
+(p, m) always produce identical arithmetic: the reducing polynomial is the
+first monic irreducible in index order and the generator is the smallest
+index of full multiplicative order.
 """
 
 from __future__ import annotations
@@ -194,7 +197,11 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """GF(p^m) with log/antilog multiplication and digit addition.
+    """GF(p^m) with log/antilog multiplication and table or digit addition.
+
+    Odd-characteristic extensions add by a gather from the q x q table
+    `_add_table` when q <= 1024 and by digit arithmetic (`_digit_add`) above
+    it; they negate by a gather from `_neg_table`.
 
     Attributes
     ----------
@@ -244,7 +251,7 @@ class FieldSpec:
             self._pv = (p ** np.arange(m, dtype=np.int64)).astype(np.int64)
             self._neg_table = ((-dig) % p).astype(np.int64) @ self._pv
             if q <= 1024:
-                # full scalar addition table keeps per-element work off numpy
+                # full addition table: scalar and vector addition are look-ups
                 self._add_table = (
                     ((dig[:, None, :] + dig[None, :, :]) % p).astype(np.int64) @ self._pv
                 )
@@ -425,6 +432,12 @@ class FieldSpec:
             return np.bitwise_xor(a, b)
         if self.m == 1:
             return (np.asarray(a, dtype=np.int64) + b) % self.p
+        if self._add_table is not None:
+            return self._add_table[a, b]
+        return self._digit_add(a, b)
+
+    def _digit_add(self, a, b):
+        """Digit-wise addition mod p, for odd extensions without an add table."""
         return ((self._dig[a] + self._dig[b]) % self.p).astype(np.int64) @ self._pv
 
     def vneg(self, a):
@@ -432,7 +445,7 @@ class FieldSpec:
             return np.asarray(a)
         if self.m == 1:
             return (-np.asarray(a, dtype=np.int64)) % self.p
-        return ((-self._dig[a]) % self.p).astype(np.int64) @ self._pv
+        return self._neg_table[a]
 
     def vsub(self, a, b):
         if self.p == 2:

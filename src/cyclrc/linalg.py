@@ -6,8 +6,10 @@ echelon form at numpy speed and reports each entry's rank, pivot columns
 and signed pivot product.  The other routines are views over it.  The
 single-matrix ones (`rref`, `rank`, `nullspace`) run a batch of one, and the
 batched ones (`batch_rank`, `batch_det`, `batch_nullvec`) read their answer
-off the reduced stack.  All matrices are numpy int64 arrays of element
-indices.
+off the reduced stack.  `kernel_from_rref` is the one kernel read-off: it
+turns a stack of RREFs of one rank into their kernel bases, for `nullspace`,
+`batch_nullvec` and callers that already hold a `gauss_jordan` result.  All
+matrices are numpy int64 arrays of element indices.
 
 `first_dependent_columns` is the one column-dependence scan: it batches the
 t-subsets of a matrix's columns through `batch_rank`, and
@@ -81,13 +83,31 @@ def rank(F: FieldSpec, M) -> int:
 
 
 def nullspace(F: FieldSpec, M) -> np.ndarray:
-    """Basis of the right kernel, one vector per row, read off the RREF."""
-    R, piv = rref(F, M)
-    cols = R.shape[1]
-    free = np.delete(np.arange(cols), piv)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, piv] = F.vneg(R[:, free].T)
+    """Basis of the right kernel, one vector per row: `kernel_from_rref` of
+    the matrix's RREF."""
+    e = gauss_jordan(F, np.asarray(M)[None])
+    r = int(e.rank[0])
+    return kernel_from_rref(F, e.reduced[:, :r], e.pivots[:, :r])[0]
+
+
+def kernel_from_rref(F: FieldSpec, R, piv) -> np.ndarray:
+    """Kernel bases of a stack of RREFs that share one rank r.
+
+    R is (batch, r, cols) with no zero rows and piv its (batch, r) pivot
+    columns.  Entry b of the (batch, cols - r, cols) result has one row per
+    free column f, in increasing order: v[f] = 1, v[piv_i] = -R[i, f], and
+    zero at the other free columns.
+    """
+    nb, r, cols = R.shape
+    bound = np.zeros((nb, cols), dtype=bool)
+    bound[np.arange(nb)[:, None], piv] = True
+    free = np.nonzero(~bound)[1].reshape(nb, cols - r)
+    bi = np.arange(nb)[:, None, None]
+    fi = np.arange(cols - r)[None, :, None]
+    basis = np.zeros((nb, cols - r, cols), dtype=np.int64)
+    basis[bi, fi, free[:, :, None]] = 1
+    at_free = np.take_along_axis(R, free[:, None, :], axis=2)  # (batch, r, cols - r)
+    basis[bi, fi, piv[:, None, :]] = F.vneg(at_free.transpose(0, 2, 1))
     return basis
 
 
@@ -132,21 +152,16 @@ def batch_det(F: FieldSpec, mats) -> np.ndarray:
 def batch_nullvec(F: FieldSpec, mats) -> np.ndarray:
     """One kernel vector for each (c-1) x c matrix, read off its RREF.
 
-    The one free column f gets v[f] = 1 and each pivot column v[p_i] =
-    -R[i, f].  Rows of the result are all-zero exactly for the batch entries
-    whose rank is below c-1 (kernel dimension > 1); callers handle those
-    separately.
+    Rows of the result are all-zero exactly for the batch entries whose rank
+    is below c-1 (kernel dimension > 1); callers handle those separately.
     """
     R, rk, piv, _ = gauss_jordan(F, mats)
     nb, r, c = R.shape
     if r != c - 1:
         raise ValueError(f"kernel vector of {r}x{c} matrices needs {c - 1} rows")
     out = np.zeros((nb, c), dtype=np.int64)
-    full = np.nonzero(rk == r)[0][:, None]
-    piv = piv[full[:, 0]]
-    free = c * (c - 1) // 2 - piv.sum(axis=1, keepdims=True)  # the column no pivot took
-    out[full, piv] = F.vneg(R[full, np.arange(r)[None, :], free])
-    out[full, free] = 1
+    full = rk == r
+    out[full] = kernel_from_rref(F, R[full], piv[full])[:, 0]
     return out
 
 

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -91,6 +94,32 @@ def test_verify_roundtrip_and_tamper(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert "disagree" in out and "dimension" in out
+
+
+RECORDED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "certificates.json"
+
+
+# n24_case1 settles its anchor dual by the support climb over GF(23^2); the
+# other two take the zero-core scan's word path, over GF(19) and GF(2^8)
+@pytest.mark.parametrize("name,argv", [
+    ("n24_case1", ["--family", "C52", "--q", "23", "--n", "24", "--delta", "4",
+                   "--r", "3", "--i", "1", "--ell", "1", "--case", "1"]),
+    ("n18_single_tail_delta2", ["--family", "C44", "--q", "19", "--n", "18", "--delta", "2",
+                                "--b", "1", "--t", "1", "--m", "5", "--tail", "8"]),
+    ("n17_nondividing_delta3", ["--family", "C511", "--q", "16", "--n", "17", "--delta", "3",
+                                "--b", "1", "--t", "0", "--m", "6"]),
+])
+def test_construct_certificate_matches_recorded_digest(tmp_path, name, argv):
+    # a fresh process, so no cache warmed by earlier tests skips the oracle
+    path = tmp_path / "cert.json"
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from cyclrc.cli import main; sys.exit(main(sys.argv[1:]))",
+         "construct", *argv, "--format", "json", "-o", str(path)],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    recorded = json.loads(RECORDED_DIGESTS.read_text())[name]["sha256"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded
 
 
 def test_verify_malformed_exit1(capsys, tmp_path):

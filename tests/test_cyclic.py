@@ -1,11 +1,13 @@
 import itertools
 import subprocess
 import sys
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclrc import cyclic as cy
 from cyclrc import linalg
 from cyclrc.cyclic import (
     BoundInversion,
@@ -268,8 +270,6 @@ def closed_codes(draw):
 @given(closed_codes())
 def test_strategy_cross_agreement_ambient(code):
     # every exact strategy finds one distance and one canonical (support, word)
-    import cyclrc.cyclic as cy
-
     F = code.field
     n, k = code.n, code.k
     d_ex, ex_words = cy._exhaustive_scan(code, want_words=True)
@@ -288,6 +288,91 @@ def test_strategy_cross_agreement_ambient(code):
     pairs = [cy._canonical_word(F, words) for _, words in found.values()] + [(sup, word)]
     canonical = {(s, tuple(int(x) for x in w)) for s, w in pairs}
     assert len(canonical) == 1, (code.defining.exps, canonical)
+
+
+def reference_zero_core_candidates(F, V, chunk):
+    """The zero-core candidates as built before the batched read-off: one
+    nullspace per distinct degenerate RREF, one mat_mul per kernel."""
+    n, k = V.shape
+    kernels, seen = [], set()
+    it = itertools.combinations(range(1, n), k - 2)
+    while block := list(itertools.islice(it, chunk)):
+        cores = np.zeros((len(block), k - 1), dtype=np.int64)
+        if k >= 3:
+            cores[:, 1:] = block
+        mats = V[cores]
+        fs = linalg.batch_nullvec(F, mats)
+        dead = ~fs.any(axis=1)
+        for M in mats[dead]:
+            key = linalg.rref(F, M)[0].tobytes()
+            if key not in seen:
+                seen.add(key)
+                kernels.append(linalg.nullspace(F, M))
+        yield fs[~dead]
+    for ker in kernels:
+        yield linalg.mat_mul(F, cy._projective_coeff_block(F, len(ker)), ker)
+
+
+def reference_zero_core_words(F, V, blocks):
+    """Max zero count and the deduplicated words, one row at a time."""
+    n = V.shape[0]
+    best_zero, best_fs = 0, []
+    for fs in blocks:
+        for f in fs:
+            zeros = int((linalg.mat_vec(F, V, f) == 0).sum())
+            if zeros > best_zero:
+                best_zero, best_fs = zeros, []
+            if zeros == best_zero:
+                best_fs.append(f)
+    words = {}
+    for f in best_fs:
+        ev = linalg.mat_vec(F, V, f)
+        word = cy._normalize_word(F, np.array([ev[(-i) % n] for i in range(n)], dtype=np.int64))
+        words.setdefault(tuple(int(x) for x in word), None)
+    return best_zero, list(words)
+
+
+# anchor-dual codes whose zero cores include degenerate ones (kernel dimension > 1)
+DEGENERATE_ANCHORS = [
+    (19, 18, (0, 5, 10, 12, 16)),
+    (19, 18, (0, 8, 10, 14, 16)),
+    (25, 24, (0, 1, 5, 11, 12)),
+    (25, 24, (0, 4, 8, 16, 20)),
+]
+
+
+@pytest.mark.parametrize("q,n,anchor", DEGENERATE_ANCHORS)
+def test_zero_core_degenerate_kernels_match_reference(q, n, anchor):
+    ctx = cyc_context(q, n)
+    F = ctx.field
+    code = code_from_defining_set(ctx, ctx.exponent_set(anchor), base="extension").dual_code()
+    n, k = code.n, code.k
+    V = ctx.root_powers(range(n), list(code.defining.complement().exps))
+    for chunk in (7, 64, 8192):
+        nondegenerate = -(-comb(n - 1, k - 2) // chunk)
+        blocks = list(cy._zero_core_candidates(F, V, chunk, 1 << 20))
+        ref = list(reference_zero_core_candidates(F, V, chunk))
+        assert len(ref) > nondegenerate  # the degenerate branch is reached
+        for got, want in zip(blocks[:nondegenerate], ref[:nondegenerate]):
+            assert np.array_equal(got, want)
+        degenerate = blocks[nondegenerate:]
+        assert np.array_equal(np.concatenate(degenerate), np.concatenate(ref[nondegenerate:]))
+        # each block is a run of whole kernels, at most `chunk` rows unless it is one kernel
+        sizes = iter(len(b) for b in ref[nondegenerate:])
+        for block in degenerate:
+            rows = kernels = 0
+            while rows < len(block):
+                rows += next(sizes)
+                kernels += 1
+            assert rows == len(block)
+            assert len(block) <= chunk or kernels == 1
+        assert next(sizes, None) is None
+    best_zero, words = reference_zero_core_words(F, V, ref)
+    d, got_words = cy._zero_core_scan(code, want_words=True)
+    assert d == n - best_zero
+    assert [tuple(int(x) for x in w) for w in got_words] == words
+    # the distance does not depend on the degenerate kernels
+    assert reference_zero_core_words(F, V, ref[:nondegenerate])[0] == best_zero
 
 
 def test_serialization_shape():

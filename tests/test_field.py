@@ -85,6 +85,38 @@ def test_scalar_vector_agree(p, m):
         assert F.sub(x, y) == int(F.vsub(np.array([x]), np.array([y]))[0])
 
 
+@pytest.mark.parametrize("p,m", [(5, 2), (3, 3), (7, 2), (5, 3), (23, 2)])
+def test_table_addition_matches_digit_addition(p, m):
+    # odd extensions with q <= 1024 add by table gather: every pair, several shapes
+    F = field_create(p, m)
+    assert F._add_table is not None
+    x = np.arange(F.q)
+    digit_sum = F._digit_add(x[:, None], x[None, :])
+    assert np.array_equal(F.vadd(x[:, None], x[None, :]), digit_sum)
+    assert np.array_equal(F.vsub(x[:, None], x[None, :]), F._digit_add(x[:, None], F.vneg(x)[None, :]))
+    assert not F._digit_add(x, F.vneg(x)).any()
+    rng = np.random.default_rng(p * 100 + m)
+    a = rng.integers(0, F.q, (3, 1, 7))
+    b = rng.integers(0, F.q, (4, 7))
+    assert F.vadd(a, b).shape == (3, 4, 7)
+    assert np.array_equal(F.vadd(a, b), F._digit_add(a, b))
+    s = int(rng.integers(0, F.q))
+    assert np.array_equal(F.vadd(x, s), digit_sum[:, s])
+    assert np.array_equal(F.vadd(s, x), digit_sum[s])
+    assert F.vadd(x, x).dtype == np.int64
+
+
+def test_digit_addition_above_table_size():
+    F = field_create(3, 7)  # q = 2187 > 1024: no addition table
+    assert F._add_table is None
+    rng = np.random.default_rng(37)
+    a = rng.integers(0, F.q, 300)
+    b = rng.integers(0, F.q, 300)
+    for x, y, z, w in zip(a.tolist(), b.tolist(), F.vadd(a, b).tolist(), F.vsub(a, b).tolist()):
+        assert z == F.add(x, y)
+        assert w == F.sub(x, y)
+
+
 def test_identity_laws_all_elements():
     F = field_create(3, 2)
     for x in range(F.q):

@@ -94,6 +94,22 @@ def test_nullspace_is_kernel_basis(case):
 
 
 @SETTINGS
+@given(stacks(ANY))
+def test_kernel_read_off_batched_rref_equals_nullspace(case):
+    # the zero-core scan's read-off: one kernel_from_rref per rank group
+    F, mats = case
+    e = linalg.gauss_jordan(F, mats)
+    for r in np.unique(e.rank):
+        idx = np.flatnonzero(e.rank == r)
+        kers = linalg.kernel_from_rref(F, e.reduced[idx, :r], e.pivots[idx, :r])
+        assert kers.shape == (len(idx), mats.shape[2] - r, mats.shape[2])
+        for b, K in zip(idx, kers):
+            assert np.array_equal(K, linalg.nullspace(F, mats[b]))
+            free = np.setdiff1d(np.arange(mats.shape[2]), e.pivots[b, :r])
+            assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
+
+
+@SETTINGS
 @given(stacks(CORANK_ONE))
 def test_batch_nullvec_in_kernel(case):
     F, mats = case
