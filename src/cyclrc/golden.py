@@ -13,10 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from math import comb
 from typing import Optional
 
-from . import bounds
 from .constructions import ConstructionRequest, build
 from .cyclic import (
     CombinatorialBudgetExceeded,

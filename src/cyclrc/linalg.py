@@ -7,9 +7,8 @@ and signed pivot product.  The other routines are views over it.  The
 single-matrix ones (`rref`, `rank`, `nullspace`) run a batch of one, and the
 batched ones (`batch_rank`, `batch_det`, `batch_nullvec`) read their answer
 off the reduced stack.  `kernel_from_rref` is the one kernel read-off: it
-turns a stack of RREFs of one rank into their kernel bases, for `nullspace`,
-`batch_nullvec` and callers that already hold a `gauss_jordan` result.  All
-matrices are numpy int64 arrays of element indices.
+turns a stack of RREFs of one rank into their kernel bases, for `nullspace`
+and `batch_nullvec`.  All matrices are numpy int64 arrays of element indices.
 
 `first_dependent_columns` is the one column-dependence scan: it batches the
 t-subsets of a matrix's columns through `batch_rank`, and
@@ -153,7 +152,7 @@ def batch_nullvec(F: FieldSpec, mats) -> np.ndarray:
     """One kernel vector for each (c-1) x c matrix, read off its RREF.
 
     Rows of the result are all-zero exactly for the batch entries whose rank
-    is below c-1 (kernel dimension > 1); callers handle those separately.
+    is below c-1 (kernel dimension > 1); callers drop those rows.
     """
     R, rk, piv, _ = gauss_jordan(F, mats)
     nb, r, c = R.shape

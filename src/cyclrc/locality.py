@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 import numpy as np
 

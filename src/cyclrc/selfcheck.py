@@ -15,9 +15,6 @@ the packaged selftest as well as the test suite.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import bounds

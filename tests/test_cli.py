@@ -96,6 +96,67 @@ def test_verify_roundtrip_and_tamper(capsys, tmp_path):
     assert "disagree" in out and "dimension" in out
 
 
+C42_ARGV = ["construct", "--family", "C42", "--q", "19", "--n", "18", "--delta", "2", "--r", "2"]
+
+
+def _tamper_schema(cert):
+    cert["schema"] = 7
+
+
+def _tamper_modulus(cert):
+    cert["field"]["ambient_modulus"] = [1, 1]
+
+
+def _tamper_word(cert):
+    cert["locality"]["evidence"]["h0_word"] = [1] * 18
+
+
+def _tamper_word_and_support(cert):
+    cert["locality"]["evidence"]["h0_word"] = [1] + [0] * 17
+    cert["locality"]["evidence"]["h0_support"] = [0]
+
+
+def _tamper_groups(cert):
+    cert["locality"]["groups"] = [list(range(18))]
+
+
+@pytest.mark.parametrize("tamper,line", [
+    (_tamper_schema, "schema"),
+    (_tamper_modulus, "field"),
+    (_tamper_word, "locality evidence"),
+    (_tamper_word_and_support, "locality evidence"),
+    (_tamper_groups, "locality evidence"),
+])
+def test_verify_checks_schema_field_and_evidence(capsys, tmp_path, tamper, line):
+    path = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, *C42_ARGV, "--i", "0", "--ell", "0", "--format", "json", "-o", str(path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0 and "disagree" not in out
+    assert {ln.split(None, 1)[1].split(":")[0] for ln in out.splitlines()} >= {"schema", "field", "locality evidence"}
+    cert = json.loads(path.read_text())
+    tamper(cert)
+    path.write_text(json.dumps(cert))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert any(ln.startswith("disagree") and ln.split(None, 1)[1].startswith(line) for ln in out.splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    C42_ARGV,
+    ["construct", "--family", "C59", "--q", "17", "--n", "18", "--delta", "3", "--r", "1", "--case", "1"],
+])
+def test_construct_defaults_i_and_ell_to_zero(capsys, argv):
+    # a request without --i/--ell builds the code of the explicit --i 0 --ell 0 request
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and "Traceback" not in err
+    code0, out0, _ = run_cli(capsys, *argv, "--i", "0", "--ell", "0", "--format", "json")
+    assert code0 == 0
+    got, want = json.loads(out)["optimality"], json.loads(out0)["optimality"]
+    assert [got[key] for key in ("k", "d_exact", "r", "delta")] == [want[key] for key in ("k", "d_exact", "r", "delta")]
+    assert "i" not in got["request"] and "ell" not in got["request"]
+
+
 RECORDED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "certificates.json"
 
 

@@ -180,16 +180,9 @@ def test_min_distance_example_values():
     # the same value through the independent support scan
     assert not has_weight_at_most(dual, 9)
     assert has_weight_at_most(dual, 10)
-
-
-def test_exhaustive_partitioned_iteration():
-    ctx = cyc_context(19, 18)
-    dual = code_from_defining_set(ctx, ctx.exponent_set([0, 1, 5, 9])).dual_code()
-    total = 19**dual.k
-    cut = total // 3
-    d1 = exhaustive_min_weight(dual, 1, cut)
-    d2 = exhaustive_min_weight(dual, cut, total)
-    assert min(d1, d2) == 9
+    # an [18, 4, 9] dual through the message-space enumeration
+    dual4 = code_from_defining_set(ctx, ctx.exponent_set([0, 1, 5, 9])).dual_code()
+    assert exhaustive_min_weight(dual4) == 9
 
 
 def test_has_weight_at_most_examples():
@@ -290,9 +283,27 @@ def test_strategy_cross_agreement_ambient(code):
     assert len(canonical) == 1, (code.defining.exps, canonical)
 
 
+def projective_coeff_block(F, t):
+    """Coefficient rows covering the projective space of a t-dim space:
+    first nonzero coefficient normalized to 1."""
+    blocks = []
+    for lead in range(t):
+        tail = t - lead - 1
+        count = F.q**tail
+        rows = np.zeros((count, t), dtype=np.int64)
+        rows[:, lead] = 1
+        v = np.arange(count, dtype=np.int64)
+        for j in range(tail):
+            rows[:, lead + 1 + j] = v % F.q
+            v //= F.q
+        blocks.append(rows)
+    return np.concatenate(blocks, axis=0)
+
+
 def reference_zero_core_candidates(F, V, chunk):
-    """The zero-core candidates as built before the batched read-off: one
-    nullspace per distinct degenerate RREF, one mat_mul per kernel."""
+    """Every zero-core candidate, degenerate cores included: the kernel
+    vector of each rank-(k-1) core, then one nullspace per distinct
+    degenerate RREF with all the projective points of its kernel."""
     n, k = V.shape
     kernels, seen = [], set()
     it = itertools.combinations(range(1, n), k - 2)
@@ -310,7 +321,7 @@ def reference_zero_core_candidates(F, V, chunk):
                 kernels.append(linalg.nullspace(F, M))
         yield fs[~dead]
     for ker in kernels:
-        yield linalg.mat_mul(F, cy._projective_coeff_block(F, len(ker)), ker)
+        yield linalg.mat_mul(F, projective_coeff_block(F, len(ker)), ker)
 
 
 def reference_zero_core_words(F, V, blocks):
@@ -343,36 +354,42 @@ DEGENERATE_ANCHORS = [
 
 @pytest.mark.parametrize("q,n,anchor", DEGENERATE_ANCHORS)
 def test_zero_core_degenerate_kernels_match_reference(q, n, anchor):
+    # the scan skips cores of rank below k-1; the reference enumerates their kernels
     ctx = cyc_context(q, n)
     F = ctx.field
     code = code_from_defining_set(ctx, ctx.exponent_set(anchor), base="extension").dual_code()
     n, k = code.n, code.k
     V = ctx.root_powers(range(n), list(code.defining.complement().exps))
-    for chunk in (7, 64, 8192):
-        nondegenerate = -(-comb(n - 1, k - 2) // chunk)
-        blocks = list(cy._zero_core_candidates(F, V, chunk, 1 << 20))
-        ref = list(reference_zero_core_candidates(F, V, chunk))
-        assert len(ref) > nondegenerate  # the degenerate branch is reached
-        for got, want in zip(blocks[:nondegenerate], ref[:nondegenerate]):
-            assert np.array_equal(got, want)
-        degenerate = blocks[nondegenerate:]
-        assert np.array_equal(np.concatenate(degenerate), np.concatenate(ref[nondegenerate:]))
-        # each block is a run of whole kernels, at most `chunk` rows unless it is one kernel
-        sizes = iter(len(b) for b in ref[nondegenerate:])
-        for block in degenerate:
-            rows = kernels = 0
-            while rows < len(block):
-                rows += next(sizes)
-                kernels += 1
-            assert rows == len(block)
-            assert len(block) <= chunk or kernels == 1
-        assert next(sizes, None) is None
+    ref = list(reference_zero_core_candidates(F, V, 8192))
+    assert len(ref) > -(-comb(n - 1, k - 2) // 8192)  # degenerate kernels are enumerated
     best_zero, words = reference_zero_core_words(F, V, ref)
-    d, got_words = cy._zero_core_scan(code, want_words=True)
-    assert d == n - best_zero
-    assert [tuple(int(x) for x in w) for w in got_words] == words
-    # the distance does not depend on the degenerate kernels
-    assert reference_zero_core_words(F, V, ref[:nondegenerate])[0] == best_zero
+    for chunk in (7, 64, 8192):
+        d, got_words = cy._zero_core_scan(code, want_words=True, chunk=chunk)
+        assert d == n - best_zero
+        assert [tuple(int(x) for x in w) for w in got_words] == words
+
+
+# ambient-field codes with many degenerate cores, whose kernels hold over
+# 10^6 projective points in all
+CAP_CODES = [
+    (19, 18, range(1, 18, 2), 2),
+    (19, 18, range(0, 18, 2), 2),
+    (25, 24, [e for e in range(24) if e % 3 != 2], 3),
+]
+
+
+@pytest.mark.parametrize("q,n,exps,d", CAP_CODES, ids=["19-18-odd", "19-18-even", "25-24-not2mod3"])
+def test_zero_core_settles_codes_with_many_degenerate_cores(q, n, exps, d):
+    ctx = cyc_context(q, n)
+    code = code_from_defining_set(ctx, ctx.exponent_set(exps), base="extension")
+    got, words = cy._zero_core_scan(code, want_words=True)
+    assert got == d
+    res = min_distance(code)
+    assert (res.exact, res.method) == (d, "zero_core")
+    climb_d, climb_word, _ = cy._support_climb(code, 1, n - code.k + 1, CLIMB_BUDGET)
+    assert climb_d == d
+    pairs = [cy._canonical_word(code.field, ws) for ws in (words, [climb_word])]
+    assert len({(s, tuple(int(x) for x in w)) for s, w in pairs}) == 1
 
 
 def test_serialization_shape():
