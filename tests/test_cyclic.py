@@ -180,9 +180,24 @@ def test_min_distance_example_values():
     # the same value through the independent support scan
     assert not has_weight_at_most(dual, 9)
     assert has_weight_at_most(dual, 10)
-    # an [18, 4, 9] dual through the message-space enumeration
-    dual4 = code_from_defining_set(ctx, ctx.exponent_set([0, 1, 5, 9])).dual_code()
-    assert exhaustive_min_weight(dual4) == 9
+
+
+def test_exhaustive_partitioned_iteration():
+    # an [18, 4, 9] dual through the message-space enumeration; the d and the
+    # minimum-weight words do not depend on how the space is cut into chunks
+    ctx = cyc_context(19, 18)
+    dual = code_from_defining_set(ctx, ctx.exponent_set([0, 1, 5, 9])).dual_code()
+    assert exhaustive_min_weight(dual) == 9
+    total = 19**dual.k
+    want = None
+    for chunk in (total // 3, 4096, total):
+        d, words = cy._exhaustive_scan(dual, want_words=True, chunk=chunk)
+        assert d == 9
+        got = sorted(tuple(int(x) for x in w) for w in words)
+        assert got
+        if want is None:
+            want = got
+        assert got == want
 
 
 def test_has_weight_at_most_examples():
