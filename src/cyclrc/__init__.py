@@ -47,7 +47,6 @@ from .locality import (
     LocalityCertificate,
     check_delta_independence,
     locality_from_product,
-    repair_groups_from_subgroup,
     verify_locality_exhaustive,
 )
 from .poly import Polynomial, product_from_roots, reciprocal
@@ -88,7 +87,6 @@ __all__ = [
     "product_from_roots",
     "product_set",
     "reciprocal",
-    "repair_groups_from_subgroup",
     "singleton_like",
     "validate",
     "verify_locality_exhaustive",

@@ -2,11 +2,13 @@
 
 Certificates are the only interchange format: `construct` emits a JSON
 document carrying the field, the code, the locality evidence and the
-optimality record, and `verify` re-derives every claim in it from nothing
-but (q, n, defining exponents, claims).  `search` expands a parameter grid
-deterministically into one row per constructed code.  Exit codes follow the
-scripting contract: 0 fully verified/optimal, 2 constructed but not optimal
-(or verified with gaps), 1 errors or disagreements.
+optimality record.  `verify` loads one and prints the report of
+`constructions.verify_certificate`, which rebuilds the code from the
+recorded request and re-derives every claim; the CLI holds no checks of its
+own.  `search` expands a parameter grid deterministically into one row per
+constructed code.  Exit codes follow the scripting contract: `construct`
+0 optimal, 2 not optimal; `verify` 0 every claim agrees, 2 some claim
+inconclusive within the budget; 1 errors, disagreements and malformed input.
 """
 
 from __future__ import annotations
@@ -18,24 +20,19 @@ import itertools
 import json
 import sys
 
-from . import bounds, linalg
 from .constructions import (
-    CERTIFICATE_SCHEMA,
     FAMILY_NAMES,
     BuildResult,
     ConstructionInternalError,
     ConstructionRequest,
     HypothesisViolated,
+    MalformedCertificate,
     build,
+    verify_certificate,
 )
-from .cyclic import (
-    DEFAULT_BUDGET,
-    cyc_context,
-    code_from_defining_set,
-    min_distance,
-)
+from .cyclic import DEFAULT_BUDGET
 from .field import FieldError
-from .locality import punctured_distance_at_least, BudgetExceededInconclusive
+from .locality import BudgetExceededInconclusive
 
 CSV_HEADER = ["family", "q", "n", "r", "delta", "k", "d", "optimal", "divides"]
 MIN_BUDGET = 10**6
@@ -146,138 +143,17 @@ def cmd_construct(args) -> int:
     return 0 if res.optimality.optimal else 2
 
 
-def _verify_claim(report: list, name: str, status: str, detail: str = "") -> None:
-    report.append((name, status, detail))
-
-
 def cmd_verify(args) -> int:
     try:
         with open(args.certificate, encoding="utf-8") as fh:
-            cert = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            report = verify_certificate(json.load(fh), args.budget)
+    except (OSError, json.JSONDecodeError, MalformedCertificate) as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return 1
-    report: list[tuple[str, str, str]] = []
-    try:
-        return _verify_body(cert, args, report)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"malformed certificate: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-
-
-def _verify_body(cert: dict, args, report) -> int:
-    codeinfo = cert["code"]
-    opt = cert["optimality"]
-    loc = cert["locality"]
-    q, n = codeinfo["q"], codeinfo["n"]
-    ctx = cyc_context(q, n)
-    S = ctx.exponent_set(codeinfo["defining_exponents"])
-    code = code_from_defining_set(ctx, S)
-
-    _verify_claim(report, "schema", "agree" if cert["schema"] == CERTIFICATE_SCHEMA else "disagree",
-                  f"claimed {cert['schema']!r}, supported {CERTIFICATE_SCHEMA}")
-    _verify_claim(report, "field", "agree" if cert["field"] == ctx.to_dict() else "disagree",
-                  f"recomputed {ctx.to_dict()}, claimed {cert['field']}")
-
-    _verify_claim(report, "dimension",
-                  "agree" if code.k == codeinfo["k"] else "disagree",
-                  f"recomputed {code.k}, claimed {codeinfo['k']}")
-    gen_ok = list(code.gen.coeffs) == list(codeinfo["generator_coeffs"])
-    _verify_claim(report, "generator polynomial", "agree" if gen_ok else "disagree")
-
-    # distance: recompute under budget and compare with the claim
-    r_claim, delta_claim = opt["r"], opt["delta"]
-    hints = []
-    if 1 <= r_claim <= code.k and delta_claim >= 2:
-        hints.append(bounds.singleton_like(n, code.k, r_claim, delta_claim))
-    res = min_distance(code, args.budget, upper_hints=tuple(hints))
-    if opt.get("d_exact") is not None:
-        d_claim = opt["d_exact"]
-        if res.exact is not None:
-            _verify_claim(report, "distance", "agree" if res.exact == d_claim else "disagree",
-                          f"recomputed {res.exact}, claimed {d_claim}")
-        elif res.lower <= d_claim <= res.upper:
-            _verify_claim(report, "distance", "inconclusive",
-                          f"claimed {d_claim} inside recomputed sandwich [{res.lower},{res.upper}]")
-        else:
-            _verify_claim(report, "distance", "disagree",
-                          f"claimed {d_claim} outside [{res.lower},{res.upper}]")
-    else:
-        lo, hi = opt["d_lower"], opt["d_upper"]
-        if res.exact is not None:
-            ok = lo <= res.exact <= hi
-        else:
-            ok = max(res.lower, lo) <= min(res.upper, hi)
-        _verify_claim(report, "distance sandwich",
-                      "agree" if ok else "disagree",
-                      f"recomputed [{res.lower},{res.upper}], claimed [{lo},{hi}]")
-
-    # locality: group sizes, coverage, punctured distances
-    groups = [tuple(g) for g in loc["groups"]]
-    size_cap = r_claim + delta_claim - 1
-    sizes_ok = all(len(g) <= size_cap for g in groups)
-    covered = set()
-    for g in groups:
-        covered.update(g)
-    coverage_ok = covered == set(range(n))
-    _verify_claim(report, "group sizes", "agree" if sizes_ok else "disagree")
-    _verify_claim(report, "group coverage", "agree" if coverage_ok else "disagree")
-    problem = _evidence_problem(ctx, loc["evidence"], groups)
-    _verify_claim(report, "locality evidence", "disagree" if problem else "agree", problem)
-    punct = "agree"
-    detail = ""
-    try:
-        for g in groups:
-            if not punctured_distance_at_least(code, g, delta_claim, args.budget):
-                punct = "disagree"
-                detail = f"group {list(g)} tolerates fewer than {delta_claim - 1} erasures"
-                break
-    except BudgetExceededInconclusive as exc:
-        punct, detail = "inconclusive", str(exc)
-    _verify_claim(report, "punctured distances", punct, detail)
-
-    # optimality flag
-    if opt.get("singleton_like_value") is not None and res.exact is not None:
-        recomputed = res.exact == opt["singleton_like_value"]
-        _verify_claim(report, "optimal flag",
-                      "agree" if recomputed == opt["optimal"] else "disagree",
-                      f"bound {opt['singleton_like_value']}, distance {res.exact}")
-    elif opt["optimal"]:
-        _verify_claim(report, "optimal flag", "inconclusive", "distance not settled under budget")
-    else:
-        _verify_claim(report, "optimal flag", "agree", "flag is down and nothing contradicts it")
-
-    # exit contract: 0 everything agrees, 2 inconclusive gaps, 1 disagreement
-    worst = 0
-    for name, status, detail in report:
-        print(f"{status:12s} {name}" + (f": {detail}" if detail else ""))
-        if status == "disagree":
-            worst = max(worst, 2)
-        elif status == "inconclusive":
-            worst = max(worst, 1)
-    return {0: 0, 1: 2, 2: 1}[worst]
-
-
-def _evidence_problem(ctx, evidence: dict, groups: list) -> str:
-    """Why the locality evidence fails, or "" when it holds: h0_word must be a
-    nonzero dual word of the anchor code with support h0_support, and the
-    groups must be the distinct cyclic shifts of that support."""
-    n, F = ctx.n, ctx.field
-    word = evidence["h0_word"]
-    if len(word) != n or not all(0 <= x < F.q for x in word):
-        return f"h0_word is not a vector of length {n} over GF({F.q})"
-    support = [i for i, x in enumerate(word) if x]
-    if not support:
-        return "h0_word is zero"
-    if list(evidence["h0_support"]) != support:
-        return f"h0_support {evidence['h0_support']} is not the support {support} of h0_word"
-    anchor = code_from_defining_set(ctx, ctx.exponent_set(evidence["anchor_exponents"]), base="extension")
-    if linalg.mat_mul(F, anchor.generator_matrix(), [[x] for x in word]).any():
-        return "h0_word is not orthogonal to the anchor code"
-    shifts = sorted({tuple(sorted((i + s) % n for i in support)) for s in range(n)})
-    if groups != shifts:
-        return "groups are not the distinct cyclic shifts of h0_support"
-    return ""
+    for claim, status, detail in report:
+        print(f"{status:12s} {claim}" + (f": {detail}" if detail else ""))
+    statuses = {status for _, status, _ in report}
+    return 1 if "disagree" in statuses else 2 if "inconclusive" in statuses else 0
 
 
 def _expand_grid(grid: dict):

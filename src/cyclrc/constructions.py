@@ -16,7 +16,7 @@ with the flag down and a note, since parameter searches need those points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import ceil, gcd
 from typing import Optional
 
@@ -32,7 +32,7 @@ from .cyclic import (
     min_distance,
     product_set,
 )
-from .locality import LocalityCertificate, locality_from_product
+from .locality import LocalityCertificate, check_locality_record, claim_line, locality_from_product
 
 FAMILY_NAMES = (
     "T41",
@@ -224,6 +224,8 @@ def validate(req: ConstructionRequest) -> list[str]:
         v = _common_clauses(req, "q-1")
     else:
         v = _common_clauses(req, "q+1")
+    if fam in ("C52", "C59", "C56", "C511") and req.t != 0:
+        v.append("t = 0")  # these anchors are fixed sets with no shift
 
     if fam == "T41":
         v += _tail_clauses(req)
@@ -497,9 +499,17 @@ def _claimed_dual_distance(req: ConstructionRequest) -> Optional[int]:
     return None
 
 
-def _ceiling_condition(req: ConstructionRequest, k: int, r: int) -> tuple[bool, Optional[str]]:
-    """The per-family optimality side condition on ceil(k/r)."""
+def _optimality_conditions(req: ConstructionRequest, k: int, r: int, dual: int, dual_exact: bool,
+                           dual_lower: int) -> tuple[bool, list[str]]:
+    """The family's optimality side conditions on ceil(k/r) and on the
+    anchor dual word weight `dual`, with the certificate notes they give."""
     fam = req.family
+    notes = []
+    if not dual_exact:
+        notes.append(
+            f"anchor dual distance certified as <= {dual} by a subgroup "
+            f"witness (run lower bound {dual_lower}); repair groups remain sound"
+        )
     if fam in ("T41", "T51", "T58"):
         want = len(req.tails) + 1
     elif fam in ("T48", "P49", "P410"):
@@ -513,39 +523,59 @@ def _ceiling_condition(req: ConstructionRequest, k: int, r: int) -> tuple[bool, 
         nu = req.n // (req.r + req.delta - 1)
         want = nu - 2 * req.ell - 1 if req.case == 1 else nu - 2 * req.ell
     else:
-        return True, None
-    have = ceil(k / r)
-    if have == want:
-        return True, None
-    return False, f"ceil(k/r) = {have} differs from the target block count {want}"
+        want = None
+    cond = want is None or ceil(k / r) == want
+    if not cond:
+        notes.append(f"ceil(k/r) = {ceil(k / r)} differs from the target block count {want}")
+    if fam in ("C44", "C56", "C511") and not req.delta - 2 < req.n - req.m - dual:
+        # the inequality quantifies over the true dual distance; the witness
+        # weight upper-bounds it, so a strict bound through the witness holds
+        cond = False
+        notes.append(f"delta-2 = {req.delta - 2} not below n-m-dual = {req.n - req.m - dual}")
+    if fam == "P49" and not dual < req.n - 2 * req.delta + 1:
+        notes.append(f"dual distance {dual} not below n-2*delta+1 = {req.n - 2 * req.delta + 1}")
+    if not cond:
+        notes.append(f"distance formula value {_claimed_distance(req)} retained as a claim, not certified optimal")
+    return cond, notes
+
+
+def _witness(req: ConstructionRequest) -> tuple[Optional[BettiSalaWitness], Optional[dict]]:
+    """The run-plus-blocks lower-bound witness of the T48, P49 and P410 sets,
+    and its certificate record."""
+    if req.family not in ("T48", "P49", "P410"):
+        return None, None
+    w = BettiSalaWitness(u=req.t % req.n, b=req.b, m=(req.m if req.family == "T48" else 1), delta=req.delta)
+    return w, {"kind": "run_blocks", **asdict(w)}
+
+
+def _assemble(req: ConstructionRequest) -> tuple[ConstructionRequest, ExponentSet, ExponentSet]:
+    """Validate a request; return it with defaults filled in, and its anchor
+    and run sets.  Raises HypothesisViolated."""
+    clauses = validate(req)
+    if clauses:
+        raise HypothesisViolated(clauses)
+    req = _with_defaults(req)
+    ctx = cyc_context(req.q, req.n)
+    anchor = ctx.exponent_set(_anchor_exponents(req))
+    if len(anchor) != _expected_anchor_size(req):
+        raise HypothesisViolated(["anchor exponents collide mod n"])
+    if req.mu is not None and (req.r is None or _formula_k(req) != req.mu * req.r):
+        raise HypothesisViolated(["k = mu*r"])
+    return req, anchor, _run_set(ctx, req)
 
 
 def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult:
     """Build a family request end to end and certify it."""
-    clauses = validate(req)
-    if clauses:
-        raise HypothesisViolated(clauses)
     request = req.to_dict()
-    req = _with_defaults(req)
-    ctx = cyc_context(req.q, req.n)
-    anchor_exps = _anchor_exponents(req)
-    anchor = ctx.exponent_set(anchor_exps)
-    if len(anchor) != _expected_anchor_size(req):
-        raise HypothesisViolated(["anchor exponents collide mod n"])
-    run = _run_set(ctx, req)
-    ab = product_set(anchor, run)
-    code = code_from_defining_set(ctx, ab, base="subfield")
-
+    req, anchor, run = _assemble(req)
+    code = code_from_defining_set(anchor.ctx, product_set(anchor, run), base="subfield")
     k = _formula_k(req)
     if code.k != k:
         raise ConstructionInternalError(
             f"dimension formula gives {k} but the product set leaves {code.k}"
         )
-    if req.mu is not None and (req.r is None or k != req.mu * req.r):
-        raise HypothesisViolated(["k = mu*r"])
 
     cert = locality_from_product(anchor, run, code, budget)
-    notes: list[str] = []
     if cert.run_distance != req.delta:
         raise ConstructionInternalError(
             f"run code distance {cert.run_distance} differs from delta={req.delta}"
@@ -555,42 +585,13 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
         raise ConstructionInternalError(
             f"anchor dual distance {cert.dual_distance} differs from the pinned {claimed_dual}"
         )
-    if not cert.dual_exact:
-        notes.append(
-            f"anchor dual distance certified as <= {cert.dual_distance} by a subgroup "
-            f"witness (run lower bound {cert.dual_lower}); repair groups remain sound"
-        )
+    cond, notes = _optimality_conditions(req, k, cert.r, cert.dual_distance, cert.dual_exact, cert.dual_lower)
 
-    witness = None
-    if req.family in ("T48", "P49", "P410"):
-        witness = BettiSalaWitness(u=req.t % req.n, b=req.b, m=(req.m if req.family == "T48" else 1), delta=req.delta)
+    singleton_val = bounds.singleton_like(req.n, k, cert.r, cert.delta) if 1 <= cert.r <= k else None
+    witness, witness_record = _witness(req)
+    res = min_distance(code, budget, witness=witness, upper_hints=() if singleton_val is None else (singleton_val,))
 
     d_claim = _claimed_distance(req)
-    cond, cond_note = _ceiling_condition(req, k, cert.r)
-    if cond_note:
-        notes.append(cond_note)
-    if req.family in ("C44", "C56", "C511"):
-        # the inequality quantifies over the true dual distance; the witness
-        # weight upper-bounds it, so a strict bound through the witness holds
-        ineq = req.delta - 2 < req.n - req.m - cert.dual_distance
-        if not ineq:
-            cond = False
-            notes.append(
-                f"delta-2 = {req.delta - 2} not below n-m-dual = {req.n - req.m - cert.dual_distance}"
-            )
-    if req.family == "P49":
-        if not cert.dual_distance < req.n - 2 * req.delta + 1:
-            notes.append(
-                f"dual distance {cert.dual_distance} not below n-2*delta+1 = {req.n - 2 * req.delta + 1}"
-            )
-
-    hints = []
-    singleton_val = None
-    if 1 <= cert.r <= k:
-        singleton_val = bounds.singleton_like(req.n, k, cert.r, cert.delta)
-        hints.append(singleton_val)
-    res = min_distance(code, budget, witness=witness, upper_hints=tuple(hints))
-
     optimal = bool(cond and singleton_val is not None and res.exact is not None and res.exact == singleton_val)
     if cond and res.exact is not None and res.exact != d_claim and req.family != "C46":
         raise ConstructionInternalError(
@@ -609,8 +610,6 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
             raise ConstructionInternalError(
                 "single-root-tail family failed its guaranteed optimality check"
             )
-    if not cond:
-        notes.append(f"distance formula value {d_claim} retained as a claim, not certified optimal")
 
     opt = OptimalityCertificate(
         n=req.n,
@@ -626,12 +625,103 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
         family=req.family,
         request=request,
         distance_method=res.method,
-        witness=(
-            {"kind": "run_blocks", "u": witness.u, "b": witness.b, "m": witness.m, "delta": witness.delta}
-            if witness is not None
-            else None
-        ),
+        witness=witness_record,
         notes=tuple(notes),
     )
     return BuildResult(code=code, locality=cert, optimality=opt)
 
+
+class MalformedCertificate(ValueError):
+    """A document that does not have the shape of a certificate."""
+
+
+def verify_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> list[tuple[str, str, str]]:
+    """Re-derive every claim of a parsed JSON certificate: one (claim,
+    status, detail) line per claim, with status agree, disagree or
+    inconclusive (not settled within `budget`).
+
+    The request is rebuilt through the assembly `build` uses; the locality
+    record is re-derived by `check_locality_record`; the distance is
+    recomputed with the request's witness and, once the locality holds, the
+    Singleton-like bound; the bound, divisibility, optimal flag, distance
+    claim and notes follow from those.  Raises MalformedCertificate.
+    """
+    try:
+        return _verify(cert, budget)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise MalformedCertificate(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _verify(cert: dict, budget: int) -> list[tuple[str, str, str]]:
+    info, loc, opt = cert["code"], cert["locality"], cert["optimality"]
+    lines = [claim_line("schema", cert["schema"] == CERTIFICATE_SCHEMA,
+                        f"claimed {cert['schema']!r}, supported {CERTIFICATE_SCHEMA}")]
+    try:
+        if [opt["request"]["q"], opt["request"]["n"]] != [info["q"], info["n"]]:
+            raise HypothesisViolated(["request q and n are the code's q and n"])
+        req, anchor, run = _assemble(ConstructionRequest.from_dict(opt["request"]))
+    except HypothesisViolated as exc:
+        return lines + [("request", "disagree", f"hypothesis violated: {exc}")]
+    ctx, n = anchor.ctx, req.n
+    code = code_from_defining_set(ctx, product_set(anchor, run), base="subfield")
+    ev = loc["evidence"]
+    rebuilt = [list(code.defining.exps), list(anchor.exps), list(run.exps), req.family, n]
+    lines += [
+        claim_line("field", cert["field"] == ctx.to_dict(), f"recomputed {ctx.to_dict()}, claimed {cert['field']}"),
+        claim_line("request", [info["defining_exponents"], ev["anchor_exponents"], ev["run_exponents"],
+                               opt["family"], opt["n"]] == rebuilt,
+                   "rebuilt defining, anchor and run exponents, family and n"),
+        claim_line("dimension", info["k"] == opt["k"] == code.k, f"recomputed {code.k}, claimed {info['k']}"),
+        claim_line("generator polynomial", info["generator_coeffs"] == list(code.gen.coeffs)),
+    ]
+
+    loc_lines = check_locality_record(code, loc, budget)
+    lines += loc_lines
+    holds = all(status == "agree" for _, status, _ in loc_lines)  # loc's r, delta, dA_perp are re-derived
+    r, delta, k = loc["r"], loc["delta"], code.k
+    lines.append(claim_line("locality copies", [opt["r"], opt["delta"]] == [r, delta],
+                            f"optimality ({opt['r']}, {opt['delta']}), locality ({r}, {delta})"))
+
+    witness, record = _witness(req)
+    # betti_sala_lower raises unless the witness pattern lies in the defining set
+    lower = None if witness is None else bounds.betti_sala_lower(code.defining, witness)
+    lines.append(claim_line("witness", opt["witness"] == record, f"rebuilt {record}, lower bound {lower}"))
+    if not holds:
+        status = "inconclusive" if all(s != "disagree" for _, s, _ in loc_lines) else "disagree"
+        return lines + [("optimality", status, "the distance sandwich, bound, flag and notes rest on the locality record")]
+    singleton = bounds.singleton_like(n, k, r, delta) if 1 <= r <= k else None
+    res = min_distance(code, budget, witness=witness, upper_hints=() if singleton is None else (singleton,))
+    d = res.exact
+    d_claim = d if req.family == "C46" else _claimed_distance(req)
+    cond, notes = _optimality_conditions(req, k, r, loc["dA_perp"], ev["dual_exact"], ev["dual_lower"])
+    optimal = bool(cond and singleton is not None and d == singleton)
+    return lines + [
+        _distance_line(opt, res),
+        ("distance claim", "inconclusive", "distance not settled") if d_claim is None
+        else claim_line("distance claim", opt["d_claim"] == d_claim, f"recomputed {d_claim}, claimed {opt['d_claim']}"),
+        claim_line("singleton-like bound", opt["singleton_like_value"] == singleton, f"recomputed {singleton}"),
+        claim_line("divides", opt["divides"] == (n % (r + delta - 1) == 0), f"(r+delta-1) = {r + delta - 1}, n = {n}"),
+        ("optimal flag", "inconclusive", "distance not settled") if d is None and opt["optimal"] and opt["d_exact"] is not None
+        else claim_line("optimal flag", opt["optimal"] == optimal, f"bound {singleton}, distance {d}"),
+        claim_line("notes", opt["notes"] == notes, f"rebuilt {notes}"),
+    ]
+
+
+def _distance_line(opt: dict, res) -> tuple[str, str, str]:
+    """Agree when the recomputed sandwich, distance and method are the
+    recorded ones.  The upper bound does not depend on the budget, nor does
+    the lower one once the distance is settled; where this budget leaves the
+    distance open on either side, or settles it by another method, a
+    consistent record is inconclusive."""
+    claimed = [opt["d_lower"], opt["d_upper"], opt["d_exact"], opt["distance_method"]]
+    got = [res.lower, res.upper, res.exact, res.method]
+    detail = "recomputed [{},{}] exact {} ({}), claimed [{},{}] exact {} ({})".format(*got, *claimed)
+    if claimed == got:
+        return "distance", "agree", detail
+    if None in (claimed[2], res.exact):
+        a = [claimed[2]] * 2 if claimed[2] is not None else claimed[:2]
+        b = [res.exact] * 2 if res.exact is not None else got[:2]
+        consistent = claimed[1] == res.upper and max(a[0], b[0]) <= min(a[1], b[1])
+    else:
+        consistent = claimed[:3] == got[:3]
+    return "distance", "inconclusive" if consistent else "disagree", detail

@@ -50,10 +50,6 @@ class CoefficientLeak(RuntimeError):
     pass
 
 
-class EmptySupport(ValueError):
-    pass
-
-
 class BudgetTooSmall(ValueError):
     """Contractual: the bound computation itself never exceeds any sane budget."""
 
@@ -230,7 +226,6 @@ class CyclicCode:
         self.k = ctx.n - len(defining)
         self._dual: Optional[CyclicCode] = None
         self._gen_matrix: Optional[np.ndarray] = None
-        self._roots_matrix: Optional[np.ndarray] = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -259,12 +254,6 @@ class CyclicCode:
     def parity_check_matrix(self) -> np.ndarray:
         """Generator matrix of the dual; full rank n-k."""
         return self.dual_code().generator_matrix()
-
-    def roots_parity_matrix(self) -> np.ndarray:
-        """Rows alpha^(e*i) for defining exponents e; ambient-field checks."""
-        if self._roots_matrix is None:
-            self._roots_matrix = self.ctx.root_powers(self.defining.exps, range(self.n))
-        return self._roots_matrix
 
     def encode(self, msg) -> np.ndarray:
         msg = [int(x) for x in msg]
@@ -317,17 +306,6 @@ class CyclicCode:
         return code_from_defining_set(
             self.ctx, comp, base="subfield" if self.base_q == self.ctx.q else "extension"
         )
-
-    def puncture(self, support) -> np.ndarray:
-        """Row-reduced generator matrix of the projection onto `support`."""
-        support = sorted({int(s) for s in support})
-        if not support:
-            raise EmptySupport("puncturing support is empty")
-        if support[0] < 0 or support[-1] >= self.n:
-            raise ValueError("support outside coordinate range")
-        sub = self.generator_matrix()[:, support]
-        R, _ = linalg.rref(self.field, sub)
-        return R
 
 
 def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfield") -> CyclicCode:

@@ -400,13 +400,6 @@ class FieldSpec:
             raise DivisionByZero("inverse of zero")
         return int(self._exp[(-self._log[a]) % (self.q - 1)])
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        if self._expx_l is not None:
-            return self._expx_l[self._logx_l[a] - self._log_l[b] + (self.q - 1)]
-        return int(self._expx[self._logx[a] - self._log[b] + (self.q - 1)])
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e > 0:

@@ -5,7 +5,9 @@ The runner reconstructs everything from the inputs alone and compares: set
 algebra and generator coefficients exactly, distances through whichever
 independent oracle fits the budget (enumeration, support scan, zero-core) or
 through a closed bound sandwich, and locality through the definition-level
-verifier.  Any oracle/expectation mismatch is a failure, never a warning.
+verifier.  Each family certificate also passes, serialised to JSON and back,
+through `verify_certificate`, the check `cyclrc verify` runs.  Any
+oracle/expectation mismatch is a failure, never a warning.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .constructions import ConstructionRequest, build
+from .constructions import ConstructionRequest, build, verify_certificate
 from .cyclic import (
     CombinatorialBudgetExceeded,
     DEFAULT_BUDGET,
@@ -26,7 +28,7 @@ from .cyclic import (
     min_distance,
     product_set,
 )
-from .locality import locality_from_product, verify_certificate_groups, verify_locality_exhaustive
+from .locality import check_locality_record, locality_from_product, verify_locality_exhaustive
 
 
 @dataclass
@@ -94,6 +96,12 @@ def crosscheck_distance(code, d: int, budget: int) -> Optional[str]:
         return None
 
 
+def _verifier_checks(name: str, report) -> list[CheckResult]:
+    """One check per verifier line, passing when the line agrees."""
+    return [CheckResult(name, f"verify {claim}", status == "agree", f"{status}: {detail}" if detail else status)
+            for claim, status, detail in report]
+
+
 def _check_family(entry: dict, budget: int) -> list[CheckResult]:
     name = entry["name"]
     exp = entry["expect"]
@@ -130,8 +138,8 @@ def _check_family(entry: dict, budget: int) -> list[CheckResult]:
         add("distance upper bound", o.d_upper == exp["d_upper"], f"{o.d_upper} vs {exp['d_upper']}")
         add("distance left open", o.d_exact is None, f"exact={o.d_exact}")
 
-    sound = verify_certificate_groups(code, cert, budget)
-    add("repair groups sound", sound)
+    # the certificate as a user receives it, through the verifier `cyclrc verify` runs
+    out += _verifier_checks(name, verify_certificate(json.loads(json.dumps(res.to_json_dict())), budget))
     verified = verify_locality_exhaustive(code, o.r, o.delta, budget, hint_groups=cert.groups)
     add("locality verified", verified)
     return out
@@ -166,7 +174,7 @@ def _check_product(entry: dict, budget: int) -> list[CheckResult]:
         res = min_distance(code, budget)
         add("code distance", res.exact == exp["code_distance"],
             f"{res.exact} vs {exp['code_distance']} [{res.method}]")
-    add("repair groups sound", verify_certificate_groups(code, cert, budget))
+    out += _verifier_checks(name, check_locality_record(code, cert.to_json_dict(), budget))
     add("locality verified",
         verify_locality_exhaustive(code, cert.r, cert.delta, budget, hint_groups=cert.groups))
     return out

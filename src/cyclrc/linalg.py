@@ -84,9 +84,8 @@ def rank(F: FieldSpec, M) -> int:
 def nullspace(F: FieldSpec, M) -> np.ndarray:
     """Basis of the right kernel, one vector per row: `kernel_from_rref` of
     the matrix's RREF."""
-    e = gauss_jordan(F, np.asarray(M)[None])
-    r = int(e.rank[0])
-    return kernel_from_rref(F, e.reduced[:, :r], e.pivots[:, :r])[0]
+    R, piv = rref(F, M)
+    return kernel_from_rref(F, R[None], np.array(piv, dtype=np.int64)[None])[0]
 
 
 def kernel_from_rref(F: FieldSpec, R, piv) -> np.ndarray:

@@ -9,7 +9,9 @@ the per-group independence checks.
 
 The definition-level verifier is the independent oracle: it knows nothing of
 the construction and simply checks punctured distances of candidate groups
-over the code's own base field.
+over the code's own base field.  `check_locality_record` re-derives a
+certificate's locality record from its evidence, with one punctured check
+for all the groups, which are one orbit under cyclic shifts.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ class IndependenceCheckFailed(RuntimeError):
 
 
 class BudgetExceededInconclusive(RuntimeError):
-    pass
-
-
-class NotDivisor(ValueError):
     pass
 
 
@@ -103,20 +101,6 @@ def check_delta_independence(F, M, delta: int) -> bool:
     if M.shape[1] < t:
         return False
     return linalg.first_dependent_columns(F, M, t) is None
-
-
-def repair_groups_from_subgroup(t: int, s: int, ctx) -> list[tuple[int, ...]]:
-    """Partition of the n coordinates into n/s residue classes of size s.
-
-    These are the supports of the s-weight dual words obtained by summing the
-    rows of the coset evaluation matrix (shift t only scales the values, so
-    the supports depend on s alone).
-    """
-    n = ctx.n
-    if s < 1 or n % s != 0:
-        raise NotDivisor(f"group size {s} does not divide n={n}")
-    ell = n // s
-    return [tuple(range(c, n, ell)) for c in range(ell)]
 
 
 def _subgroup_word(ctx, ell: int, t: int) -> np.ndarray:
@@ -382,14 +366,70 @@ def verify_locality_exhaustive(
     return True
 
 
-def verify_certificate_groups(code: CyclicCode, cert: LocalityCertificate, budget: int = DEFAULT_BUDGET) -> bool:
-    """Certificate soundness: coverage, group sizes, punctured distances."""
-    n = code.n
-    covered = set()
-    for g in cert.groups:
-        if len(g) > cert.group_size_bound:
-            return False
-        covered.update(g)
-        if not punctured_distance_at_least(code, g, cert.delta, budget):
-            return False
-    return covered == set(range(n))
+def claim_line(claim: str, ok: bool, detail: str = "") -> tuple[str, str, str]:
+    """One verifier report line: (claim, 'agree' or 'disagree', detail)."""
+    return claim, "agree" if ok else "disagree", detail
+
+
+def check_locality_record(code: CyclicCode, record: dict, budget: int = DEFAULT_BUDGET) -> list:
+    """Re-derive a locality record (`LocalityCertificate.to_json_dict`) for
+    `code`: one (claim, status, detail) line per claim, with status agree,
+    disagree or inconclusive.
+
+    h0_word must be a nonzero dual word of the anchor code whose support's
+    distinct cyclic shifts are the groups; dA_perp is its weight, dB the run
+    code's distance, and r, delta follow from them.  A cyclic shift is an
+    automorphism of the code, so one punctured check on the support covers
+    every group.  The anchor dual distance is not recomputed: exactness is
+    only checked against the recorded lower bound.
+    """
+    ctx, F, n = code.ctx, code.field, code.n
+    ev = record["evidence"]
+    anchor, run = ctx.exponent_set(ev["anchor_exponents"]), ctx.exponent_set(ev["run_exponents"])
+    anchor_code = code_from_defining_set(ctx, anchor, base="extension")
+    word = ev["h0_word"]
+    support = [i for i, x in enumerate(word) if x]
+    shifts = sorted({tuple(sorted((i + s) % n for i in support)) for s in range(n)})
+    mode = "subgroup_partition" if len(shifts) * len(support) == n else "shift_cover"
+    problem = ""
+    if len(word) != n or not all(0 <= x < F.q for x in word):
+        problem = f"h0_word is not a vector of length {n} over GF({F.q})"
+    elif not support:
+        problem = "h0_word is zero"
+    elif ev["h0_support"] != support:
+        problem = f"h0_support {ev['h0_support']} is not the support {support} of h0_word"
+    elif linalg.mat_mul(F, anchor_code.generator_matrix(), [[x] for x in word]).any():
+        problem = "h0_word is not orthogonal to the anchor code"
+    elif record["groups"] != [list(g) for g in shifts]:
+        problem = "groups are not the distinct cyclic shifts of h0_support"
+    elif ev["group_mode"] != mode:
+        problem = f"the groups make a {mode}, not a {ev['group_mode']}"
+    lines = [claim_line("locality evidence", not problem, problem)]
+
+    missing = sorted(set(product_set(anchor, run).exps) - set(code.defining.exps))
+    lines.append(claim_line("product set", not missing, f"anchor x run exponents {missing} outside the defining set"
+                            if missing else "anchor x run lies in the defining set"))
+
+    w, lower, exact = len(support), ev["dual_lower"], ev["dual_exact"]
+    # an inexact lower bound is the anchor dual's run bound, capped below the weight
+    ok = lower == w if exact else lower == min(bounds.bch_lower(anchor_code.dual_code().defining)[0], w) < w
+    lines.append(claim_line("anchor dual bounds", ok, f"weight {w}, claimed lower bound {lower}, exact {exact}"))
+
+    try:
+        d_run = run_code_distance(run, budget)
+    except BudgetExceededInconclusive as exc:
+        return lines + [("locality r and delta", "inconclusive", str(exc)),
+                        ("punctured distances", "inconclusive", "run distance not settled")]
+    want = {"dA_perp": w, "dB": d_run, "r": w - d_run + 1, "delta": d_run}
+    got = {key: record[key] for key in want}
+    lines.append(claim_line("locality r and delta", got == want and w >= d_run, f"recomputed {want}, claimed {got}"))
+
+    if problem:
+        return lines + [("punctured distances", "disagree", "not checked: the locality evidence does not hold")]
+    try:
+        tolerant = punctured_distance_at_least(code, support, d_run, budget)
+    except BudgetExceededInconclusive as exc:
+        return lines + [("punctured distances", "inconclusive", str(exc))]
+    return lines + [claim_line("punctured distances", tolerant and ev["independence_checked"] is True,
+                               f"{len(shifts)} shifts of h0_support tolerate {d_run - 1} erasures: {tolerant}; "
+                               f"independence_checked: {ev['independence_checked']}")]

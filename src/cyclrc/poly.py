@@ -139,14 +139,6 @@ class Polynomial:
             a, b = b, a % b
         return a.monic()
 
-    def eval_at(self, x) -> int:
-        """Horner evaluation at the element index x."""
-        F = self.spec
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     def pretty(self, var: str = "x") -> str:
         """Human-readable high-to-low rendering, e.g. x^3 + 2*x + 1."""
         if self.is_zero():

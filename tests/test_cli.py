@@ -274,3 +274,96 @@ def test_verify_sandwich_certificate(capsys, tmp_path):
     assert (cert["optimality"]["d_lower"], cert["optimality"]["d_upper"]) == (36, 39)
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 0 and "disagree" not in out
+
+
+P49_ARGV = ["construct", "--family", "P49", "--q", "19", "--n", "18", "--delta", "4", "--t", "0", "--b", "1"]
+T48_ARGV = ["construct", "--family", "T48", "--q", "31", "--n", "30", "--delta", "2", "--m", "2"]
+
+
+def _set(path, value):
+    def tamper(cert):
+        *head, last = path
+        for key in head:
+            cert = cert[key]
+        cert[last] = value(cert[last]) if callable(value) else value
+    return tamper
+
+
+def _edits(*tampers):
+    def tamper(cert):
+        for t in tampers:
+            t(cert)
+    return tamper
+
+
+@pytest.mark.parametrize("argv,tamper", [
+    # the singleton-like hint of a claimed r = 1 used to invert the distance sandwich
+    (P49_ARGV, _set(("optimality", "r"), 1)),
+    # a group outside the coordinates used to crash the punctured scan
+    (P49_ARGV, _set(("locality", "groups"), lambda g: g + [[0, 99]])),
+    # r = 8 puts the Singleton-like bound at 11, above d = 8
+    (P49_ARGV, _edits(_set(("optimality", "r"), 8), _set(("locality", "r"), 8))),
+    (T48_ARGV, _edits(_set(("locality", "r"), 1), _set(("optimality", "k"), 99),
+                      _set(("optimality", "divides"), lambda b: not b), _set(("optimality", "d_claim"), 1))),
+    (C42_ARGV + ["--i", "0", "--ell", "0"],
+     _edits(_set(("locality", "dA_perp"), 99), _set(("locality", "evidence", "run_exponents"), [5]),
+            _set(("locality", "evidence", "dual_lower"), 42))),
+], ids=["p49_r1", "p49_group_out_of_range", "p49_r8", "t48_four_edits", "c42_dual_and_run"])
+def test_verify_edited_certificate_exit1_without_traceback(capsys, tmp_path, argv, tamper):
+    path = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, *argv, "--format", "json", "-o", str(path))
+    assert code in (0, 2)
+    cert = json.loads(path.read_text())
+    tamper(cert)
+    path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and "Traceback" not in err
+    assert "malformed certificate" in err or any(ln.startswith("disagree") for ln in out.splitlines())
+
+
+# the three digest-pinned requests, the P49 one and a non-optimal T48 one
+PERTURBED = {
+    "n24_case1": dict(family="C52", q=23, n=24, delta=4, r=3, i=1, ell=1, case=1),
+    "n18_single_tail_delta2": dict(family="C44", q=19, n=18, delta=2, t=1, m=5, tails=(8,)),
+    "n17_nondividing_delta3": dict(family="C511", q=16, n=17, delta=3, m=6),
+    "p49": dict(family="P49", q=19, n=18, delta=4),
+    "t48": dict(family="T48", q=31, n=30, delta=2, m=2),
+}
+
+
+def perturbations(node, path=()):
+    """(path, value) for each leaf edit: int +-1, bool flipped, string
+    changed, and the same on the first entry of each list."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from perturbations(node[key], path + (key,))
+    elif isinstance(node, list):
+        if node:
+            yield from perturbations(node[0], path + (0,))
+    elif isinstance(node, bool):
+        yield path, not node
+    elif isinstance(node, int):
+        yield path, node + 1
+        yield path, node - 1
+    elif isinstance(node, str):
+        yield path, node + "x"
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED))
+def test_verify_rejects_every_perturbed_leaf(capsys, tmp_path, name):
+    from cyclrc.constructions import ConstructionRequest, build
+
+    text = json.dumps(build(ConstructionRequest(**PERTURBED[name])).to_json_dict())
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+    passed = []
+    for leaf, value in perturbations(json.loads(text)):
+        cert = json.loads(text)
+        _set(leaf, value)(cert)
+        path.write_text(json.dumps(cert))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert "Traceback" not in err
+        if code == 0:
+            passed.append(f"{'.'.join(map(str, leaf))} = {value!r}")
+    assert not passed, f"verify accepted perturbed certificates: {passed}"

@@ -42,6 +42,9 @@ def test_validate_clean_requests():
         (dict(family="C56", q=32, n=33, delta=4, m=5), "m even, m >= 2"),
         (dict(family="C56", q=31, n=33, delta=4, m=6), "n | q+1"),
         (dict(family="P410", q=19, n=18, delta=3), "n = 4*delta+2"),
+        # these anchors ignore t, so a shifted request would name the unshifted code
+        (dict(family="C511", q=16, n=17, delta=3, t=1, m=6), "t = 0"),
+        (dict(family="C52", q=23, n=24, delta=4, t=2, r=3, i=1, ell=1, case=1), "t = 0"),
     ],
 )
 def test_validate_named_clauses(req, clause):

@@ -49,3 +49,31 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+# patched by name by `perfbench/trace_layers.py`; goes with ROADMAP item 3
+UNREFERENCED_ALLOWED = {"batch_det", "mat_vec"}
+
+
+def referenced_names(tree):
+    """Names read, attributes read and names imported, plus `__all__` entries."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            out.update(elt.value for elt in node.value.elts)
+    return out
+
+
+def test_every_module_function_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    referenced = set().union(*(referenced_names(t) for t in trees.values()))
+    dead = [f"{name}:{node.name}" for name, tree in sorted(trees.items()) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name not in referenced and node.name not in UNREFERENCED_ALLOWED]
+    assert not dead, f"module-level functions that no src module references: {', '.join(dead)}"

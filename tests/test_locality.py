@@ -5,13 +5,11 @@ from cyclrc.cyclic import code_from_defining_set, cyc_context, min_distance, pro
 from cyclrc.locality import (
     BudgetExceededInconclusive,
     DistanceOrderingViolated,
-    NotDivisor,
     ProductNotContained,
     check_delta_independence,
+    check_locality_record,
     locality_from_product,
     punctured_distance_at_least,
-    repair_groups_from_subgroup,
-    verify_certificate_groups,
     verify_locality_exhaustive,
 )
 
@@ -30,14 +28,31 @@ def test_check_delta_independence_cases():
     assert check_delta_independence(ctx.field, V, 4)
 
 
+def repair_groups_from_subgroup(n, s):
+    # partition of the n coordinates into n/s residue classes of size s
+    if s < 1 or n % s != 0:
+        raise ValueError(f"group size {s} does not divide n={n}")
+    return [tuple(range(c, n, n // s)) for c in range(n // s)]
+
+
+def record_holds(code, cert):
+    lines = check_locality_record(code, cert.to_json_dict())
+    return [line for line in lines if line[1] != "agree"] == []
+
+
 def test_repair_groups_from_subgroup():
+    # an anchor holding a subgroup coset yields its residue classes as groups
     ctx = cyc_context(19, 18)
-    assert repair_groups_from_subgroup(0, 18, ctx) == [tuple(range(18))]
-    groups = repair_groups_from_subgroup(0, 9, ctx)
+    assert repair_groups_from_subgroup(18, 18) == [tuple(range(18))]
+    groups = repair_groups_from_subgroup(18, 9)
     assert len(groups) == 2 and all(len(g) == 9 for g in groups)
     assert groups[0] == tuple(range(0, 18, 2))
-    with pytest.raises(NotDivisor):
-        repair_groups_from_subgroup(0, 5, ctx)
+    with pytest.raises(ValueError):
+        repair_groups_from_subgroup(18, 5)
+    anchor = ctx.exponent_set([0, 1, 5, 9])  # holds the order-2 coset {0, 9}
+    run = ctx.exponent_set([0, 1, 2])
+    cert = locality_from_product(anchor, run, code_from_defining_set(ctx, product_set(anchor, run)))
+    assert list(cert.groups) == groups and cert.group_mode == "subgroup_partition"
 
 
 def test_subgroup_partition_punctured_distance():
@@ -47,7 +62,7 @@ def test_subgroup_partition_punctured_distance():
     anchor = ctx.exponent_set([0, 1, 2, 3, 4, 20, 21, 22, 23, 9, 15])
     run = ctx.exponent_set([-1, 0, 1])
     code = code_from_defining_set(ctx, product_set(anchor, run))
-    groups = repair_groups_from_subgroup(0, 6, ctx)
+    groups = repair_groups_from_subgroup(24, 6)
     assert len(groups) == 4 and all(len(g) == 6 for g in groups)
     for g in groups:
         assert punctured_distance_at_least(code, g, 4)
@@ -62,7 +77,7 @@ def test_classical_single_run_certificate():
     code = code_from_defining_set(ctx, anchor)
     cert = locality_from_product(anchor, run, code)
     assert cert.delta == 2 and cert.r == cert.dual_distance - 1 == 14
-    assert verify_certificate_groups(code, cert)
+    assert record_holds(code, cert)
 
 
 def test_product_not_contained():
@@ -140,7 +155,7 @@ def test_subfield_code_inherits_ambient_certificate():
     sub = code_from_defining_set(ctx, ab, base="subfield")
     cert = locality_from_product(anchor, run, ext)
     assert (cert.r, cert.delta) == (7, 3)
-    assert verify_certificate_groups(sub, cert)
+    assert record_holds(sub, cert)
     assert verify_locality_exhaustive(sub, cert.r, cert.delta, hint_groups=cert.groups)
 
 
