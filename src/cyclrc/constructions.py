@@ -213,17 +213,32 @@ def _with_defaults(req: ConstructionRequest) -> ConstructionRequest:
     return replace(req, i=i, ell=req.ell if req.ell is not None else 0, j=req.j if req.j is not None else i)
 
 
+# the optional request fields each family reads; setting any other is refused,
+# since the certificate carries the request as given
+_FIELDS_READ = {
+    **dict.fromkeys(("T41", "C44", "C46", "T51", "T58"), ("m", "tails")),
+    **dict.fromkeys(("T48", "C56", "C511"), ("m",)),
+    **dict.fromkeys(("P49", "P410"), ()),
+    "C42": ("r", "i", "ell", "j", "mu"),
+    **dict.fromkeys(("C52", "C59"), ("r", "i", "ell", "case", "mu")),
+}
+
+
 def validate(req: ConstructionRequest) -> list[str]:
     """Named hypothesis violations; empty list means buildable."""
-    req = _with_defaults(req)
     fam = req.family
     if fam not in FAMILY_NAMES:
         return [f"unknown family {fam!r}"]
+    unread = [name for name in ("r", "m", "tails", "i", "ell", "j", "case", "mu")
+              if getattr(req, name) not in (None, ()) and name not in _FIELDS_READ[fam]]
+    req = _with_defaults(req)
     n, delta = req.n, req.delta
     if fam in ("T41", "C42", "C44", "C46", "T48", "P49", "P410"):
         v = _common_clauses(req, "q-1")
     else:
         v = _common_clauses(req, "q+1")
+    if unread:
+        v.append(f"{fam} reads no {', '.join(unread)}")
     if fam in ("C52", "C59", "C56", "C511") and req.t != 0:
         v.append("t = 0")  # these anchors are fixed sets with no shift
 

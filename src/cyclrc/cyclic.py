@@ -14,7 +14,11 @@ Minimum distances and minimum-weight words come from one dispatcher,
   an evaluation of a polynomial supported on the nonzero exponents, and any
   minimum-weight word, after a cyclic shift, vanishes on k-1 points that
   include 0 and whose evaluation rows have rank k-1; so the kernel vectors
-  of those (k-1)-subsets, one batched elimination per chunk, hit every word,
+  of those (k-1)-subsets hit every word.  They are read off in pencils: one
+  elimination per prefix, 0 and k-3 more points, leaves a 2-dim kernel; its
+  member that vanishes at a last point t vanishes exactly at the common
+  zeros and where t's ratio of the two basis evaluations recurs, so one sort
+  of those ratios counts every last point at once,
 * a support climb that tests parity-check columns for dependence, one weight
   at a time from the lower bound up to the upper bound.
 
@@ -551,7 +555,7 @@ def exhaustive_min_weight(code: CyclicCode) -> int:
     return d
 
 
-def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 8192):
+def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 2048):
     """Exact distance of an ambient-field code via zero-set cores.
 
     Codewords are evaluations over the roots of unity of polynomials on the
@@ -560,9 +564,16 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 819
     (k-1)-subsets containing 0 visits every minimum-weight orbit.  Cores of
     rank k-1 suffice: were a minimum-weight word's zero rows of lower rank, a
     second kernel vector could cancel it at one more point, a lighter word.
+
+    The cores are read off in pencils.  A prefix P, {0} and k-3 more points,
+    of rank k-2 has a 2-dim kernel {K1, K2} with evaluations E1, E2 over all
+    points.  For each point t off the common zeros (E1 = E2 = 0) the core
+    P + {t} has rank k-1 and its word is E2[t]*E1 - E1[t]*E2, whose zeros are
+    the common zeros and the points of t's ratio E1:E2.  Every rank-(k-1)
+    core is its sorted prefix plus its largest point, so counting the ratio
+    classes of each prefix, one argsort per chunk, counts every such core.
     """
-    F = code.field
-    ctx = code.ctx
+    F, ctx = code.field, code.ctx
     n, k = code.n, code.k
     if code.base_q != F.q:
         raise InvariantViolated("zero-core scan requires an ambient-field code")
@@ -570,38 +581,47 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 819
     if len(nonzero_exps) != k:
         raise InvariantViolated(f"{len(nonzero_exps)} nonzero exponents for dimension {k}")
     rev = (-np.arange(n)) % n  # word[i] is the evaluation at alpha^(-i)
-    if k == 1:
-        row = ctx.root_powers(nonzero_exps, range(n))[0]
-        return n, ([_normalize_word(F, row[rev])] if want_words else [])
     # evaluation matrix over all points, columns = nonzero exponents
     V = ctx.root_powers(range(n), nonzero_exps)  # (n, k): V[t, j] = alpha^(t * N_j)
+    if k <= 2:  # one core, {0} or nothing
+        word = linalg.mat_mul(F, linalg.nullspace(F, V[: k - 1]), V.T)[0]
+        return n - int((word == 0).sum()), ([_normalize_word(F, word[rev])] if want_words else [])
+    q1 = F.q - 1
     best_zero = k - 2
-    best_fs: list[np.ndarray] = []
-    it = itertools.combinations(range(1, n), k - 2)
+    best_words: list[np.ndarray] = []
+    it = itertools.combinations(range(1, n), k - 3)
     while block := list(itertools.islice(it, chunk)):
-        cores = np.zeros((len(block), k - 1), dtype=np.int64)
-        if k >= 3:
-            cores[:, 1:] = np.array(block, dtype=np.int64)
-        # mats and fs stay bound until the next chunk replaces them: freeing
-        # them early made the scan take ~80% more page faults and ~15% more
-        # time (GF(2^10), n = 33, glibc on a 2-vCPU Linux VM)
-        mats = V[cores]  # (B, k-1, k)
-        fs = linalg.batch_nullvec(F, mats)
-        live = fs[fs.any(axis=1)]  # cores of rank below k-1 give zero rows
-        if live.shape[0] == 0:
+        prefixes = np.zeros((len(block), k - 2), dtype=np.int64)
+        prefixes[:, 1:] = np.array(block, dtype=np.int64).reshape(len(block), k - 3)
+        R, rk, piv, _ = linalg.gauss_jordan(F, V[prefixes])
+        full = rk == k - 2
+        if not full.any():
             continue
-        zeros = (linalg.mat_mul(F, live, V.T) == 0).sum(axis=1)
+        K = linalg.kernel_from_rref(F, R[full], piv[full])  # (B, 2, k)
+        E = linalg.mat_mul(F, K.reshape(-1, k), V.T).reshape(-1, 2, n)
+        E1, E2 = E[:, 0], E[:, 1]
+        z1, z2 = E1 == 0, E2 == 0
+        common = z1 & z2
+        # ratio class of each point: log E1 - log E2, else 0, infinity or common
+        cls = np.select([common, z1, z2], [q1 + 2, q1, q1 + 1], (F._log[E1] - F._log[E2]) % q1)
+        order = np.argsort(cls, axis=1)
+        srt = np.take_along_axis(cls, order, axis=1)
+        new = np.c_[np.ones(len(srt), dtype=bool), srt[:, 1:] != srt[:, :-1]]
+        starts = np.flatnonzero(new)  # runs of one class, never across rows
+        rows = starts // n
+        size = np.diff(np.r_[starts, srt.size])
+        zeros = np.where(srt.ravel()[starts] == q1 + 2, -1, common.sum(axis=1)[rows] + size)
         mz = int(zeros.max())
         if mz > best_zero:
             best_zero = mz
-            best_fs = []
+            best_words = []
         if want_words and mz == best_zero:
-            best_fs.append(live[zeros == best_zero])
+            hit = zeros == best_zero
+            b, t = rows[hit], order.ravel()[starts[hit]]
+            best_words.append(F.vsub(F.vmul(E2[b, t][:, None], E1[b]), F.vmul(E1[b, t][:, None], E2[b])))
     d = n - best_zero
-    if not best_fs:
+    if not best_words:
         return d, []
-    words = linalg.mat_mul(F, np.concatenate(best_fs), V.T)[:, rev]
+    words = np.concatenate(best_words)[:, rev]
     lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
-    words = F.vdiv_nz(words, lead[:, None])
-    _, first = np.unique(words, axis=0, return_index=True)
-    return d, list(words[np.sort(first)])
+    return d, list(np.unique(F.vdiv_nz(words, lead[:, None]), axis=0))

@@ -7,8 +7,9 @@ and signed pivot product.  The other routines are views over it.  The
 single-matrix ones (`rref`, `rank`, `nullspace`) run a batch of one, and the
 batched ones (`batch_rank`, `batch_det`, `batch_nullvec`) read their answer
 off the reduced stack.  `kernel_from_rref` is the one kernel read-off: it
-turns a stack of RREFs of one rank into their kernel bases, for `nullspace`
-and `batch_nullvec`.  All matrices are numpy int64 arrays of element indices.
+turns a stack of RREFs of one rank into their kernel bases, for `nullspace`,
+`batch_nullvec` and the zero-core scan's prefix pencils.  All matrices are
+numpy int64 arrays of element indices.
 
 `first_dependent_columns` is the one column-dependence scan: it batches the
 t-subsets of a matrix's columns through `batch_rank`, and

@@ -327,11 +327,14 @@ def verify_locality_exhaustive(
         g = tuple(sorted(int(x) % n for x in g))
         if len(g) > size:
             return False
-        if g not in tested:
-            tested[g] = punctured_distance_at_least(code, g, delta, budget)
-        if tested[g]:
+        # a cyclic shift maps the code onto itself, so a group shares its
+        # verdict with its shift-canonical form (the shift putting x at 0)
+        key = min((tuple(sorted((y - x) % n for y in g)) for x in g), default=g)
+        if key not in tested:
+            tested[key] = punctured_distance_at_least(code, g, delta, budget)
+        if tested[key]:
             good.update(g)
-        return tested[g]
+        return tested[key]
 
     for g in hint_groups or ():
         try_group(g)

@@ -47,6 +47,20 @@ def test_construct_hypothesis_violation_exit1(capsys):
     assert "floor((r-1)/2)" in err
 
 
+@pytest.mark.parametrize("extra,clause", [
+    (["--r", "5", "--m", "3"], "P49 reads no r, m"),
+    (["--tail", "9"], "P49 reads no tails"),
+    (["--case", "1", "--j", "0"], "P49 reads no j, case"),
+])
+def test_construct_refuses_fields_the_family_does_not_read(capsys, extra, clause):
+    # the request is copied into the certificate as given, so an ignored
+    # field would certify a value the code does not have
+    code, out, err = run_cli(capsys, "construct", "--family", "P49", "--q", "19", "--n", "18",
+                             "--delta", "4", *extra)
+    assert code == 1 and out == ""
+    assert clause in err and "Traceback" not in err
+
+
 def test_construct_nonprime_field_exit1(capsys):
     code, out, err = run_cli(
         capsys, "construct", "--family", "C56", "--q", "6", "--n", "7",

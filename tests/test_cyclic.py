@@ -388,7 +388,50 @@ def test_zero_core_degenerate_kernels_match_reference(q, n, anchor):
     for chunk in (7, 64, 8192):
         d, got_words = cy._zero_core_scan(code, want_words=True, chunk=chunk)
         assert d == n - best_zero
-        assert [tuple(int(x) for x in w) for w in got_words] == words
+        # the scan returns its words in lexicographic order
+        assert [tuple(int(x) for x in w) for w in got_words] == sorted(words)
+
+
+def random_ambient_codes(seed, per_k):
+    """Seeded ambient-field codes, per_k of each k = 2..7, whose k nonzero
+    exponents are drawn at random."""
+    rng = np.random.default_rng(seed)
+    for k in [k for k in range(2, 8) for _ in range(per_k)]:
+        fits = [(q, n) for q, n in DIFF_CONTEXTS if n > k]
+        q, n = fits[int(rng.integers(len(fits)))]
+        ctx = cyc_context(q, n)
+        nonzeros = rng.choice(n, size=k, replace=False)
+        yield code_from_defining_set(ctx, ctx.exponent_set(nonzeros).complement(), base="extension")
+
+
+def anchor_duals():
+    for q, n, anchor in DEGENERATE_ANCHORS:
+        ctx = cyc_context(q, n)
+        yield code_from_defining_set(ctx, ctx.exponent_set(anchor), base="extension").dual_code()
+
+
+@pytest.mark.parametrize("code", [*random_ambient_codes(1907, 3), *anchor_duals()],
+                         ids=lambda c: f"{c.ctx.q}-{c.n}-k{c.k}-{'.'.join(map(str, c.defining.complement().exps))}")
+def test_zero_core_pencils_match_reference(code):
+    # one elimination per (k-2)-point prefix finds the distance and the words
+    # that the brute-force core enumeration finds, however the prefixes are chunked
+    F, n, k = code.field, code.n, code.k
+    V = code.ctx.root_powers(range(n), list(code.defining.complement().exps))
+    best_zero, words = reference_zero_core_words(F, V, reference_zero_core_candidates(F, V, 4096))
+    for chunk in (1, 3, None):
+        kw = {} if chunk is None else {"chunk": chunk}
+        d, got = cy._zero_core_scan(code, want_words=True, **kw)
+        assert d == n - best_zero, (chunk, k)
+        assert [tuple(int(x) for x in w) for w in got] == sorted(words), (chunk, k)
+
+
+def test_n33_anchor_dual_settles_by_zero_core():
+    # the C56 anchor {0, +-17, +-18, +-19} at n = 33 over GF(32): its [33, 7]
+    # dual lives over GF(2^10), where the zero-core scan is the cheapest oracle
+    ctx = cyc_context(32, 33)
+    dual = code_from_defining_set(ctx, ctx.exponent_set([0, 14, 15, 16, 17, 18, 19]), base="extension").dual_code()
+    res = min_distance(dual)
+    assert (dual.k, res.exact, res.method) == (7, 23, "zero_core")
 
 
 # ambient-field codes with many degenerate cores, whose kernels hold over
