@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import sys
+from dataclasses import fields
 
 from .constructions import (
     FAMILY_NAMES,
@@ -36,6 +37,8 @@ from .locality import BudgetExceededInconclusive
 
 CSV_HEADER = ["family", "q", "n", "r", "delta", "k", "d", "optimal", "divides"]
 MIN_BUDGET = 10**6
+# a grid block names the request fields, with one tail exponent per `tail` value
+GRID_KEYS = tuple("tail" if f.name == "tails" else f.name for f in fields(ConstructionRequest))
 
 
 def _budget(value: str) -> int:
@@ -67,19 +70,19 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _result_row(res: BuildResult) -> dict:
-    o = res.optimality
-    d = o.d_exact if o.d_exact is not None else o.d_lower
+def _result_row(cert: dict) -> dict:
+    """The CSV row of a certificate's JSON document."""
+    o = cert["optimality"]
     return {
-        "family": o.family,
-        "q": res.code.ctx.q,
-        "n": o.n,
-        "r": o.r,
-        "delta": o.delta,
-        "k": o.k,
-        "d": d,
-        "optimal": o.optimal,
-        "divides": o.divides,
+        "family": o["family"],
+        "q": cert["code"]["q"],
+        "n": o["n"],
+        "r": o["r"],
+        "delta": o["delta"],
+        "k": o["k"],
+        "d": o["d_exact"] if o["d_exact"] is not None else o["d_lower"],
+        "optimal": o["optimal"],
+        "divides": o["divides"],
     }
 
 
@@ -136,7 +139,7 @@ def cmd_construct(args) -> int:
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=CSV_HEADER)
         w.writeheader()
-        w.writerow(_result_row(res))
+        w.writerow(_result_row(res.to_json_dict()))
         _emit(buf.getvalue(), args.output)
     else:
         _emit(_pretty_build(res), args.output)
@@ -156,22 +159,35 @@ def cmd_verify(args) -> int:
     return 1 if "disagree" in statuses else 2 if "inconclusive" in statuses else 0
 
 
-def _expand_grid(grid: dict):
-    """Deterministic cartesian expansion of one grid block."""
-    fixed = {"family": grid["family"]}
+def _grid_axes(block) -> list[tuple[str, list]]:
+    """The (key, values) axes of one grid block, `family` first.  A scalar is
+    an axis of one value.  Raises ValueError unless `family` is a string and
+    every other key is a request field whose values are integers; a `tail`
+    value may also be a list of integers, giving several tail exponents."""
+    if not isinstance(block, dict) or not isinstance(block.get("family"), str):
+        raise ValueError(f"grid block without a string family: {block!r}")
+    unknown = sorted(set(block) - set(GRID_KEYS))
+    if unknown:
+        raise ValueError(f"unknown grid keys {unknown} in {block!r}")
     axes = []
-    for key in ("q", "n", "delta", "r", "b", "t", "m", "i", "ell", "j", "case", "mu", "tail"):
-        if key not in grid:
+    for key in GRID_KEYS:
+        if key not in block:
             continue
-        val = grid[key]
-        if isinstance(val, list):
-            axes.append((key, val))
-        else:
-            fixed[key] = val
-    names = [a[0] for a in axes]
-    for combo in itertools.product(*(a[1] for a in axes)):
-        d = dict(fixed)
-        d.update(zip(names, combo))
+        values = block[key] if isinstance(block[key], list) else [block[key]]
+        if key != "family" and not all(
+            type(v) is int or (key == "tail" and isinstance(v, list) and all(type(e) is int for e in v))
+            for v in values
+        ):
+            raise ValueError(f"{key} must be an integer or a list of integers in {block!r}")
+        axes.append((key, values))
+    return axes
+
+
+def _expand_grid(axes: list[tuple[str, list]]):
+    """Deterministic cartesian expansion of one block's axes into request dicts."""
+    names = [key for key, _ in axes]
+    for combo in itertools.product(*(values for _, values in axes)):
+        d = dict(zip(names, combo))
         tail = d.pop("tail", None)
         if tail is not None:
             d["tails"] = (tail,) if not isinstance(tail, list) else tuple(tail)
@@ -184,15 +200,18 @@ def cmd_search(args) -> int:
     try:
         with open(args.grid, encoding="utf-8") as fh:
             config = json.load(fh)
-        blocks = config["grids"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"invalid grid config: {exc!r}", file=sys.stderr)
+        if not isinstance(config, dict) or not isinstance(config.get("grids"), list):
+            raise ValueError('expected an object with a "grids" list')
+        # every block is checked before the first build
+        blocks = [_grid_axes(block) for block in config["grids"]]
+    except (OSError, ValueError) as exc:
+        print(f"invalid grid config: {exc}", file=sys.stderr)
         return 1
     rows = []
     skipped = 0
     failed = 0
-    for block in blocks:
-        for reqdict in _expand_grid(block):
+    for axes in blocks:
+        for reqdict in _expand_grid(axes):
             try:
                 req = ConstructionRequest.from_dict(reqdict)
                 res = build(req, args.budget)
@@ -204,7 +223,7 @@ def cmd_search(args) -> int:
                       file=sys.stderr)
                 failed += 1
                 continue
-            rows.append(_result_row(res))
+            rows.append(_result_row(res.to_json_dict()))
     fmt = args.format or "csv"
     if fmt == "json":
         _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.output)
@@ -223,23 +242,12 @@ def cmd_table(args) -> int:
     try:
         with open(args.results, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read results: {exc}", file=sys.stderr)
+        # certificates and search rows, alone or in a list
+        rows = [_result_row(item) if "optimality" in item else {key: item.get(key, "") for key in CSV_HEADER}
+                for item in ([data] if isinstance(data, dict) else data)]
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        print(f"cannot read results: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if isinstance(data, dict):
-        data = [data]
-    rows = []
-    for item in data:
-        if "optimality" in item:  # full certificate
-            o = item["optimality"]
-            rows.append({
-                "family": o["family"], "q": item["code"]["q"], "n": o["n"],
-                "r": o["r"], "delta": o["delta"], "k": o["k"],
-                "d": o["d_exact"] if o["d_exact"] is not None else o["d_lower"],
-                "optimal": o["optimal"], "divides": o["divides"],
-            })
-        else:
-            rows.append({key: item.get(key, "") for key in CSV_HEADER})
     widths = {key: max(len(key), *(len(str(r[key])) for r in rows)) if rows else len(key)
               for key in CSV_HEADER}
     out = ["  ".join(key.ljust(widths[key]) for key in CSV_HEADER)]

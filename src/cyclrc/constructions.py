@@ -7,16 +7,19 @@ product.  Builders validate the family hypotheses by name, certify locality
 through the product route, settle the distance through the bound sandwich or
 an exact oracle, and only then decide the optimality flag.
 
-Dimension and distance formulas are cross-checked against the constructed
-sets and oracles; a disagreement raises instead of emitting a bad
-certificate.  Optimality side conditions that fail (the ceiling condition,
-or the dual-distance inequality of the single-tail families) return the code
-with the flag down and a note, since parameter searches need those points.
+Each family's theorem values (dimension, distance, pinned anchor dual
+distance, target block count) come from one dispatch, `_paper_values`, and
+are cross-checked against the constructed sets and oracles; a disagreement
+raises instead of emitting a bad certificate.  `build` and
+`verify_certificate` share one optimality decision, `_optimality`.
+Optimality side conditions that fail (the ceiling condition, or the
+dual-distance inequality of the single-tail families) return the code with
+the flag down and a note, since parameter searches need those points.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from math import ceil, gcd
 from typing import Optional
 
@@ -99,8 +102,7 @@ class ConstructionRequest:
     def from_dict(d: dict) -> "ConstructionRequest":
         d = dict(d)
         tails = tuple(d.pop("tails", ()) or ())
-        known = {"family", "q", "n", "delta", "r", "b", "t", "m", "i", "ell", "j", "case", "mu"}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(ConstructionRequest)}
         if extra:
             raise HypothesisViolated([f"unknown request fields {sorted(extra)}"])
         return ConstructionRequest(tails=tails, **d)
@@ -171,16 +173,16 @@ class BuildResult:
 
 def _common_clauses(req: ConstructionRequest, side: str) -> list[str]:
     v = []
+    if req.n < 1:
+        v.append("n >= 1")
     if req.delta < 2:
         v.append("delta >= 2")
     if gcd(req.b, req.n) != 1:
         v.append("gcd(b, n) = 1")
     if gcd(req.n, req.q) != 1:
         v.append("gcd(n, q) = 1")
-    if side == "q-1" and (req.q - 1) % req.n != 0:
-        v.append("n | q-1")
-    if side == "q+1" and (req.q + 1) % req.n != 0:
-        v.append("n | q+1")
+    if req.n >= 1 and (req.q - 1 if side == "q-1" else req.q + 1) % req.n != 0:
+        v.append(f"n | {side}")
     return v
 
 
@@ -208,9 +210,26 @@ def _tail_clauses(req: ConstructionRequest) -> list[str]:
 
 
 def _with_defaults(req: ConstructionRequest) -> ConstructionRequest:
-    """The request with its optional indices filled in: i = 0, ell = 0, j = i."""
+    """The request with its optional indices filled in: i = 0, ell = 0, j = i,
+    and m = 1 for P49 and P410, whose run-plus-blocks pattern is T48's at m = 1."""
     i = req.i if req.i is not None else 0
-    return replace(req, i=i, ell=req.ell if req.ell is not None else 0, j=req.j if req.j is not None else i)
+    m = 1 if req.family in ("P49", "P410") else req.m
+    return replace(req, i=i, ell=req.ell if req.ell is not None else 0, j=req.j if req.j is not None else i, m=m)
+
+
+def _block_count(req: ConstructionRequest, v: list[str]) -> Optional[int]:
+    """nu = n/(r+delta-1) for C42, C52 and C59, or None after appending the
+    clause that fails to `v`."""
+    r = req.r
+    if r is None or r < 1:
+        v.append("r >= 1")
+    elif r + req.delta - 1 < 1:
+        pass  # only when delta < 2, a clause already named
+    elif req.n % (r + req.delta - 1) != 0:
+        v.append("(r+delta-1) | n")
+    else:
+        return req.n // (r + req.delta - 1)
+    return None
 
 
 # the optional request fields each family reads; setting any other is refused,
@@ -245,13 +264,8 @@ def validate(req: ConstructionRequest) -> list[str]:
     if fam == "T41":
         v += _tail_clauses(req)
     elif fam == "C42":
-        r = req.r
-        if r is None or r < 1:
-            v.append("r >= 1")
-        elif n % (r + delta - 1) != 0:
-            v.append("(r+delta-1) | n")
-        else:
-            nu = n // (r + delta - 1)
+        r, nu = req.r, _block_count(req, v)
+        if nu is not None:
             i, ell, j = req.i, req.ell, req.j
             if not 0 <= i <= r - 1:
                 v.append("0 <= i <= r-1")
@@ -274,15 +288,14 @@ def validate(req: ConstructionRequest) -> list[str]:
             if fam == "C46" and not (m + 1 <= ell <= n - 2):
                 v.append("m+1 <= ell <= n-2")
     elif fam in ("T48", "P49", "P410"):
-        m = req.m if fam == "T48" else 1
-        if fam == "T48" and (m is None or m < 1):
-            v.append("m >= 1")
+        m = req.m
         if fam == "P410" and n != 4 * delta + 2:
             v.append("n = 4*delta+2")
-        if m is not None and m >= 1:
+        if m is None or m < 1:
+            v.append("m >= 1")
+        elif n < (2 * m + 1) * delta:
             # the run-plus-blocks pattern must stay distinct mod n
-            if n < (2 * m + 1) * delta:
-                v.append("n >= (2m+1)*delta")
+            v.append("n >= (2m+1)*delta")
     elif fam == "T51":
         if delta % 2 != 0:
             v.append("delta even")
@@ -297,12 +310,8 @@ def validate(req: ConstructionRequest) -> list[str]:
         parity = 0 if fam == "C52" else 1
         if delta % 2 != parity:
             v.append("delta even" if fam == "C52" else "delta odd")
-        if r is None or r < 1:
-            v.append("r >= 1")
-        elif n % (r + delta - 1) != 0:
-            v.append("(r+delta-1) | n")
-        else:
-            nu = n // (r + delta - 1)
+        nu = _block_count(req, v)
+        if nu is not None:
             i, ell = req.i, req.ell
             if not 0 <= i <= (r - 1) // 2:
                 v.append("0 <= i <= floor((r-1)/2)")
@@ -381,9 +390,8 @@ def _anchor_exponents(req: ConstructionRequest) -> list[int]:
     if fam in ("C44", "C46"):
         return [t + e * b for e in range(m)] + [t + req.tails[0] * b]
     if fam in ("T48", "P49", "P410"):
-        m_ = req.m if fam == "T48" else 1
-        main = [t + e * b for e in range((m_ - 1) * delta + 2)]
-        tails = [t + ((m_ + u) * delta + 1) * b for u in range(m_ + 1)]
+        main = [t + e * b for e in range((m - 1) * delta + 2)]
+        tails = [t + ((m + u) * delta + 1) * b for u in range(m + 1)]
         return main + tails
     if fam == "C52":
         g = r + delta - 1
@@ -425,133 +433,72 @@ def _anchor_exponents(req: ConstructionRequest) -> list[int]:
     raise AssertionError(fam)
 
 
-def _expected_anchor_size(req: ConstructionRequest) -> int:
-    fam = req.family
-    delta, r, i, ell, m, n = req.delta, req.r, req.i, req.ell, req.m, req.n
+def _paper_values(req: ConstructionRequest) -> tuple[int, int, Optional[int], Optional[int]]:
+    """The family theorem's values on a request with `_with_defaults` applied:
+    the dimension k, the distance d, the pinned anchor dual distance, and the
+    target block count ceil(k/r); None where the theorem fixes no value."""
+    fam, n, delta, m = req.family, req.n, req.delta, req.m
     if fam in ("T41", "T51", "T58"):
-        return m + len(req.tails)
-    if fam == "C42":
-        nu = n // (r + delta - 1)
-        return ell * (r + delta - 1) + i + 1 + (nu - 1 - ell)
-    if fam in ("C44", "C46"):
-        return m + 1
-    if fam in ("T48", "P49", "P410"):
-        m_ = req.m if fam == "T48" else 1
-        return (m_ - 1) * delta + 2 + (m_ + 1)
-    if fam == "C52":
-        g = r + delta - 1
-        nu = n // g
-        if req.case == 1:
-            return 2 * (ell * g + i) + 1 + (nu - 2 * ell - 1)
-        if req.case == 2:
-            return 2 * ((2 * ell + 1) * (g // 2) + i) + 1 + (nu - 2 * ell - 2)
-        return 2 * ell * g + g + 2 * i + 1 + (nu - 2 * ell - 2)
-    if fam == "C59":
-        g = r + delta - 1
-        nu = n // g
-        if req.case == 1:
-            return (2 * ell + 1) * g + 2 * i + 1 + (nu - 2 * ell - 2)
-        return 2 * (ell * g + i) + 1 + (nu - 2 * ell - 1)
-    if fam in ("C56", "C511"):
-        return req.m + 1
-    raise AssertionError(fam)
-
-
-def _formula_k(req: ConstructionRequest) -> int:
-    fam, n, delta = req.family, req.n, req.delta
-    r, i, ell, m = req.r, req.i, req.ell, req.m
-    if fam in ("T41", "T51", "T58"):
-        return n - m + 1 - (len(req.tails) + 1) * (delta - 1)
-    if fam == "C42":
-        nu = n // (r + delta - 1)
-        return (nu - ell) * r - i
+        s = len(req.tails)
+        return n - m + 1 - (s + 1) * (delta - 1), m + delta - 1, None, s + 1
     if fam in ("C44", "C46", "C56", "C511"):
-        return n - m - 2 * delta + 3
+        return n - m - 2 * delta + 3, m + delta - 1, None, None
     if fam in ("T48", "P49", "P410"):
-        m_ = req.m if fam == "T48" else 1
-        return n - m_ * delta - (m_ + 1) * (delta - 1)
-    if fam == "C52":
-        nu = n // (r + delta - 1)
-        if req.case == 1:
-            return (nu - 2 * ell) * r - 2 * i
-        return (nu - 2 * ell - 1) * r - 2 * i
-    if fam == "C59":
-        nu = n // (r + delta - 1)
-        if req.case == 1:
-            return (nu - 2 * ell - 1) * r - 2 * i
-        return (nu - 2 * ell) * r - 2 * i
-    raise AssertionError(fam)
-
-
-def _claimed_distance(req: ConstructionRequest) -> int:
-    fam, delta = req.family, req.delta
-    r, i, ell, m = req.r, req.i, req.ell, req.m
-    if fam in ("T41", "T51", "T58", "C44", "C46", "C56", "C511"):
-        return (m if m is not None else 0) + delta - 1
+        pinned = 2 * delta + 1 if fam == "P410" else None
+        return n - m * delta - (m + 1) * (delta - 1), (m + 1) * delta, pinned, m + 1
+    # C42, C52, C59: n splits into n/g blocks of g = r+delta-1 positions.  The
+    # anchor's main run takes w whole blocks and c*i further exponents (c = 2
+    # for the symmetric runs of C52 and C59); each taken block adds g to the
+    # distance and each further exponent adds one to it and costs a dimension,
+    # while every block left keeps r dimensions.  w is odd for C52 cases 2 and
+    # 3 and for C59 case 1.
+    g = req.r + delta - 1
     if fam == "C42":
-        return delta + i + ell * (r + delta - 1)
-    if fam in ("T48", "P49", "P410"):
-        m_ = req.m if fam == "T48" else 1
-        return (m_ + 1) * delta
-    g = r + delta - 1
-    if fam == "C52":
-        if req.case == 1:
-            return delta + 2 * i + 2 * ell * g
-        return delta + 2 * i + (2 * ell + 1) * g
-    if fam == "C59":
-        if req.case == 1:
-            return delta + 2 * i + (2 * ell + 1) * g
-        return delta + 2 * i + 2 * ell * g
-    raise AssertionError(fam)
+        c, w = 1, req.ell
+    else:
+        c, w = 2, 2 * req.ell + ((fam == "C52") != (req.case == 1))
+    blocks = n // g - w
+    return blocks * req.r - c * req.i, delta + c * req.i + w * g, g, blocks
 
 
-def _claimed_dual_distance(req: ConstructionRequest) -> Optional[int]:
-    """Families whose anchor dual distance is pinned by construction."""
-    if req.family in ("C42", "C52", "C59"):
-        return req.r + req.delta - 1
-    if req.family == "P410":
-        return 2 * req.delta + 1
-    return None
+def _optimality(code: CyclicCode, req: ConstructionRequest, loc: dict, budget: int):
+    """The optimality decision `build` and `verify_certificate` share, for a
+    request with `_with_defaults` applied, its code and the code's locality
+    record `loc` (the certificate's `locality` dict).
 
-
-def _optimality_conditions(req: ConstructionRequest, k: int, r: int, dual: int, dual_exact: bool,
-                           dual_lower: int) -> tuple[bool, list[str]]:
-    """The family's optimality side conditions on ceil(k/r) and on the
-    anchor dual word weight `dual`, with the certificate notes they give."""
-    fam = req.family
+    The distance is settled with the family's witness and, when 1 <= r <= k,
+    the Singleton-like bound as hint.  The side conditions are the target
+    block count ceil(k/r) and, for C44, C56 and C511, an inequality on the
+    anchor dual word weight.  Returns (distance result, bound value, distance
+    claim, side conditions hold, optimal flag, certificate notes).
+    """
+    fam, n, k, r, dual = req.family, req.n, code.k, loc["r"], loc["dA_perp"]
+    _, d_formula, _, blocks = _paper_values(req)
     notes = []
-    if not dual_exact:
+    if not loc["evidence"]["dual_exact"]:
         notes.append(
             f"anchor dual distance certified as <= {dual} by a subgroup "
-            f"witness (run lower bound {dual_lower}); repair groups remain sound"
+            f"witness (run lower bound {loc['evidence']['dual_lower']}); repair groups remain sound"
         )
-    if fam in ("T41", "T51", "T58"):
-        want = len(req.tails) + 1
-    elif fam in ("T48", "P49", "P410"):
-        want = (req.m if fam == "T48" else 1) + 1
-    elif fam == "C42":
-        want = req.n // (req.r + req.delta - 1) - req.ell
-    elif fam == "C52":
-        nu = req.n // (req.r + req.delta - 1)
-        want = nu - 2 * req.ell if req.case == 1 else nu - 2 * req.ell - 1
-    elif fam == "C59":
-        nu = req.n // (req.r + req.delta - 1)
-        want = nu - 2 * req.ell - 1 if req.case == 1 else nu - 2 * req.ell
-    else:
-        want = None
-    cond = want is None or ceil(k / r) == want
+    cond = blocks is None or ceil(k / r) == blocks
     if not cond:
-        notes.append(f"ceil(k/r) = {ceil(k / r)} differs from the target block count {want}")
-    if fam in ("C44", "C56", "C511") and not req.delta - 2 < req.n - req.m - dual:
+        notes.append(f"ceil(k/r) = {ceil(k / r)} differs from the target block count {blocks}")
+    if fam in ("C44", "C56", "C511") and not req.delta - 2 < n - req.m - dual:
         # the inequality quantifies over the true dual distance; the witness
         # weight upper-bounds it, so a strict bound through the witness holds
         cond = False
-        notes.append(f"delta-2 = {req.delta - 2} not below n-m-dual = {req.n - req.m - dual}")
-    if fam == "P49" and not dual < req.n - 2 * req.delta + 1:
-        notes.append(f"dual distance {dual} not below n-2*delta+1 = {req.n - 2 * req.delta + 1}")
+        notes.append(f"delta-2 = {req.delta - 2} not below n-m-dual = {n - req.m - dual}")
+    if fam == "P49" and not dual < n - 2 * req.delta + 1:
+        notes.append(f"dual distance {dual} not below n-2*delta+1 = {n - 2 * req.delta + 1}")
     if not cond:
-        notes.append(f"distance formula value {_claimed_distance(req)} retained as a claim, not certified optimal")
-    return cond, notes
+        notes.append(f"distance formula value {d_formula} retained as a claim, not certified optimal")
+
+    singleton = bounds.singleton_like(n, k, r, loc["delta"]) if 1 <= r <= k else None
+    res = min_distance(code, budget, witness=_witness(req)[0], upper_hints=() if singleton is None else (singleton,))
+    # C46 has two branches: its claim is whichever of m+1, m+2 the oracle certifies
+    d_claim = res.exact if fam == "C46" else d_formula
+    optimal = cond and singleton is not None and res.exact == singleton
+    return res, singleton, d_claim, cond, optimal, notes
 
 
 def _witness(req: ConstructionRequest) -> tuple[Optional[BettiSalaWitness], Optional[dict]]:
@@ -559,7 +506,7 @@ def _witness(req: ConstructionRequest) -> tuple[Optional[BettiSalaWitness], Opti
     and its certificate record."""
     if req.family not in ("T48", "P49", "P410"):
         return None, None
-    w = BettiSalaWitness(u=req.t % req.n, b=req.b, m=(req.m if req.family == "T48" else 1), delta=req.delta)
+    w = BettiSalaWitness(u=req.t % req.n, b=req.b, m=req.m, delta=req.delta)
     return w, {"kind": "run_blocks", **asdict(w)}
 
 
@@ -571,10 +518,12 @@ def _assemble(req: ConstructionRequest) -> tuple[ConstructionRequest, ExponentSe
         raise HypothesisViolated(clauses)
     req = _with_defaults(req)
     ctx = cyc_context(req.q, req.n)
-    anchor = ctx.exponent_set(_anchor_exponents(req))
-    if len(anchor) != _expected_anchor_size(req):
+    exps = _anchor_exponents(req)
+    anchor = ctx.exponent_set(exps)
+    if len(anchor) != len(exps):
         raise HypothesisViolated(["anchor exponents collide mod n"])
-    if req.mu is not None and (req.r is None or _formula_k(req) != req.mu * req.r):
+    # mu is read only by C42, C52 and C59, whose validation requires r
+    if req.mu is not None and _paper_values(req)[0] != req.mu * req.r:
         raise HypothesisViolated(["k = mu*r"])
     return req, anchor, _run_set(ctx, req)
 
@@ -584,7 +533,7 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
     request = req.to_dict()
     req, anchor, run = _assemble(req)
     code = code_from_defining_set(anchor.ctx, product_set(anchor, run), base="subfield")
-    k = _formula_k(req)
+    k, _, pinned_dual, _ = _paper_values(req)
     if code.k != k:
         raise ConstructionInternalError(
             f"dimension formula gives {k} but the product set leaves {code.k}"
@@ -595,32 +544,22 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
         raise ConstructionInternalError(
             f"run code distance {cert.run_distance} differs from delta={req.delta}"
         )
-    claimed_dual = _claimed_dual_distance(req)
-    if claimed_dual is not None and cert.dual_distance != claimed_dual:
+    if pinned_dual is not None and cert.dual_distance != pinned_dual:
         raise ConstructionInternalError(
-            f"anchor dual distance {cert.dual_distance} differs from the pinned {claimed_dual}"
+            f"anchor dual distance {cert.dual_distance} differs from the pinned {pinned_dual}"
         )
-    cond, notes = _optimality_conditions(req, k, cert.r, cert.dual_distance, cert.dual_exact, cert.dual_lower)
-
-    singleton_val = bounds.singleton_like(req.n, k, cert.r, cert.delta) if 1 <= cert.r <= k else None
-    witness, witness_record = _witness(req)
-    res = min_distance(code, budget, witness=witness, upper_hints=() if singleton_val is None else (singleton_val,))
-
-    d_claim = _claimed_distance(req)
-    optimal = bool(cond and singleton_val is not None and res.exact is not None and res.exact == singleton_val)
-    if cond and res.exact is not None and res.exact != d_claim and req.family != "C46":
+    res, singleton_val, d_claim, cond, optimal, notes = _optimality(code, req, cert.to_json_dict(), budget)
+    if cond and res.exact is not None and res.exact != d_claim:
         raise ConstructionInternalError(
             f"certified distance {res.exact} disagrees with the formula value {d_claim}"
         )
     if req.family == "C46":
-        # two branches: the claimed value is whichever of m+1, m+2 the oracle
-        # certifies; optimality is guaranteed by the statement, so verify it
-        if res.exact is None or res.exact not in (req.m + 1, req.m + 2):
+        # optimality is guaranteed by the statement, so verify it
+        if res.exact not in (req.m + 1, req.m + 2):
             raise ConstructionInternalError(
                 f"distance {res.exact} outside the expected branch values "
                 f"{{{req.m + 1}, {req.m + 2}}}"
             )
-        d_claim = res.exact
         if not optimal:
             raise ConstructionInternalError(
                 "single-root-tail family failed its guaranteed optimality check"
@@ -640,7 +579,7 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
         family=req.family,
         request=request,
         distance_method=res.method,
-        witness=witness_record,
+        witness=_witness(req)[1],
         notes=tuple(notes),
     )
     return BuildResult(code=code, locality=cert, optimality=opt)
@@ -693,7 +632,7 @@ def _verify(cert: dict, budget: int) -> list[tuple[str, str, str]]:
     loc_lines = check_locality_record(code, loc, budget)
     lines += loc_lines
     holds = all(status == "agree" for _, status, _ in loc_lines)  # loc's r, delta, dA_perp are re-derived
-    r, delta, k = loc["r"], loc["delta"], code.k
+    r, delta = loc["r"], loc["delta"]
     lines.append(claim_line("locality copies", [opt["r"], opt["delta"]] == [r, delta],
                             f"optimality ({opt['r']}, {opt['delta']}), locality ({r}, {delta})"))
 
@@ -704,12 +643,8 @@ def _verify(cert: dict, budget: int) -> list[tuple[str, str, str]]:
     if not holds:
         status = "inconclusive" if all(s != "disagree" for _, s, _ in loc_lines) else "disagree"
         return lines + [("optimality", status, "the distance sandwich, bound, flag and notes rest on the locality record")]
-    singleton = bounds.singleton_like(n, k, r, delta) if 1 <= r <= k else None
-    res = min_distance(code, budget, witness=witness, upper_hints=() if singleton is None else (singleton,))
+    res, singleton, d_claim, _, optimal, notes = _optimality(code, req, loc, budget)
     d = res.exact
-    d_claim = d if req.family == "C46" else _claimed_distance(req)
-    cond, notes = _optimality_conditions(req, k, r, loc["dA_perp"], ev["dual_exact"], ev["dual_lower"])
-    optimal = bool(cond and singleton is not None and d == singleton)
     return lines + [
         _distance_line(opt, res),
         ("distance claim", "inconclusive", "distance not settled") if d_claim is None

@@ -7,6 +7,7 @@ the same checks back the packaged `cyclrc selftest`.
 import json
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def test_criterion_1_golden_reproduction(golden_results):
     ok = not fails and elapsed < 300
     _report(1, "golden-example reproduction", ok,
             f"{len(results)} checks in {elapsed:.1f}s" + ("; " + "; ".join(fails) if fails else ""))
+
+
+def test_golden_output_is_the_recorded_selftest(golden_results):
+    # `cyclrc selftest --golden-only` prints these lines and then the tally
+    results, _ = golden_results
+    lines = [r.line() for r in results]
+    lines.append(f"{len(results)} checks, {sum(not r.ok for r in results)} failures")
+    recorded = (Path(__file__).parent / "data" / "selftest_golden.txt").read_text(encoding="utf-8")
+    assert lines == recorded.splitlines()
 
 
 def test_criterion_2_nondividing_search(capsys):

@@ -61,6 +61,13 @@ def test_construct_refuses_fields_the_family_does_not_read(capsys, extra, clause
     assert clause in err and "Traceback" not in err
 
 
+def test_construct_negative_length_exit1(capsys):
+    code, out, err = run_cli(capsys, "construct", "--family", "C42", "--q", "11", "--n", "-10",
+                             "--delta", "2", "--r", "4", "--ell", "-4")
+    assert code == 1 and out == ""
+    assert "hypothesis violated" in err and "n >= 1" in err
+
+
 def test_construct_nonprime_field_exit1(capsys):
     code, out, err = run_cli(
         capsys, "construct", "--family", "C56", "--q", "6", "--n", "7",
@@ -243,6 +250,45 @@ def test_search_invalid_grid(capsys, tmp_path):
     assert code == 1 and "invalid grid" in err
 
 
+def test_search_grid_point_with_negative_n_is_skipped(capsys, tmp_path):
+    grid = tmp_path / "negative.json"
+    grid.write_text(json.dumps({"grids": [{"family": "C42", "q": 11, "n": -10, "delta": 2, "r": 4, "ell": -4}]}))
+    code, out, err = run_cli(capsys, "search", "--grid", str(grid))
+    assert code == 0 and out.strip() == "family,q,n,r,delta,k,d,optimal,divides"
+    assert "skipped 1 grid points" in err
+
+
+@pytest.mark.parametrize("block,detail", [
+    ({"q": 19, "n": 18, "delta": 2, "m": 2}, "without a string family"),
+    ({"family": "C56", "q": 13, "n": 7, "m": 2, "delta": "x"}, "delta must be an integer"),
+    ({"family": "C56", "q": 13, "n": 7, "m": 2, "delta": [2, True]}, "delta must be an integer"),
+    ({"family": "T41", "q": 19, "n": 18, "delta": 2, "m": 2, "tail": [[4, "6"]]}, "tail must be an integer"),
+    ({"family": "C56", "q": 13, "n": 7, "m": 2, "delta": 2, "bogus": 1}, "unknown grid keys ['bogus']"),
+    ({"family": "T41", "q": 19, "n": 18, "delta": 2, "m": 2, "tails": [4]}, "unknown grid keys ['tails']"),
+])
+def test_search_refuses_malformed_block_before_any_build(capsys, tmp_path, monkeypatch, block, detail):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a point of a refused grid")
+
+    monkeypatch.setattr("cyclrc.cli.build", no_build)
+    grid = tmp_path / "malformed.json"
+    good = {"family": "C56", "q": 13, "n": 7, "m": 2, "delta": 2}
+    grid.write_text(json.dumps({"grids": [good, block]}))
+    code, out, err = run_cli(capsys, "search", "--grid", str(grid))
+    assert code == 1 and out == ""
+    assert err.startswith("invalid grid config: ") and detail in err
+
+
+def test_search_tail_lists_expand_as_tail_sets(capsys, tmp_path):
+    # a list of tails is an axis; a list inside it is one point with several tails
+    grid = tmp_path / "tails.json"
+    grid.write_text(json.dumps({"grids": [{"family": "T41", "q": 19, "n": 18, "t": 1, "m": 5, "delta": 4,
+                                           "tail": [8, [8, 12]]}]}))
+    code, out, _ = run_cli(capsys, "search", "--grid", str(grid))
+    assert code == 0
+    assert [ln.split(",")[5] for ln in out.splitlines()[1:]] == ["8", "5"]  # k falls by delta-1 per tail
+
+
 def test_table_renders_rows(capsys, tmp_path):
     rows = tmp_path / "rows.json"
     code, _, _ = run_cli(capsys, "search", "--grid", GRID, "--format", "json", "-o", str(rows))
@@ -251,6 +297,26 @@ def test_table_renders_rows(capsys, tmp_path):
     assert code == 0
     assert out.splitlines()[0].split()[:3] == ["family", "q", "n"]
     assert "C511" in out
+
+
+def test_table_certificate_row_is_the_construct_csv_row(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    argv = ["construct", "--family", "C44", "--q", "19", "--n", "18", "--t", "1", "--m", "5", "--tail", "8",
+            "--delta", "4"]
+    assert run_cli(capsys, *argv, "--format", "json", "-o", str(cert))[0] == 0
+    _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    code, out, _ = run_cli(capsys, "table", str(cert))
+    assert code == 0
+    assert [ln.split() for ln in out.splitlines()] == [ln.split(",") for ln in csv_out.splitlines()]
+
+
+@pytest.mark.parametrize("doc", [[1], [{"optimality": {}}], "x", 5, [None]])
+def test_table_unreadable_results_exit1(capsys, tmp_path, doc):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "table", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("cannot read results: ")
 
 
 def test_budget_floor_rejected(capsys):

@@ -1,16 +1,21 @@
 import json
 import subprocess
 import sys
+from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
 
 from cyclrc.bounds import singleton_like
 from cyclrc.constructions import (
+    FAMILY_NAMES,
     ConstructionRequest,
     HypothesisViolated,
     _anchor_exponents,
+    _paper_values,
     _run_set,
+    _with_defaults,
     build,
     validate,
 )
@@ -45,11 +50,23 @@ def test_validate_clean_requests():
         # these anchors ignore t, so a shifted request would name the unshifted code
         (dict(family="C511", q=16, n=17, delta=3, t=1, m=6), "t = 0"),
         (dict(family="C52", q=23, n=24, delta=4, t=2, r=3, i=1, ell=1, case=1), "t = 0"),
+        (dict(family="C42", q=11, n=-10, delta=2, r=4, ell=-4), "n >= 1"),
+        (dict(family="C42", q=11, n=0, delta=2, r=4), "n >= 1"),
+        # r+delta-1 = 0 names delta instead of dividing by zero
+        (dict(family="C42", q=11, n=10, delta=0, r=1), "delta >= 2"),
     ],
 )
 def test_validate_named_clauses(req, clause):
     v = validate(ConstructionRequest(**req))
     assert clause in v, v
+
+
+def test_build_refuses_k_other_than_mu_r():
+    # validation passes; the dimension k = 7*3 is not mu*r = 15
+    req = ConstructionRequest(family="C42", q=29, n=28, delta=2, r=3, mu=5)
+    assert validate(req) == []
+    with pytest.raises(HypothesisViolated, match=r"k = mu\*r"):
+        build(req)
 
 
 def test_build_raises_on_violation():
@@ -281,3 +298,178 @@ def test_t51_rejects_open_product_closure():
     req = ConstructionRequest(family="T51", q=23, n=24, delta=4, t=0, b=1, m=6, tails=(9,))
     with pytest.raises(NotQClosed):
         build(req)
+
+
+# --- the family formulas, against the ladders they replaced -------------------
+# `_paper_values` replaced four per-family ladders (dimension, distance, pinned
+# anchor dual distance, target block count) and a fifth that recounted the
+# anchor list.  They are kept here, as they stood, as the reference.
+
+
+def _ref_anchor_size(req):
+    fam = req.family
+    delta, r, i, ell, m, n = req.delta, req.r, req.i, req.ell, req.m, req.n
+    if fam in ("T41", "T51", "T58"):
+        return m + len(req.tails)
+    if fam == "C42":
+        nu = n // (r + delta - 1)
+        return ell * (r + delta - 1) + i + 1 + (nu - 1 - ell)
+    if fam in ("C44", "C46"):
+        return m + 1
+    if fam in ("T48", "P49", "P410"):
+        m_ = req.m if fam == "T48" else 1
+        return (m_ - 1) * delta + 2 + (m_ + 1)
+    if fam == "C52":
+        g = r + delta - 1
+        nu = n // g
+        if req.case == 1:
+            return 2 * (ell * g + i) + 1 + (nu - 2 * ell - 1)
+        if req.case == 2:
+            return 2 * ((2 * ell + 1) * (g // 2) + i) + 1 + (nu - 2 * ell - 2)
+        return 2 * ell * g + g + 2 * i + 1 + (nu - 2 * ell - 2)
+    if fam == "C59":
+        g = r + delta - 1
+        nu = n // g
+        if req.case == 1:
+            return (2 * ell + 1) * g + 2 * i + 1 + (nu - 2 * ell - 2)
+        return 2 * (ell * g + i) + 1 + (nu - 2 * ell - 1)
+    if fam in ("C56", "C511"):
+        return req.m + 1
+    raise AssertionError(fam)
+
+
+def _ref_formula_k(req):
+    fam, n, delta = req.family, req.n, req.delta
+    r, i, ell, m = req.r, req.i, req.ell, req.m
+    if fam in ("T41", "T51", "T58"):
+        return n - m + 1 - (len(req.tails) + 1) * (delta - 1)
+    if fam == "C42":
+        nu = n // (r + delta - 1)
+        return (nu - ell) * r - i
+    if fam in ("C44", "C46", "C56", "C511"):
+        return n - m - 2 * delta + 3
+    if fam in ("T48", "P49", "P410"):
+        m_ = req.m if fam == "T48" else 1
+        return n - m_ * delta - (m_ + 1) * (delta - 1)
+    if fam == "C52":
+        nu = n // (r + delta - 1)
+        if req.case == 1:
+            return (nu - 2 * ell) * r - 2 * i
+        return (nu - 2 * ell - 1) * r - 2 * i
+    if fam == "C59":
+        nu = n // (r + delta - 1)
+        if req.case == 1:
+            return (nu - 2 * ell - 1) * r - 2 * i
+        return (nu - 2 * ell) * r - 2 * i
+    raise AssertionError(fam)
+
+
+def _ref_claimed_distance(req):
+    fam, delta = req.family, req.delta
+    r, i, ell, m = req.r, req.i, req.ell, req.m
+    if fam in ("T41", "T51", "T58", "C44", "C46", "C56", "C511"):
+        return (m if m is not None else 0) + delta - 1
+    if fam == "C42":
+        return delta + i + ell * (r + delta - 1)
+    if fam in ("T48", "P49", "P410"):
+        m_ = req.m if fam == "T48" else 1
+        return (m_ + 1) * delta
+    g = r + delta - 1
+    if fam == "C52":
+        if req.case == 1:
+            return delta + 2 * i + 2 * ell * g
+        return delta + 2 * i + (2 * ell + 1) * g
+    if fam == "C59":
+        if req.case == 1:
+            return delta + 2 * i + (2 * ell + 1) * g
+        return delta + 2 * i + 2 * ell * g
+    raise AssertionError(fam)
+
+
+def _ref_claimed_dual_distance(req):
+    if req.family in ("C42", "C52", "C59"):
+        return req.r + req.delta - 1
+    if req.family == "P410":
+        return 2 * req.delta + 1
+    return None
+
+
+def _ref_block_target(req):
+    """The `want` ladder of the optimality conditions."""
+    fam = req.family
+    if fam in ("T41", "T51", "T58"):
+        return len(req.tails) + 1
+    if fam in ("T48", "P49", "P410"):
+        return (req.m if fam == "T48" else 1) + 1
+    if fam == "C42":
+        return req.n // (req.r + req.delta - 1) - req.ell
+    if fam == "C52":
+        nu = req.n // (req.r + req.delta - 1)
+        return nu - 2 * req.ell if req.case == 1 else nu - 2 * req.ell - 1
+    if fam == "C59":
+        nu = req.n // (req.r + req.delta - 1)
+        return nu - 2 * req.ell - 1 if req.case == 1 else nu - 2 * req.ell
+    return None
+
+
+PRIME_POWERS = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53,
+                59, 61, 64, 67, 71, 73, 79, 81, 83, 89, 97, 101, 103, 107, 109, 113, 121, 125, 127, 128)
+Q_MINUS_1 = ("T41", "C42", "C44", "C46", "T48", "P49", "P410")
+
+
+def _family_points(fam):
+    """Candidate request fields of one family on every admissible (q, n).
+    The compared values do not depend on b or t, which stay at 1 and small."""
+    side = -1 if fam in Q_MINUS_1 else 1
+    for q in PRIME_POWERS:
+        for n in range(3, q + side + 1):
+            if (q + side) % n or gcd(n, q) != 1:
+                continue
+            base = dict(family=fam, q=q, n=n)
+            if fam in ("T41", "T51", "T58"):
+                for delta, m in product(range(2, 6), range(1, 4)):
+                    lo = m - 1 + delta
+                    for tails in ((lo + 1,), (lo, lo + delta + 2)):
+                        yield dict(base, delta=delta, m=m, t=1, tails=tails)
+            elif fam == "C42":
+                for delta, r in product(range(2, 5), range(1, 6)):
+                    if n % (r + delta - 1) == 0:
+                        for i, ell in product(range(r), range(4)):
+                            for j in range(i + 1):
+                                yield dict(base, delta=delta, r=r, i=i, ell=ell, j=j)
+            elif fam in ("C44", "C46"):
+                for delta, m in product(range(2, 5), range(1, 5)):
+                    for tail in range(m + 1, n - 1, 7):
+                        yield dict(base, delta=delta, m=m, t=1, tails=(tail,))
+            elif fam == "T48":
+                for delta, m, t in product(range(2, 6), range(1, 4), range(2)):
+                    yield dict(base, delta=delta, m=m, t=t)
+            elif fam in ("P49", "P410"):
+                for delta, t in product(range(2, 12), range(3)):
+                    yield dict(base, delta=delta, t=t)
+            elif fam in ("C52", "C59"):
+                # C52 takes even delta, C59 odd
+                for delta, r, case in product(range(2 + (fam == "C59"), 8, 2), range(1, 8), (1, 2, 3)):
+                    if n % (r + delta - 1) == 0:
+                        for i, ell in product(range(3), range(4)):
+                            yield dict(base, delta=delta, r=r, i=i, ell=ell, case=case)
+            else:
+                for delta, m in product(range(2, 8), range(2, 9, 2)):
+                    yield dict(base, delta=delta, m=m)
+
+
+def _validated_requests(fam, cap=200):
+    """Up to `cap` validated requests of `fam`, spread evenly over the enumeration."""
+    reqs = [r for r in (ConstructionRequest(**d) for d in _family_points(fam)) if not validate(r)]
+    return [_with_defaults(r) for r in reqs[::max(1, len(reqs) // cap)]]
+
+
+def test_paper_values_match_the_reference_ladders():
+    for fam in FAMILY_NAMES:
+        reqs = _validated_requests(fam)
+        assert len(reqs) >= 50, (fam, len(reqs))
+        for req in reqs:
+            want = (_ref_formula_k(req), _ref_claimed_distance(req),
+                    _ref_claimed_dual_distance(req), _ref_block_target(req))
+            assert _paper_values(req) == want, req
+            assert len(_anchor_exponents(req)) == _ref_anchor_size(req), req
