@@ -155,15 +155,7 @@ def exact_dual_distance(A: "ExponentSet") -> Optional[int]:
     step).  Absent when the hypotheses fail; never a weaker bound.
     """
     n = A.ctx.n
-    comp = set(range(n)) - set(A.exps)
-    # longest run in the complement over all unit steps
-    best_run = 0
-    if comp:
-        for b in units_mod(n):
-            binv = pow(b, -1, n)
-            pos = {(e * binv) % n for e in comp}
-            length, _ = _longest_run(pos, n)
-            best_run = max(best_run, length)
+    best_run = bch_lower(A.complement())[0] - 1  # longest complement run over all unit steps
     values = []
     for ell, _t in subgroup_coset_in(A):
         s = n // ell

@@ -105,21 +105,10 @@ def _pretty_build(res: BuildResult) -> str:
 
 
 def _request_from_flags(args) -> ConstructionRequest:
-    fields = {
-        "family": args.family,
-        "q": args.q,
-        "n": args.n,
-        "delta": args.delta,
-        "b": args.b,
-        "t": args.t,
-    }
-    for name in ("r", "m", "i", "ell", "j", "case", "mu"):
-        v = getattr(args, name)
-        if v is not None:
-            fields[name] = v
-    if args.tail:
-        fields["tails"] = tuple(args.tail)
-    return ConstructionRequest(**fields)
+    # each flag is named after its grid key; an unset optional flag is None,
+    # which `from_dict` takes as the field's default
+    flags = {f.name: getattr(args, key) for f, key in zip(fields(ConstructionRequest), GRID_KEYS)}
+    return ConstructionRequest.from_dict(flags)
 
 
 def cmd_construct(args) -> int:

@@ -7,11 +7,14 @@ product.  Builders validate the family hypotheses by name, certify locality
 through the product route, settle the distance through the bound sandwich or
 an exact oracle, and only then decide the optimality flag.
 
-Each family's theorem values (dimension, distance, pinned anchor dual
-distance, target block count) come from one dispatch, `_paper_values`, and
-are cross-checked against the constructed sets and oracles; a disagreement
-raises instead of emitting a bad certificate.  `build` and
-`verify_certificate` share one optimality decision, `_optimality`.
+Each family's shared hypotheses (the side n | q-1 or n | q+1, the delta
+parity, whether the anchor takes the shift t, the optional fields read) are
+one row of `_FAMILIES`.  Its theorem values (dimension, distance, pinned
+anchor dual distance, target block count) come from one dispatch,
+`_paper_values`, and are cross-checked against the constructed sets and
+oracles; a disagreement raises instead of emitting a bad certificate.
+`build` and `verify_certificate` share one optimality decision,
+`_optimality`.
 Optimality side conditions that fail (the ceiling condition, or the
 dual-distance inequality of the single-tail families) return the code with
 the flag down and a note, since parameter searches need those points.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 from math import ceil, gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import bounds
 from .bounds import BettiSalaWitness
@@ -36,23 +39,6 @@ from .cyclic import (
     product_set,
 )
 from .locality import LocalityCertificate, check_locality_record, claim_line, locality_from_product
-
-FAMILY_NAMES = (
-    "T41",
-    "C42",
-    "C44",
-    "C46",
-    "T48",
-    "P49",
-    "P410",
-    "T51",
-    "C52",
-    "C56",
-    "T58",
-    "C59",
-    "C511",
-)
-
 
 CERTIFICATE_SCHEMA = 1
 
@@ -89,14 +75,9 @@ class ConstructionRequest:
         return len(self.tails)
 
     def to_dict(self) -> dict:
-        out = {"family": self.family, "q": self.q, "n": self.n, "delta": self.delta, "b": self.b, "t": self.t}
-        for name in ("r", "m", "i", "ell", "j", "case", "mu"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        if self.tails:
-            out["tails"] = list(self.tails)
-        return out
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["tails"] = list(self.tails)
+        return {name: v for name, v in out.items() if name not in OPTIONAL_FIELDS or v not in (None, [])}
 
     @staticmethod
     def from_dict(d: dict) -> "ConstructionRequest":
@@ -106,6 +87,38 @@ class ConstructionRequest:
         if extra:
             raise HypothesisViolated([f"unknown request fields {sorted(extra)}"])
         return ConstructionRequest(tails=tails, **d)
+
+
+# the request fields a family may leave unset; an unset one is left out of
+# the certificate's request
+OPTIONAL_FIELDS = tuple(f.name for f in fields(ConstructionRequest) if f.default in (None, ()))
+
+
+class _Family(NamedTuple):
+    side: str  # "q-1" or "q+1": the length divides q-1 or q+1
+    parity: Optional[int]  # the delta % 2 the family requires, if any
+    shifted: bool  # the anchor takes the shift t; the others are fixed sets
+    reads: tuple[str, ...]  # the optional request fields the family reads
+
+
+# one row per family; setting an optional field the family does not read is
+# refused, since the certificate carries the request as given
+_FAMILIES = {
+    "T41": _Family("q-1", None, True, ("m", "tails")),
+    "C42": _Family("q-1", None, True, ("r", "i", "ell", "j", "mu")),
+    "C44": _Family("q-1", None, True, ("m", "tails")),
+    "C46": _Family("q-1", None, True, ("m", "tails")),
+    "T48": _Family("q-1", None, True, ("m",)),
+    "P49": _Family("q-1", None, True, ()),
+    "P410": _Family("q-1", None, True, ()),
+    "T51": _Family("q+1", 0, True, ("m", "tails")),
+    "C52": _Family("q+1", 0, False, ("r", "i", "ell", "case", "mu")),
+    "C56": _Family("q+1", 0, False, ("m",)),
+    "T58": _Family("q+1", 1, True, ("m", "tails")),
+    "C59": _Family("q+1", 1, False, ("r", "i", "ell", "case", "mu")),
+    "C511": _Family("q+1", 1, False, ("m",)),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -232,36 +245,24 @@ def _block_count(req: ConstructionRequest, v: list[str]) -> Optional[int]:
     return None
 
 
-# the optional request fields each family reads; setting any other is refused,
-# since the certificate carries the request as given
-_FIELDS_READ = {
-    **dict.fromkeys(("T41", "C44", "C46", "T51", "T58"), ("m", "tails")),
-    **dict.fromkeys(("T48", "C56", "C511"), ("m",)),
-    **dict.fromkeys(("P49", "P410"), ()),
-    "C42": ("r", "i", "ell", "j", "mu"),
-    **dict.fromkeys(("C52", "C59"), ("r", "i", "ell", "case", "mu")),
-}
-
-
 def validate(req: ConstructionRequest) -> list[str]:
     """Named hypothesis violations; empty list means buildable."""
     fam = req.family
-    if fam not in FAMILY_NAMES:
+    if fam not in _FAMILIES:
         return [f"unknown family {fam!r}"]
-    unread = [name for name in ("r", "m", "tails", "i", "ell", "j", "case", "mu")
-              if getattr(req, name) not in (None, ()) and name not in _FIELDS_READ[fam]]
+    side, parity, shifted, reads = _FAMILIES[fam]
+    unread = [name for name in OPTIONAL_FIELDS if getattr(req, name) not in (None, ()) and name not in reads]
     req = _with_defaults(req)
     n, delta = req.n, req.delta
-    if fam in ("T41", "C42", "C44", "C46", "T48", "P49", "P410"):
-        v = _common_clauses(req, "q-1")
-    else:
-        v = _common_clauses(req, "q+1")
+    v = _common_clauses(req, side)
     if unread:
         v.append(f"{fam} reads no {', '.join(unread)}")
-    if fam in ("C52", "C59", "C56", "C511") and req.t != 0:
-        v.append("t = 0")  # these anchors are fixed sets with no shift
+    if not shifted and req.t != 0:
+        v.append("t = 0")
+    if parity is not None and delta % 2 != parity:
+        v.append("delta odd" if parity else "delta even")
 
-    if fam == "T41":
+    if fam in ("T41", "T51", "T58"):
         v += _tail_clauses(req)
     elif fam == "C42":
         r, nu = req.r, _block_count(req, v)
@@ -296,20 +297,8 @@ def validate(req: ConstructionRequest) -> list[str]:
         elif n < (2 * m + 1) * delta:
             # the run-plus-blocks pattern must stay distinct mod n
             v.append("n >= (2m+1)*delta")
-    elif fam == "T51":
-        if delta % 2 != 0:
-            v.append("delta even")
-        v += _tail_clauses(req)
-    elif fam == "T58":
-        if delta % 2 != 1:
-            v.append("delta odd")
-        v += _tail_clauses(req)
     elif fam in ("C52", "C59"):
-        r = req.r
-        case = req.case
-        parity = 0 if fam == "C52" else 1
-        if delta % 2 != parity:
-            v.append("delta even" if fam == "C52" else "delta odd")
+        r, case = req.r, req.case
         nu = _block_count(req, v)
         if nu is not None:
             i, ell = req.i, req.ell
@@ -349,9 +338,6 @@ def validate(req: ConstructionRequest) -> list[str]:
             v.append("n odd")
         if m is None or m < 2 or m % 2 != 0:
             v.append("m even, m >= 2")
-        parity = 0 if fam == "C56" else 1
-        if delta % 2 != parity:
-            v.append("delta even" if fam == "C56" else "delta odd")
         if m is not None and not 2 <= delta <= (n - m + 1) // 2:
             v.append("2 <= delta <= (n-m+1)/2")
     return v
@@ -362,18 +348,15 @@ def validate(req: ConstructionRequest) -> list[str]:
 
 
 def _run_set(ctx: CycContext, req: ConstructionRequest) -> ExponentSet:
-    """The run set: delta-1 consecutive b-steps, shaped per family parity."""
-    delta, b = req.delta, req.b
-    fam = req.family
-    if fam in ("T41", "C42", "C44", "C46", "T48", "P49", "P410"):
-        exps = [e * b for e in range(delta - 1)]
-    elif fam in ("T51", "C52", "C56"):
-        half = (delta - 2) // 2
-        exps = [e * b for e in range(-half, half + 1)]
+    """The run set: delta-1 consecutive b-steps, from 0 when n | q-1.  When
+    n | q+1 the defining set must be closed under q = -1, so the run is
+    centred on 0 for even delta and on 1/2 for odd delta."""
+    delta = req.delta
+    if _FAMILIES[req.family].side == "q-1":
+        steps = range(delta - 1)
     else:
-        lo = -(delta - 3) // 2
-        exps = [e * b for e in range(lo, (delta - 1) // 2 + 1)]
-    return ctx.exponent_set(exps)
+        steps = range(-(delta - 3) // 2, (delta - 1) // 2 + 1)
+    return ctx.exponent_set([e * req.b for e in steps])
 
 
 def _anchor_exponents(req: ConstructionRequest) -> list[int]:

@@ -134,14 +134,8 @@ class ExponentSet:
     def __len__(self):
         return len(self.exps)
 
-    def __contains__(self, e: int) -> bool:
-        return (e % self.ctx.n) in set(self.exps)
-
     def __iter__(self):
         return iter(self.exps)
-
-    def union(self, other: "ExponentSet") -> "ExponentSet":
-        return ExponentSet.of(self.ctx, self.exps + other.exps)
 
     def complement(self) -> "ExponentSet":
         full = set(range(self.ctx.n))
@@ -149,9 +143,6 @@ class ExponentSet:
 
     def negate(self) -> "ExponentSet":
         return ExponentSet.of(self.ctx, [-e for e in self.exps])
-
-    def shift(self, s: int) -> "ExponentSet":
-        return ExponentSet.of(self.ctx, [e + s for e in self.exps])
 
     def is_subset(self, other: "ExponentSet") -> bool:
         return set(self.exps) <= set(other.exps)

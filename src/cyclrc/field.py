@@ -508,8 +508,6 @@ def primitive_nth_root(spec: FieldSpec, n: int) -> int:
 
 def ord_mod(q: int, n: int) -> int:
     """Smallest d >= 1 with q^d = 1 (mod n)."""
-    from math import gcd
-
     if n < 1 or gcd(q, n) != 1:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
     if n == 1:

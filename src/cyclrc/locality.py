@@ -4,8 +4,7 @@ The constructive route: when the defining set of a code contains the product
 of two root sets, shifted copies of one low-weight dual codeword of the
 anchor code yield concrete repair groups, and a short consecutive run in the
 second set forces enough column independence inside each group to tolerate
-delta-1 erasures.  Certificates carry the dual word, every repair group, and
-the per-group independence checks.
+delta-1 erasures.  Certificates carry the dual word and every repair group.
 
 The definition-level verifier is the independent oracle: it knows nothing of
 the construction and simply checks punctured distances of candidate groups
@@ -136,21 +135,17 @@ def anchor_dual_word(anchor: ExponentSet, budget: int = DEFAULT_BUDGET):
     n = ctx.n
     exact_val = bounds.exact_dual_distance(anchor)
     cosets = bounds.subgroup_coset_in(anchor)
-    result = None
-    if exact_val is not None and any(n // ell == exact_val for ell, _ in cosets):
+    if exact_val is not None:
+        # the criterion's value is n/ell for one of these cosets
         ell, t = next((e, t) for e, t in cosets if n // e == exact_val)
         word = _subgroup_word(ctx, ell, t)
         support = tuple(int(i) for i in np.nonzero(word)[0])
         result = (word, support, exact_val, True, exact_val)
-    if result is None:
+    else:
         ca = code_from_defining_set(ctx, anchor, base="extension")
         dual = ca.dual_code()
         try:
             d, word, support = min_weight_word(dual, budget)
-            if exact_val is not None and d != exact_val:
-                raise AssertionError(
-                    f"subgroup-run criterion says dual distance {exact_val}, oracle found {d}"
-                )
             result = (word, support, d, True, d)
         except CombinatorialBudgetExceeded:
             lower, _ = bounds.bch_lower(dual.defining)
@@ -188,9 +183,10 @@ def locality_from_product(
     r+delta-1 coordinates, where r = w(h0) - d_run + 1.
 
     The defining set of `target` must contain the product of the two sets.
-    Every group is materialized and its independence condition is checked;
-    an independence failure aborts (it would mean an implementation bug, and
-    a silently downgraded certificate would be worthless).
+    Every group is materialized, and the independence condition is checked
+    once, on h0, for all of them; an independence failure aborts (it would
+    mean an implementation bug, and a silently downgraded certificate would
+    be worthless).
     """
     ctx = anchor.ctx
     if run.ctx is not ctx or target.ctx is not ctx:
@@ -207,49 +203,25 @@ def locality_from_product(
         raise DistanceOrderingViolated(f"dual word weight {w} below run distance {d_run}")
     r = w - d_run + 1
     delta = d_run
-    n = ctx.n
     F = ctx.field
-
-    # deduplicated shift cover; for subgroup-support words this is exactly
-    # the partition into residue classes
-    seen = set()
-    groups_list = []
-    shifts = []  # one representative shift per distinct group
-    for s in range(n):
-        g = tuple(sorted((i + s) % n for i in support))
-        if g not in seen:
-            seen.add(g)
-            groups_list.append(g)
-            shifts.append(s)
-    groups = tuple(sorted(groups_list))
-    disjoint = sum(len(g) for g in groups) == n
-    group_mode = "subgroup_partition" if disjoint else "shift_cover"
-
-    covered = set()
-    for g in groups:
-        covered.update(g)
-    if covered != set(range(n)):
+    groups, group_mode = repair_groups(support, ctx.n)
+    if set().union(*groups) != set(range(ctx.n)):
         raise InvariantViolated("repair groups fail to cover all coordinates")
 
     # h0 itself is only a dual word of the anchor code; the rows entering the
     # certificate are its run-exponent translates, which land in the dual of
-    # any code whose defining set contains the product set
-    G = target.generator_matrix()
-    run_rows = np.array(run.exps, dtype=np.int64)
-    for shift in shifts:
-        shifted = np.roll(word, shift)
-        rows = _local_parity_rows(ctx, shifted, run_rows)
-        sup = np.nonzero(shifted)[0]
-        for e_row in rows:
-            if set(np.nonzero(e_row)[0]) != set(sup):
-                raise IndependenceCheckFailed("shifted rows do not share the base support")
-        if linalg.mat_mul(F, G, rows.T).any():
-            raise IndependenceCheckFailed("local parity row leaves the dual code")
-        H_I = rows[:, sup]
-        if not check_delta_independence(F, H_I, delta):
-            raise IndependenceCheckFailed(
-                f"{delta - 1} columns of a local parity block are dependent"
-            )
+    # any code whose defining set contains the product set.  One check on h0
+    # covers every group: shifting h0 by s shifts its translate rows and
+    # scales row e by alpha^(s*e), which keeps each row's support, its
+    # orthogonality to the cyclic target and the independence of its columns.
+    rows = _local_parity_rows(ctx, word, np.array(run.exps, dtype=np.int64))
+    sup = np.nonzero(word)[0]
+    if any(set(np.nonzero(row)[0]) != set(sup) for row in rows):
+        raise IndependenceCheckFailed("translate rows do not share the support of h0")
+    if linalg.mat_mul(F, target.generator_matrix(), rows.T).any():
+        raise IndependenceCheckFailed("local parity row leaves the dual code")
+    if not check_delta_independence(F, rows[:, sup], delta):
+        raise IndependenceCheckFailed(f"{delta - 1} columns of a local parity block are dependent")
 
     return LocalityCertificate(
         r=r,
@@ -266,6 +238,14 @@ def locality_from_product(
         independence_checked=True,
         group_mode=group_mode,
     )
+
+
+def repair_groups(support, n: int) -> tuple[tuple[tuple[int, ...], ...], str]:
+    """The distinct cyclic shifts of `support`, sorted, and their mode:
+    'subgroup_partition' when they partition the n coordinates, else
+    'shift_cover'."""
+    groups = tuple(sorted({tuple(sorted((i + s) % n for i in support)) for s in range(n)}))
+    return groups, "subgroup_partition" if len(groups) * len(support) == n else "shift_cover"
 
 
 def _local_parity_rows(ctx, word: np.ndarray, run_exps: np.ndarray) -> np.ndarray:
@@ -392,8 +372,7 @@ def check_locality_record(code: CyclicCode, record: dict, budget: int = DEFAULT_
     anchor_code = code_from_defining_set(ctx, anchor, base="extension")
     word = ev["h0_word"]
     support = [i for i, x in enumerate(word) if x]
-    shifts = sorted({tuple(sorted((i + s) % n for i in support)) for s in range(n)})
-    mode = "subgroup_partition" if len(shifts) * len(support) == n else "shift_cover"
+    groups, mode = repair_groups(support, n)
     problem = ""
     if len(word) != n or not all(0 <= x < F.q for x in word):
         problem = f"h0_word is not a vector of length {n} over GF({F.q})"
@@ -403,7 +382,7 @@ def check_locality_record(code: CyclicCode, record: dict, budget: int = DEFAULT_
         problem = f"h0_support {ev['h0_support']} is not the support {support} of h0_word"
     elif linalg.mat_mul(F, anchor_code.generator_matrix(), [[x] for x in word]).any():
         problem = "h0_word is not orthogonal to the anchor code"
-    elif record["groups"] != [list(g) for g in shifts]:
+    elif record["groups"] != [list(g) for g in groups]:
         problem = "groups are not the distinct cyclic shifts of h0_support"
     elif ev["group_mode"] != mode:
         problem = f"the groups make a {mode}, not a {ev['group_mode']}"
@@ -434,5 +413,5 @@ def check_locality_record(code: CyclicCode, record: dict, budget: int = DEFAULT_
     except BudgetExceededInconclusive as exc:
         return lines + [("punctured distances", "inconclusive", str(exc))]
     return lines + [claim_line("punctured distances", tolerant and ev["independence_checked"] is True,
-                               f"{len(shifts)} shifts of h0_support tolerate {d_run - 1} erasures: {tolerant}; "
+                               f"{len(groups)} shifts of h0_support tolerate {d_run - 1} erasures: {tolerant}; "
                                f"independence_checked: {ev['independence_checked']}")]

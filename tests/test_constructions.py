@@ -3,6 +3,7 @@ import subprocess
 import sys
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,6 +55,14 @@ def test_validate_clean_requests():
         (dict(family="C42", q=11, n=0, delta=2, r=4), "n >= 1"),
         # r+delta-1 = 0 names delta instead of dividing by zero
         (dict(family="C42", q=11, n=10, delta=0, r=1), "delta >= 2"),
+        (dict(family="T51", q=23, n=24, delta=3, m=2, tails=(6,)), "delta even"),
+        (dict(family="T58", q=23, n=24, delta=4, m=2, tails=(7,)), "delta odd"),
+        (dict(family="C56", q=32, n=33, delta=3, m=6), "delta even"),
+        (dict(family="C511", q=16, n=17, delta=4, m=6), "delta odd"),
+        (dict(family="C59", q=64, n=65, delta=3, t=1, r=3, i=0, ell=0, case=1), "t = 0"),
+        (dict(family="C56", q=32, n=33, delta=4, t=2, m=6), "t = 0"),
+        # 20 divides q+1 = 20 but not q-1 = 18
+        (dict(family="T41", q=19, n=20, delta=3, m=2, tails=(5,)), "n | q-1"),
     ],
 )
 def test_validate_named_clauses(req, clause):
@@ -412,6 +421,23 @@ def _ref_block_target(req):
     return None
 
 
+def _ref_run_exps(req):
+    """The three-branch run ladder."""
+    delta, b, fam = req.delta, req.b, req.family
+    if fam in Q_MINUS_1:
+        return [e * b for e in range(delta - 1)]
+    if fam in ("T51", "C52", "C56"):
+        half = (delta - 2) // 2
+        return [e * b for e in range(-half, half + 1)]
+    lo = -(delta - 3) // 2
+    return [e * b for e in range(lo, (delta - 1) // 2 + 1)]
+
+
+# `_run_set` asks its context only for the exponent set of a list; this one
+# hands the list back, so the exponents compare before reduction mod n
+RAW_CONTEXT = SimpleNamespace(exponent_set=list)
+
+
 PRIME_POWERS = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53,
                 59, 61, 64, 67, 71, 73, 79, 81, 83, 89, 97, 101, 103, 107, 109, 113, 121, 125, 127, 128)
 Q_MINUS_1 = ("T41", "C42", "C44", "C46", "T48", "P49", "P410")
@@ -473,3 +499,4 @@ def test_paper_values_match_the_reference_ladders():
                     _ref_claimed_dual_distance(req), _ref_block_target(req))
             assert _paper_values(req) == want, req
             assert len(_anchor_exponents(req)) == _ref_anchor_size(req), req
+            assert _run_set(RAW_CONTEXT, req) == _ref_run_exps(req), req

@@ -51,8 +51,10 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-# patched by name by `perfbench/trace_layers.py`; goes with ROADMAP item 3
-UNREFERENCED_ALLOWED = {"batch_det", "batch_nullvec", "mat_vec"}
+# patched by name by `perfbench/trace_layers.py` (goes with ROADMAP item 3),
+# and the reference encoder of the tests
+UNREFERENCED_ALLOWED = {"batch_det", "batch_nullvec", "mat_vec", "CyclicCode.encode"}
+FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def referenced_names(tree):
@@ -70,10 +72,21 @@ def referenced_names(tree):
     return out
 
 
+def defined_functions(tree):
+    """(qualified name, name) of each module-level function and of each public
+    method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, FUNCTION_NODES):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, FUNCTION_NODES) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub.name
+
+
 def test_every_module_function_is_referenced():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     referenced = set().union(*(referenced_names(t) for t in trees.values()))
-    dead = [f"{name}:{node.name}" for name, tree in sorted(trees.items()) for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name not in referenced and node.name not in UNREFERENCED_ALLOWED]
-    assert not dead, f"module-level functions that no src module references: {', '.join(dead)}"
+    dead = [f"{name}:{qualname}" for name, tree in sorted(trees.items()) for qualname, short in defined_functions(tree)
+            if short not in referenced and qualname not in UNREFERENCED_ALLOWED]
+    assert not dead, f"functions and public methods that no src module references: {', '.join(dead)}"
