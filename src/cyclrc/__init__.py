@@ -18,7 +18,6 @@ from .constructions import (
     BuildResult,
     ConstructionRequest,
     HypothesisViolated,
-    OptimalityCertificate,
     build,
     validate,
 )
@@ -44,7 +43,6 @@ from .field import (
     primitive_nth_root,
 )
 from .locality import (
-    LocalityCertificate,
     check_delta_independence,
     locality_from_product,
     verify_locality_exhaustive,
@@ -64,8 +62,6 @@ __all__ = [
     "ExponentSet",
     "FieldSpec",
     "HypothesisViolated",
-    "LocalityCertificate",
-    "OptimalityCertificate",
     "Polynomial",
     "bch_lower",
     "betti_sala_lower",

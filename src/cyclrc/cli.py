@@ -87,19 +87,19 @@ def _result_row(cert: dict) -> dict:
 
 
 def _pretty_build(res: BuildResult) -> str:
-    o = res.optimality
-    cert = res.locality
-    d_str = str(o.d_exact) if o.d_exact is not None else f">={o.d_lower} (<= {o.d_upper})"
+    o, loc = res.certificate["optimality"], res.certificate["locality"]
+    d_str = str(o["d_exact"]) if o["d_exact"] is not None else f">={o['d_lower']} (<= {o['d_upper']})"
     lines = [
-        f"[{o.n}, {o.k}, {d_str}] over GF({res.code.ctx.q}), "
-        f"({o.r}, {o.delta})-locality, {'optimal' if o.optimal else 'not optimal'}",
-        f"family {o.family}, distance method {o.distance_method}, "
-        f"bound value {o.singleton_like_value}, (r+delta-1) {'|' if o.divides else 'does not divide'} n",
+        f"[{o['n']}, {o['k']}, {d_str}] over GF({res.code.ctx.q}), "
+        f"({o['r']}, {o['delta']})-locality, {'optimal' if o['optimal'] else 'not optimal'}",
+        f"family {o['family']}, distance method {o['distance_method']}, "
+        f"bound value {o['singleton_like_value']}, (r+delta-1) {'|' if o['divides'] else 'does not divide'} n",
         f"defining exponents: {list(res.code.defining.exps)}",
         f"generator: {res.code.gen.pretty()}",
-        f"repair groups ({len(cert.groups)}, {cert.group_mode}): sizes <= {cert.group_size_bound}",
+        f"repair groups ({len(loc['groups'])}, {loc['evidence']['group_mode']}): "
+        f"sizes <= {loc['r'] + loc['delta'] - 1}",
     ]
-    for note in o.notes:
+    for note in o["notes"]:
         lines.append(f"note: {note}")
     return "\n".join(lines) + "\n"
 
@@ -123,16 +123,16 @@ def cmd_construct(args) -> int:
         return 1
     fmt = _default_format(args.format)
     if fmt == "json":
-        _emit(json.dumps(res.to_json_dict(), indent=2, sort_keys=True) + "\n", args.output)
+        _emit(json.dumps(res.certificate, indent=2, sort_keys=True) + "\n", args.output)
     elif fmt == "csv":
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=CSV_HEADER)
         w.writeheader()
-        w.writerow(_result_row(res.to_json_dict()))
+        w.writerow(_result_row(res.certificate))
         _emit(buf.getvalue(), args.output)
     else:
         _emit(_pretty_build(res), args.output)
-    return 0 if res.optimality.optimal else 2
+    return 0 if res.certificate["optimality"]["optimal"] else 2
 
 
 def cmd_verify(args) -> int:
@@ -212,7 +212,7 @@ def cmd_search(args) -> int:
                       file=sys.stderr)
                 failed += 1
                 continue
-            rows.append(_result_row(res.to_json_dict()))
+            rows.append(_result_row(res.certificate))
     fmt = args.format or "csv"
     if fmt == "json":
         _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.output)

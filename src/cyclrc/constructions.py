@@ -13,8 +13,9 @@ one row of `_FAMILIES`.  Its theorem values (dimension, distance, pinned
 anchor dual distance, target block count) come from one dispatch,
 `_paper_values`, and are cross-checked against the constructed sets and
 oracles; a disagreement raises instead of emitting a bad certificate.
-`build` and `verify_certificate` share one optimality decision,
-`_optimality`.
+`build` returns the code with its certificate, the JSON document (schema,
+field, code, locality record, optimality record) that `verify_certificate`
+reads; the two share one optimality decision, `_optimality`.
 Optimality side conditions that fail (the ceiling condition, or the
 dual-distance inequality of the single-tail families) return the code with
 the flag down and a note, since parameter searches need those points.
@@ -38,7 +39,7 @@ from .cyclic import (
     min_distance,
     product_set,
 )
-from .locality import LocalityCertificate, check_locality_record, claim_line, locality_from_product
+from .locality import check_locality_record, claim_line, locality_from_product
 
 CERTIFICATE_SCHEMA = 1
 
@@ -69,10 +70,6 @@ class ConstructionRequest:
     j: Optional[int] = None
     case: Optional[int] = None
     mu: Optional[int] = None
-
-    @property
-    def s(self) -> int:
-        return len(self.tails)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -121,63 +118,9 @@ _FAMILIES = {
 FAMILY_NAMES = tuple(_FAMILIES)
 
 
-@dataclass(frozen=True)
-class OptimalityCertificate:
-    n: int
-    k: int
-    d_exact: Optional[int]
-    d_lower: int
-    d_upper: int
-    d_claim: Optional[int]
-    singleton_like_value: Optional[int]
-    r: int
-    delta: int
-    optimal: bool
-    family: str
-    request: dict
-    distance_method: str
-    witness: Optional[dict]
-    notes: tuple[str, ...] = ()
-
-    @property
-    def divides(self) -> bool:
-        return self.n % (self.r + self.delta - 1) == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "d_exact": self.d_exact,
-            "d_lower": self.d_lower,
-            "d_upper": self.d_upper,
-            "d_claim": self.d_claim,
-            "singleton_like_value": self.singleton_like_value,
-            "r": self.r,
-            "delta": self.delta,
-            "optimal": self.optimal,
-            "family": self.family,
-            "request": self.request,
-            "distance_method": self.distance_method,
-            "witness": self.witness,
-            "divides": self.divides,
-            "notes": list(self.notes),
-        }
-
-
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     code: CyclicCode
-    locality: LocalityCertificate
-    optimality: OptimalityCertificate
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": CERTIFICATE_SCHEMA,
-            "field": self.code.ctx.to_dict(),
-            "code": self.code.to_dict(),
-            "locality": self.locality.to_json_dict(),
-            "optimality": self.optimality.to_json_dict(),
-        }
+    certificate: dict  # the JSON document `verify_certificate` reads
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +420,7 @@ def _optimality(code: CyclicCode, req: ConstructionRequest, loc: dict, budget: i
         notes.append(f"distance formula value {d_formula} retained as a claim, not certified optimal")
 
     singleton = bounds.singleton_like(n, k, r, loc["delta"]) if 1 <= r <= k else None
-    res = min_distance(code, budget, witness=_witness(req)[0], upper_hints=() if singleton is None else (singleton,))
+    res = min_distance(code, budget, witness=_witness(req)[0], upper=singleton)
     # C46 has two branches: its claim is whichever of m+1, m+2 the oracle certifies
     d_claim = res.exact if fam == "C46" else d_formula
     optimal = cond and singleton is not None and res.exact == singleton
@@ -522,16 +465,12 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
             f"dimension formula gives {k} but the product set leaves {code.k}"
         )
 
-    cert = locality_from_product(anchor, run, code, budget)
-    if cert.run_distance != req.delta:
-        raise ConstructionInternalError(
-            f"run code distance {cert.run_distance} differs from delta={req.delta}"
-        )
-    if pinned_dual is not None and cert.dual_distance != pinned_dual:
-        raise ConstructionInternalError(
-            f"anchor dual distance {cert.dual_distance} differs from the pinned {pinned_dual}"
-        )
-    res, singleton_val, d_claim, cond, optimal, notes = _optimality(code, req, cert.to_json_dict(), budget)
+    loc = locality_from_product(anchor, run, code, budget)
+    if loc["dB"] != req.delta:
+        raise ConstructionInternalError(f"run code distance {loc['dB']} differs from delta={req.delta}")
+    if pinned_dual is not None and loc["dA_perp"] != pinned_dual:
+        raise ConstructionInternalError(f"anchor dual distance {loc['dA_perp']} differs from the pinned {pinned_dual}")
+    res, singleton_val, d_claim, cond, optimal, notes = _optimality(code, req, loc, budget)
     if cond and res.exact is not None and res.exact != d_claim:
         raise ConstructionInternalError(
             f"certified distance {res.exact} disagrees with the formula value {d_claim}"
@@ -548,24 +487,27 @@ def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult
                 "single-root-tail family failed its guaranteed optimality check"
             )
 
-    opt = OptimalityCertificate(
-        n=req.n,
-        k=k,
-        d_exact=res.exact,
-        d_lower=res.lower,
-        d_upper=res.upper,
-        d_claim=d_claim,
-        singleton_like_value=singleton_val,
-        r=cert.r,
-        delta=cert.delta,
-        optimal=optimal,
-        family=req.family,
-        request=request,
-        distance_method=res.method,
-        witness=_witness(req)[1],
-        notes=tuple(notes),
-    )
-    return BuildResult(code=code, locality=cert, optimality=opt)
+    r, delta = loc["r"], loc["delta"]
+    opt = {
+        "n": req.n,
+        "k": k,
+        "d_exact": res.exact,
+        "d_lower": res.lower,
+        "d_upper": res.upper,
+        "d_claim": d_claim,
+        "singleton_like_value": singleton_val,
+        "r": r,
+        "delta": delta,
+        "optimal": optimal,
+        "family": req.family,
+        "request": request,
+        "distance_method": res.method,
+        "witness": _witness(req)[1],
+        "divides": req.n % (r + delta - 1) == 0,
+        "notes": notes,
+    }
+    return BuildResult(code, {"schema": CERTIFICATE_SCHEMA, "field": code.ctx.to_dict(), "code": code.to_dict(),
+                              "locality": loc, "optimality": opt})
 
 
 class MalformedCertificate(ValueError):

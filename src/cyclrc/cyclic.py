@@ -200,15 +200,6 @@ class DistanceResult:
                     f"exact distance {self.exact} outside [{self.lower}, {self.upper}] ({self.method})"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "method": self.method,
-            "undefined": self.undefined,
-        }
-
 
 class CyclicCode:
     """Cyclic code fixed by a complete defining set of root exponents."""
@@ -339,7 +330,8 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
 # Distance strategies.
 
 
-def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, witness=None, upper_hints=()) -> DistanceResult:
+def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, witness=None,
+                 upper: Optional[int] = None) -> DistanceResult:
     n, k = code.n, code.k
     if budget < n * n:
         raise BudgetTooSmall(f"budget {budget} cannot cover the O(n^2) bound scan")
@@ -353,12 +345,11 @@ def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, witness=None, u
         if bs > lower:
             lower = bs
             lower_tag = "betti_sala"
-    upper = n - k + 1
-    upper_tag = "singleton"
-    for h in upper_hints:
-        if h < upper:
-            upper = h
-            upper_tag = "singleton_like"
+    # `upper` is a caller's proven bound, used where it beats Singleton's
+    if upper is None or upper >= n - k + 1:
+        upper, upper_tag = n - k + 1, "singleton"
+    else:
+        upper_tag = "singleton_like"
     if lower > upper:
         raise BoundInversion(f"bound inversion: {lower} ({lower_tag}) > {upper} ({upper_tag})")
     if lower == upper:

@@ -411,13 +411,6 @@ class FieldSpec:
             return self._exp_l[(self._log_l[a] * e) % (self.q - 1)]
         return int(self._exp[(self._log[a] * e) % (self.q - 1)])
 
-    def order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise DivisionByZero("zero has no multiplicative order")
-        la = int(self._log[a])
-        return (self.q - 1) // gcd(la, self.q - 1)
-
     # -- vector ops on numpy index arrays -----------------------------------
 
     def vadd(self, a, b):

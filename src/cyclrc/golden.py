@@ -110,38 +110,31 @@ def _check_family(entry: dict, budget: int) -> list[CheckResult]:
     def add(check: str, ok: bool, detail: str = ""):
         out.append(CheckResult(name, check, ok, detail))
 
-    req = ConstructionRequest.from_dict(entry["request"])
-    res = build(req, budget)
-    o, cert, code = res.optimality, res.locality, res.code
+    res = build(ConstructionRequest.from_dict(entry["request"]), budget)
+    o, loc, code = res.certificate["optimality"], res.certificate["locality"], res.code
 
-    add("length", o.n == exp["n"], f"{o.n} vs {exp['n']}")
-    add("dimension", o.k == exp["k"], f"{o.k} vs {exp['k']}")
-    add("locality r", o.r == exp["r"], f"{o.r} vs {exp['r']}")
-    add("locality delta", o.delta == exp["delta"], f"{o.delta} vs {exp['delta']}")
-    add("optimal flag", o.optimal == exp["optimal"], f"{o.optimal} vs {exp['optimal']}")
-    add("divisibility flag", o.divides == exp["divides"], f"{o.divides} vs {exp['divides']}")
+    for check, key in (("length", "n"), ("dimension", "k"), ("locality r", "r"), ("locality delta", "delta"),
+                       ("optimal flag", "optimal"), ("divisibility flag", "divides")):
+        add(check, o[key] == exp[key], f"{o[key]} vs {exp[key]}")
     if "anchor_dual" in exp:
-        add("anchor dual distance", cert.dual_distance == exp["anchor_dual"],
-            f"{cert.dual_distance} vs {exp['anchor_dual']}")
-        want_exact = exp.get("anchor_dual_exact", True)
-        add("anchor dual exactness", cert.dual_exact == want_exact,
-            f"exact={cert.dual_exact}")
+        add("anchor dual distance", loc["dA_perp"] == exp["anchor_dual"], f"{loc['dA_perp']} vs {exp['anchor_dual']}")
+        exact = loc["evidence"]["dual_exact"]
+        add("anchor dual exactness", exact == exp.get("anchor_dual_exact", True), f"exact={exact}")
 
     if exp.get("d_exact_known", True):
-        ok = o.d_exact == exp["d"]
-        add("distance", ok, f"exact {o.d_exact} vs {exp['d']}")
+        ok = o["d_exact"] == exp["d"]
+        add("distance", ok, f"exact {o['d_exact']} vs {exp['d']}")
         if ok:
-            method = crosscheck_distance(code, o.d_exact, budget)
+            method = crosscheck_distance(code, o["d_exact"], budget)
             add("distance cross-check", True, method or "bound sandwich stands alone")
     else:
-        add("distance lower bound", o.d_lower == exp["d"], f"{o.d_lower} vs {exp['d']}")
-        add("distance upper bound", o.d_upper == exp["d_upper"], f"{o.d_upper} vs {exp['d_upper']}")
-        add("distance left open", o.d_exact is None, f"exact={o.d_exact}")
+        add("distance lower bound", o["d_lower"] == exp["d"], f"{o['d_lower']} vs {exp['d']}")
+        add("distance upper bound", o["d_upper"] == exp["d_upper"], f"{o['d_upper']} vs {exp['d_upper']}")
+        add("distance left open", o["d_exact"] is None, f"exact={o['d_exact']}")
 
     # the certificate as a user receives it, through the verifier `cyclrc verify` runs
-    out += _verifier_checks(name, verify_certificate(json.loads(json.dumps(res.to_json_dict())), budget))
-    verified = verify_locality_exhaustive(code, o.r, o.delta, budget, hint_groups=cert.groups)
-    add("locality verified", verified)
+    out += _verifier_checks(name, verify_certificate(json.loads(json.dumps(res.certificate)), budget))
+    add("locality verified", verify_locality_exhaustive(code, o["r"], o["delta"], budget, hint_groups=loc["groups"]))
     return out
 
 
@@ -163,20 +156,17 @@ def _check_product(entry: dict, budget: int) -> list[CheckResult]:
     if "generator" in exp:
         add("generator coefficients", list(code.gen.coeffs) == exp["generator"],
             code.gen.pretty())
-    cert = locality_from_product(anchor, run, code, budget)
-    add("anchor dual distance", cert.dual_distance == exp["anchor_dual"],
-        f"{cert.dual_distance} vs {exp['anchor_dual']}")
-    add("run distance", cert.run_distance == exp["run_distance"],
-        f"{cert.run_distance} vs {exp['run_distance']}")
-    add("locality r", cert.r == exp["r"], f"{cert.r} vs {exp['r']}")
-    add("locality delta", cert.delta == exp["delta"], f"{cert.delta} vs {exp['delta']}")
+    loc = locality_from_product(anchor, run, code, budget)
+    for check, key, want in (("anchor dual distance", "dA_perp", "anchor_dual"), ("run distance", "dB", "run_distance"),
+                             ("locality r", "r", "r"), ("locality delta", "delta", "delta")):
+        add(check, loc[key] == exp[want], f"{loc[key]} vs {exp[want]}")
     if "code_distance" in exp:
         res = min_distance(code, budget)
         add("code distance", res.exact == exp["code_distance"],
             f"{res.exact} vs {exp['code_distance']} [{res.method}]")
-    out += _verifier_checks(name, check_locality_record(code, cert.to_json_dict(), budget))
+    out += _verifier_checks(name, check_locality_record(code, loc, budget))
     add("locality verified",
-        verify_locality_exhaustive(code, cert.r, cert.delta, budget, hint_groups=cert.groups))
+        verify_locality_exhaustive(code, loc["r"], loc["delta"], budget, hint_groups=loc["groups"]))
     return out
 
 
@@ -220,14 +210,12 @@ def run_entry(entry: dict, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
         return [CheckResult(entry["name"], "rebuild", False, f"{type(exc).__name__}: {exc}")]
 
 
-def run_corpus(budget: int = DEFAULT_BUDGET, names=None, path=None) -> list[CheckResult]:
+def run_corpus(budget: int = DEFAULT_BUDGET, path=None) -> list[CheckResult]:
     try:
         data = load_corpus(path)
     except ValueError as exc:
         return [CheckResult("corpus", "well-formed golden data", False, str(exc))]
     results: list[CheckResult] = []
     for entry in data["entries"]:
-        if names is not None and entry["name"] not in names:
-            continue
         results.extend(run_entry(entry, budget))
     return results

@@ -16,7 +16,6 @@ for all the groups, which are one orbit under cyclic shifts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -49,46 +48,6 @@ class IndependenceCheckFailed(RuntimeError):
 
 class BudgetExceededInconclusive(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class LocalityCertificate:
-    r: int
-    delta: int
-    dual_distance: int  # weight of the anchor dual word backing the groups
-    run_distance: int  # exact distance of the run code
-    dual_exact: bool  # dual_distance is the exact dual distance of the anchor
-    dual_lower: int  # certified lower bound on the anchor dual distance
-    groups: tuple[tuple[int, ...], ...]
-    h0_support: tuple[int, ...]
-    h0_word: tuple[int, ...]
-    anchor_exps: tuple[int, ...]
-    run_exps: tuple[int, ...]
-    independence_checked: bool
-    group_mode: str  # 'subgroup_partition' or 'shift_cover'
-
-    @property
-    def group_size_bound(self) -> int:
-        return self.r + self.delta - 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "delta": self.delta,
-            "dA_perp": self.dual_distance,
-            "dB": self.run_distance,
-            "groups": [list(g) for g in self.groups],
-            "evidence": {
-                "h0_support": list(self.h0_support),
-                "h0_word": list(self.h0_word),
-                "independence_checked": self.independence_checked,
-                "dual_exact": self.dual_exact,
-                "dual_lower": self.dual_lower,
-                "anchor_exponents": list(self.anchor_exps),
-                "run_exponents": list(self.run_exps),
-                "group_mode": self.group_mode,
-            },
-        }
 
 
 def check_delta_independence(F, M, delta: int) -> bool:
@@ -178,9 +137,13 @@ def locality_from_product(
     run: ExponentSet,
     target: CyclicCode,
     budget: int = DEFAULT_BUDGET,
-) -> LocalityCertificate:
-    """Certificate that `target` tolerates delta-1 erasures in groups of
-    r+delta-1 coordinates, where r = w(h0) - d_run + 1.
+) -> dict:
+    """The locality record certifying that `target` tolerates delta-1
+    erasures in groups of r+delta-1 coordinates, where r = w(h0) - d_run + 1:
+    r, delta, the anchor dual word weight dA_perp, the run distance dB, the
+    groups and their evidence, as the certificate's `locality` JSON record.
+    The evidence's dual_exact says whether dA_perp is the exact anchor dual
+    distance, and dual_lower is a certified lower bound on that distance.
 
     The defining set of `target` must contain the product of the two sets.
     Every group is materialized, and the independence condition is checked
@@ -201,8 +164,6 @@ def locality_from_product(
     word, support, w, dual_exact, dual_lower = anchor_dual_word(anchor, budget)
     if w < d_run:
         raise DistanceOrderingViolated(f"dual word weight {w} below run distance {d_run}")
-    r = w - d_run + 1
-    delta = d_run
     F = ctx.field
     groups, group_mode = repair_groups(support, ctx.n)
     if set().union(*groups) != set(range(ctx.n)):
@@ -220,31 +181,33 @@ def locality_from_product(
         raise IndependenceCheckFailed("translate rows do not share the support of h0")
     if linalg.mat_mul(F, target.generator_matrix(), rows.T).any():
         raise IndependenceCheckFailed("local parity row leaves the dual code")
-    if not check_delta_independence(F, rows[:, sup], delta):
-        raise IndependenceCheckFailed(f"{delta - 1} columns of a local parity block are dependent")
+    if not check_delta_independence(F, rows[:, sup], d_run):
+        raise IndependenceCheckFailed(f"{d_run - 1} columns of a local parity block are dependent")
 
-    return LocalityCertificate(
-        r=r,
-        delta=delta,
-        dual_distance=w,
-        run_distance=d_run,
-        dual_exact=dual_exact,
-        dual_lower=dual_lower,
-        groups=groups,
-        h0_support=tuple(int(x) for x in support),
-        h0_word=tuple(int(x) for x in word),
-        anchor_exps=anchor.exps,
-        run_exps=run.exps,
-        independence_checked=True,
-        group_mode=group_mode,
-    )
+    return {
+        "r": w - d_run + 1,
+        "delta": d_run,
+        "dA_perp": w,
+        "dB": d_run,
+        "groups": groups,
+        "evidence": {
+            "h0_support": [int(x) for x in support],
+            "h0_word": [int(x) for x in word],
+            "independence_checked": True,
+            "dual_exact": dual_exact,
+            "dual_lower": dual_lower,
+            "anchor_exponents": list(anchor.exps),
+            "run_exponents": list(run.exps),
+            "group_mode": group_mode,
+        },
+    }
 
 
-def repair_groups(support, n: int) -> tuple[tuple[tuple[int, ...], ...], str]:
+def repair_groups(support, n: int) -> tuple[list[list[int]], str]:
     """The distinct cyclic shifts of `support`, sorted, and their mode:
     'subgroup_partition' when they partition the n coordinates, else
     'shift_cover'."""
-    groups = tuple(sorted({tuple(sorted((i + s) % n for i in support)) for s in range(n)}))
+    groups = [list(g) for g in sorted({tuple(sorted((i + s) % n for i in support)) for s in range(n)})]
     return groups, "subgroup_partition" if len(groups) * len(support) == n else "shift_cover"
 
 
@@ -355,8 +318,8 @@ def claim_line(claim: str, ok: bool, detail: str = "") -> tuple[str, str, str]:
 
 
 def check_locality_record(code: CyclicCode, record: dict, budget: int = DEFAULT_BUDGET) -> list:
-    """Re-derive a locality record (`LocalityCertificate.to_json_dict`) for
-    `code`: one (claim, status, detail) line per claim, with status agree,
+    """Re-derive a locality record (the one `locality_from_product` returns)
+    for `code`: one (claim, status, detail) line per claim, with status agree,
     disagree or inconclusive.
 
     h0_word must be a nonzero dual word of the anchor code whose support's
@@ -382,7 +345,7 @@ def check_locality_record(code: CyclicCode, record: dict, budget: int = DEFAULT_
         problem = f"h0_support {ev['h0_support']} is not the support {support} of h0_word"
     elif linalg.mat_mul(F, anchor_code.generator_matrix(), [[x] for x in word]).any():
         problem = "h0_word is not orthogonal to the anchor code"
-    elif record["groups"] != [list(g) for g in groups]:
+    elif record["groups"] != groups:
         problem = "groups are not the distinct cyclic shifts of h0_support"
     elif ev["group_mode"] != mode:
         problem = f"the groups make a {mode}, not a {ev['group_mode']}"

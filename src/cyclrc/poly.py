@@ -121,23 +121,10 @@ class Polynomial:
                 rem.pop()
         return Polynomial.make(F, quo), Polynomial.make(F, rem)
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
     def monic(self) -> "Polynomial":
         if self.is_zero() or self.is_monic():
             return self
         return self.scale(self.spec.inv(self.coeffs[-1]))
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
 
     def pretty(self, var: str = "x") -> str:
         """Human-readable high-to-low rendering, e.g. x^3 + 2*x + 1."""

@@ -38,6 +38,18 @@ def test_construct_not_optimal_exit2(capsys):
     assert "not optimal" in out
 
 
+PRETTY = json.loads((Path(__file__).resolve().parent / "data" / "construct_pretty.json").read_text(encoding="utf-8"))
+
+
+# recorded stdout and exit code of `construct --format pretty`: an open
+# distance, an inexact anchor dual, shift covers, a group size that does not
+# divide n and a missing bound value, at exits 0 and 2
+@pytest.mark.parametrize("name", sorted(PRETTY))
+def test_construct_pretty_output_is_recorded(capsys, name):
+    rec = PRETTY[name]
+    assert run_cli(capsys, *rec["argv"].split()) == (rec["exit"], rec["stdout"], "")
+
+
 def test_construct_hypothesis_violation_exit1(capsys):
     code, _, err = run_cli(
         capsys, "construct", "--family", "C52", "--case", "1", "--q", "64",
@@ -433,7 +445,7 @@ def perturbations(node, path=()):
 def test_verify_rejects_every_perturbed_leaf(capsys, tmp_path, name):
     from cyclrc.constructions import ConstructionRequest, build
 
-    text = json.dumps(build(ConstructionRequest(**PERTURBED[name])).to_json_dict())
+    text = json.dumps(build(ConstructionRequest(**PERTURBED[name])).certificate)
     path = tmp_path / "cert.json"
     path.write_text(text)
     assert run_cli(capsys, "verify", str(path))[0] == 0

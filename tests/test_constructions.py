@@ -111,15 +111,15 @@ def test_t41_dimension_formula_random():
 
 def test_c42_reproduces_divisible_family_point():
     res = build(ConstructionRequest(family="C42", q=29, n=28, delta=2, r=3, i=1, ell=1, j=0))
-    o = res.optimality
-    assert (o.n, o.k, o.d_exact) == (28, 17, 7)
-    assert o.optimal and o.singleton_like_value == 7
-    assert res.locality.dual_distance == 4  # r + delta - 1
+    o = res.certificate["optimality"]
+    assert (o["n"], o["k"], o["d_exact"]) == (28, 17, 7)
+    assert o["optimal"] and o["singleton_like_value"] == 7
+    assert res.certificate["locality"]["dA_perp"] == 4  # r + delta - 1
 
 
 def test_c42_d_at_origin_is_delta():
     res = build(ConstructionRequest(family="C42", q=29, n=28, delta=2, r=3, i=0, ell=0, j=0))
-    assert res.optimality.d_exact == 2
+    assert res.certificate["optimality"]["d_exact"] == 2
 
 
 def test_optimality_sandwich_invariant():
@@ -132,19 +132,19 @@ def test_optimality_sandwich_invariant():
     ]
     for req in reqs:
         res = build(req)
-        o = res.optimality
-        assert o.optimal
-        assert o.d_exact == o.singleton_like_value == o.d_claim
-        assert o.d_lower == o.d_exact
-        assert singleton_like(o.n, o.k, o.r, o.delta) == o.singleton_like_value
+        o = res.certificate["optimality"]
+        assert o["optimal"]
+        assert o["d_exact"] == o["singleton_like_value"] == o["d_claim"]
+        assert o["d_lower"] == o["d_exact"]
+        assert singleton_like(o["n"], o["k"], o["r"], o["delta"]) == o["singleton_like_value"]
 
 
 def test_nonoptimal_point_returned_with_flag_down():
     res = build(ConstructionRequest(family="T48", q=31, n=30, delta=2, t=0, b=1, m=2))
-    o = res.optimality
-    assert not o.optimal
-    assert any("ceil(k/r)" in note for note in o.notes)
-    assert o.d_lower >= 6  # the run-blocks witness value survives
+    o = res.certificate["optimality"]
+    assert not o["optimal"]
+    assert any("ceil(k/r)" in note for note in o["notes"])
+    assert o["d_lower"] >= 6  # the run-blocks witness value survives
 
 
 def test_request_json_roundtrip():
@@ -160,8 +160,8 @@ def test_request_json_roundtrip():
 def test_certificate_determinism():
     # identical requests produce byte-identical JSON certificates
     req = ConstructionRequest(family="C44", q=19, n=18, delta=4, t=1, m=5, tails=(8,))
-    a = json.dumps(build(req).to_json_dict(), sort_keys=True)
-    b = json.dumps(build(req).to_json_dict(), sort_keys=True)
+    a = json.dumps(build(req).certificate, sort_keys=True)
+    b = json.dumps(build(req).certificate, sort_keys=True)
     assert a == b
 
 
@@ -174,7 +174,7 @@ def test_certificate_independent_of_earlier_budgets():
         "from cyclrc.constructions import ConstructionRequest, build\n"
         "req = ConstructionRequest(family='C56', q=32, n=33, delta=2, m=6)\n"
         "if sys.argv[1] == 'mixed':\n    build(req, 10**6)\n"
-        "print(json.dumps(build(req).to_json_dict(), sort_keys=True))\n"
+        "print(json.dumps(build(req).certificate, sort_keys=True))\n"
     )
     procs = [
         subprocess.Popen([sys.executable, "-c", probe, mode], stdout=subprocess.PIPE, text=True)
@@ -293,8 +293,8 @@ def test_t58_generic_route_matches_specialization():
     # the odd-delta generic route rebuilds the n=17 family point exactly
     req = ConstructionRequest(family="T58", q=16, n=17, delta=3, t=14, b=1, m=6, tails=(11,))
     res = build(req)
-    o = res.optimality
-    assert (o.n, o.k, o.d_exact, o.r, o.delta, o.optimal) == (17, 8, 8, 7, 3, True)
+    o = res.certificate["optimality"]
+    assert [o[key] for key in ("n", "k", "d_exact", "r", "delta", "optimal")] == [17, 8, 8, 7, 3, True]
     spec = build(ConstructionRequest(family="C511", q=16, n=17, delta=3, m=6))
     assert res.code.defining.exps == spec.code.defining.exps
     assert res.code.gen == spec.code.gen

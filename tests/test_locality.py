@@ -32,27 +32,27 @@ def repair_groups_from_subgroup(n, s):
     # partition of the n coordinates into n/s residue classes of size s
     if s < 1 or n % s != 0:
         raise ValueError(f"group size {s} does not divide n={n}")
-    return [tuple(range(c, n, n // s)) for c in range(n // s)]
+    return [list(range(c, n, n // s)) for c in range(n // s)]
 
 
 def record_holds(code, cert):
-    lines = check_locality_record(code, cert.to_json_dict())
+    lines = check_locality_record(code, cert)
     return [line for line in lines if line[1] != "agree"] == []
 
 
 def test_repair_groups_from_subgroup():
     # an anchor holding a subgroup coset yields its residue classes as groups
     ctx = cyc_context(19, 18)
-    assert repair_groups_from_subgroup(18, 18) == [tuple(range(18))]
+    assert repair_groups_from_subgroup(18, 18) == [list(range(18))]
     groups = repair_groups_from_subgroup(18, 9)
     assert len(groups) == 2 and all(len(g) == 9 for g in groups)
-    assert groups[0] == tuple(range(0, 18, 2))
+    assert groups[0] == list(range(0, 18, 2))
     with pytest.raises(ValueError):
         repair_groups_from_subgroup(18, 5)
     anchor = ctx.exponent_set([0, 1, 5, 9])  # holds the order-2 coset {0, 9}
     run = ctx.exponent_set([0, 1, 2])
     cert = locality_from_product(anchor, run, code_from_defining_set(ctx, product_set(anchor, run)))
-    assert list(cert.groups) == groups and cert.group_mode == "subgroup_partition"
+    assert cert["groups"] == groups and cert["evidence"]["group_mode"] == "subgroup_partition"
 
 
 def test_subgroup_partition_punctured_distance():
@@ -76,7 +76,7 @@ def test_classical_single_run_certificate():
     run = ctx.exponent_set([0])
     code = code_from_defining_set(ctx, anchor)
     cert = locality_from_product(anchor, run, code)
-    assert cert.delta == 2 and cert.r == cert.dual_distance - 1 == 14
+    assert cert["delta"] == 2 and cert["r"] == cert["dA_perp"] - 1 == 14
     assert record_holds(code, cert)
 
 
@@ -106,11 +106,11 @@ def test_shift_cover_covers_and_sizes():
     code = code_from_defining_set(ctx, product_set(anchor, run))
     cert = locality_from_product(anchor, run, code)
     covered = set()
-    for g in cert.groups:
-        assert len(g) <= cert.r + cert.delta - 1
+    for g in cert["groups"]:
+        assert len(g) <= cert["r"] + cert["delta"] - 1
         covered.update(g)
     assert covered == set(range(18))
-    assert cert.to_json_dict()["evidence"]["independence_checked"] is True
+    assert cert["evidence"]["independence_checked"] is True
 
 
 def test_certificate_shift_covariance():
@@ -120,8 +120,9 @@ def test_certificate_shift_covariance():
     run = ctx.exponent_set([5, 9, 10, 18, 20])
     code = code_from_defining_set(ctx, product_set(anchor, run))
     cert = locality_from_product(anchor, run, code)
-    assert set(cert.h0_support) == {i for i, v in enumerate(cert.h0_word) if v}
-    assert len(cert.h0_support) == cert.dual_distance
+    ev = cert["evidence"]
+    assert set(ev["h0_support"]) == {i for i, v in enumerate(ev["h0_word"]) if v}
+    assert len(ev["h0_support"]) == cert["dA_perp"]
 
 
 def test_verify_locality_exhaustive_true_and_false():
@@ -154,9 +155,9 @@ def test_subfield_code_inherits_ambient_certificate():
     ext = code_from_defining_set(ctx, ab, base="extension")
     sub = code_from_defining_set(ctx, ab, base="subfield")
     cert = locality_from_product(anchor, run, ext)
-    assert (cert.r, cert.delta) == (7, 3)
+    assert (cert["r"], cert["delta"]) == (7, 3)
     assert record_holds(sub, cert)
-    assert verify_locality_exhaustive(sub, cert.r, cert.delta, hint_groups=cert.groups)
+    assert verify_locality_exhaustive(sub, cert["r"], cert["delta"], hint_groups=cert["groups"])
 
 
 def test_product_route_not_better_than_exhaustive_best():
@@ -166,16 +167,16 @@ def test_product_route_not_better_than_exhaustive_best():
     run = ctx.exponent_set([0])
     code = code_from_defining_set(ctx, anchor)
     cert = locality_from_product(anchor, run, code)
-    assert verify_locality_exhaustive(code, cert.r, cert.delta, hint_groups=cert.groups)
+    assert verify_locality_exhaustive(code, cert["r"], cert["delta"], hint_groups=cert["groups"])
     best = None
-    for r_try in range(1, cert.r + 1):
+    for r_try in range(1, cert["r"] + 1):
         try:
-            if verify_locality_exhaustive(code, r_try, cert.delta):
+            if verify_locality_exhaustive(code, r_try, cert["delta"]):
                 best = r_try
                 break
         except BudgetExceededInconclusive:
             continue
-    assert best is not None and cert.r >= best
+    assert best is not None and cert["r"] >= best
 
 
 def test_product_route_achievable_over_small_sweep():
@@ -196,10 +197,10 @@ def test_product_route_achievable_over_small_sweep():
             continue
         code = code_from_defining_set(ctx, anchor)
         cert = locality_from_product(anchor, run, code)
-        assert verify_locality_exhaustive(code, cert.r, cert.delta, hint_groups=cert.groups)
-        for r_try in range(1, cert.r):
+        assert verify_locality_exhaustive(code, cert["r"], cert["delta"], hint_groups=cert["groups"])
+        for r_try in range(1, cert["r"]):
             try:
-                better = verify_locality_exhaustive(code, r_try, cert.delta)
+                better = verify_locality_exhaustive(code, r_try, cert["delta"])
             except BudgetExceededInconclusive:
                 continue
             if better:
