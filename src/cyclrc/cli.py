@@ -18,6 +18,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -32,7 +33,7 @@ from .constructions import (
     verify_certificate,
 )
 from .cyclic import DEFAULT_BUDGET
-from .field import FieldError
+from .field import SIZE_CAP, FieldError
 from .locality import BudgetExceededInconclusive
 
 CSV_HEADER = ["family", "q", "n", "r", "delta", "k", "d", "optimal", "divides"]
@@ -42,18 +43,22 @@ GRID_KEYS = tuple("tail" if f.name == "tails" else f.name for f in fields(Constr
 
 
 def _budget(value: str) -> int:
-    b = int(float(value))
-    if b < MIN_BUDGET:
-        raise argparse.ArgumentTypeError(f"budget must be at least {MIN_BUDGET}")
-    return b
+    b = float(value)
+    if not MIN_BUDGET <= b < math.inf:
+        raise argparse.ArgumentTypeError(f"budget must be finite and at least {MIN_BUDGET}")
+    return int(b)
 
 
 def _field_size(value: str) -> int:
-    """Field sizes as plain integers or p^m strings (e.g. 5^3)."""
-    if "^" in value:
-        p, m = value.split("^", 1)
-        return int(p) ** int(m)
-    return int(value)
+    """Field sizes as plain integers or p^m strings (e.g. 5^3) with p >= 2,
+    m >= 1 and p^m at most the field size cap."""
+    if "^" not in value:
+        return int(value)
+    p, m = (int(part) for part in value.split("^", 1))
+    # p >= 2 bounds m by log2 of the cap, so the power stays small
+    if not (2 <= p <= SIZE_CAP and 1 <= m < SIZE_CAP.bit_length()) or p**m > SIZE_CAP:
+        raise argparse.ArgumentTypeError(f"{value}: need p >= 2, m >= 1 and p^m <= {SIZE_CAP}")
+    return p**m
 
 
 def _default_format(explicit: str | None) -> str:

@@ -2,14 +2,15 @@
 
 Elements are canonical integer indices in 0..q-1: the base-p digits of the
 index are the polynomial-basis coordinates (constant term = least significant
-digit).  Multiplication runs on log/antilog tables.  Addition is plain XOR in
-characteristic 2 and a sum mod p in prime fields; odd-characteristic
-extensions gather it from a q x q addition table for q <= 1024 and use digit
-arithmetic above that, and negate by a gather from a q-entry table.  So
-everything vectorizes over numpy index arrays.  Two calls with the same
-(p, m) always produce identical arithmetic: the reducing polynomial is the
-first monic irreducible in index order and the generator is the smallest
-index of full multiplicative order.
+digit).  Construction has one GF(p)[x] product: it finds the reducing
+polynomial and the generator, and gives the map "multiply by g" from which
+numpy builds the antilog table by doubling.  Multiplication runs on log/antilog
+tables.  Addition is XOR in characteristic 2, a sum mod p in prime fields and,
+in odd extensions, the Zech-logarithm law a + b = a * (1 + b/a), gathered from
+a q x q table when q <= 1024.  So everything vectorizes over numpy index
+arrays.  Two calls with the same (p, m) always produce identical arithmetic:
+the reducing polynomial is the first monic irreducible in index order and the
+generator is the smallest index of full multiplicative order.
 """
 
 from __future__ import annotations
@@ -84,7 +85,11 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def prime_power_split(q: int) -> tuple[int, int]:
-    """Return (p, m) with q = p^m, or raise if q is not a prime power."""
+    """Return (p, m) with q = p^m, or raise if q is not a prime power.  A q
+    above the cap is refused before any trial division: every field holding
+    GF(q) has at least q elements."""
+    if q > SIZE_CAP:
+        raise SizeCapExceeded(f"q = {q} exceeds the 2^20 element cap")
     fac = factorize(q)
     if len(fac) != 1:
         raise NonPrime(f"{q} is not a prime power")
@@ -180,28 +185,34 @@ def _zip_pad(a: list[int], b: list[int]):
         yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
 
 
+def _coeffs(idx: int, p: int, m: int) -> list[int]:
+    """The m base-p digits of an element index, constant term first."""
+    out = []
+    for _ in range(m):
+        out.append(idx % p)
+        idx //= p
+    return out
+
+
 def _find_modulus(p: int, m: int) -> tuple[int, ...]:
     """First monic irreducible of degree m over GF(p) in index order."""
     if m == 1:
         return (0, 1)
     for idx in range(p**m):
-        coeffs = []
-        v = idx
-        for _ in range(m):
-            coeffs.append(v % p)
-            v //= p
-        f = coeffs + [1]
+        f = _coeffs(idx, p, m) + [1]
         if _is_irreducible(f, p):
             return tuple(f)
     raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
 class FieldSpec:
-    """GF(p^m) with log/antilog multiplication and table or digit addition.
+    """GF(p^m) with log/antilog multiplication and Zech-logarithm addition.
 
-    Odd-characteristic extensions add by a gather from the q x q table
-    `_add_table` when q <= 1024 and by digit arithmetic (`_digit_add`) above
-    it; they negate by a gather from `_neg_table`.
+    Characteristic 2 adds by XOR and prime fields by a sum mod p.  Odd
+    extensions add by a + b = a * (1 + b/a): one gather from the Zech table
+    `_zech`, indexed by log b - log a + 2(q-1), then one from `_expx`.  When
+    q <= 1024 that law fills the q x q table `_add_table` once, and addition
+    is a single gather from it.  Negation gathers from `_neg_table`.
 
     Attributes
     ----------
@@ -222,94 +233,12 @@ class FieldSpec:
         self.m = m
         self.q = q
         self.modulus = _find_modulus(p, m)
-        self._build_add_tables()
         self.generator = self._find_generator()
         self._build_mul_tables()
+        self._build_add_tables()
         self._subfield_cache: dict[int, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
-
-    def _build_add_tables(self) -> None:
-        p, m, q = self.p, self.m, self.q
-        self._dig = None
-        self._pv = None
-        self._add_table = None
-        self._neg_table = None
-        if p == 2:
-            self._mod_int = 0
-            for j, c in enumerate(self.modulus):
-                self._mod_int |= c << j
-        elif m > 1:
-            # p^2 <= q <= 2^20 keeps digit sums well inside int32
-            idx = np.arange(q, dtype=np.int64)
-            dig = np.empty((q, m), dtype=np.int32)
-            v = idx.copy()
-            for j in range(m):
-                dig[:, j] = v % p
-                v //= p
-            self._dig = dig
-            self._pv = (p ** np.arange(m, dtype=np.int64)).astype(np.int64)
-            self._neg_table = ((-dig) % p).astype(np.int64) @ self._pv
-            if q <= 1024:
-                # full addition table: scalar and vector addition are look-ups
-                self._add_table = (
-                    ((dig[:, None, :] + dig[None, :, :]) % p).astype(np.int64) @ self._pv
-                )
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free product of two element indices (construction only)."""
-        p, m = self.p, self.m
-        if p == 2:
-            acc = 0
-            mod_int = self._mod_int
-            top = 1 << m
-            while b:
-                if b & 1:
-                    acc ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mod_int
-            return acc
-        if m == 1:
-            return (a * b) % p
-        da = self._digits(a)
-        db = self._digits(b)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        f = self.modulus
-        for i in range(len(prod) - 1, m - 1, -1):
-            lead = prod[i]
-            if lead:
-                prod[i] = 0
-                for j in range(m):
-                    prod[i - m + j] = (prod[i - m + j] - lead * f[j]) % p
-        return self._undigits(prod[:m])
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, d: list[int]) -> int:
-        out = 0
-        for c in reversed(d):
-            out = out * self.p + c
-        return out
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return out
 
     def _find_generator(self) -> int:
         order = self.q - 1
@@ -317,22 +246,43 @@ class FieldSpec:
             return 1
         primes = list(factorize(order))
         for a in range(2, self.q):
-            if all(self._pow_raw(a, order // r) != 1 for r in primes):
+            g = _coeffs(a, self.p, self.m)
+            if all(_ppowmod(g, order // r, self.modulus, self.p) != [1] for r in primes):
                 return a
         raise FieldError("no generator found (impossible for a field)")
 
     def _build_mul_tables(self) -> None:
-        q = self.q
+        p, m, q = self.p, self.m, self.q
         n1 = q - 1
+        # Antilog table by doubling: once `digits` holds the digits of
+        # g^0..g^(L-1) and `step` the GF(p)-linear map "multiply by g^L" (row
+        # j = g^L x^j), digits @ step gives g^L..g^(2L-1), written in place.
+        # The dtype is the narrowest that holds a row-times-column sum
+        # m(p-1)^2 before the reduction.
+        dt = next(t for t in (np.int8, np.int16, np.int32, np.int64) if m * (p - 1) ** 2 <= np.iinfo(t).max)
+        g = _coeffs(self.generator, p, m)
+        step = np.zeros((m, m), dtype=dt)
+        for j in range(m):
+            row = _pmulmod(g, [0] * j + [1], self.modulus, p)
+            step[j, : len(row)] = row
+        digits = np.zeros((n1, m), dtype=dt)
+        digits[0, 0] = 1
+        done = 1
+        while done < n1:
+            k = min(done, n1 - done)
+            np.matmul(digits[:k], step, out=digits[done : done + k])
+            digits[done : done + k] %= p
+            step = step @ step % p
+            done += k
         exp = np.zeros(n1, dtype=np.int64)
+        for j in reversed(range(m)):
+            exp *= p
+            exp += digits[:, j]
+        del digits
         log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(n1):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_raw(x, self.generator)
-        if x != 1:
-            raise FieldError("generator order check failed")
+        log[exp] = np.arange(n1)
+        if not exp.all() or not np.array_equal(log[exp], np.arange(n1)):
+            raise FieldError("the powers of the generator are not q-1 distinct nonzero elements")
         # Extended antilog: [0, 2(q-1)) wraps mod q-1, [2(q-1), 4(q-1)] is 0,
         # so products with a zero operand fall through without branching.
         expx = np.zeros(4 * n1 + 1, dtype=np.int64)
@@ -352,14 +302,30 @@ class FieldSpec:
             self._log_l = log.tolist()
         else:
             self._expx_l = self._logx_l = self._exp_l = self._log_l = None
-        if self._add_table is not None:
+
+    def _build_add_tables(self) -> None:
+        p, q, n1 = self.p, self.q, self.q - 1
+        self._zech = self._add_table = self._neg_table = self._add_l = self._neg_l = None
+        if p == 2 or self.m == 1:
+            return
+        exp, logx = self._exp, self._logx
+        # _zech[log b - log a + 2(q-1)] for a != 0 is the Zech logarithm
+        # log(1 + g^(log b - log a)); the index of 1 + x is x's index with its
+        # constant digit stepped mod p.  With a = 0 the index is log b and the
+        # entry log b - 2(q-1), so log a + entry = log b; with b = 0 the entry
+        # is 0, giving a.
+        zech = np.zeros(4 * n1 + 1, dtype=np.int64)
+        zech[:n1] = np.arange(-2 * n1, -n1)
+        zech[n1 : 2 * n1] = logx[exp + np.where(exp % p == p - 1, 1 - p, 1)]
+        zech[2 * n1 : 3 * n1] = zech[n1 : 2 * n1]
+        self._zech = zech
+        self._neg_table = self._expx[logx + n1 // 2]  # -1 = g^((q-1)/2)
+        self._neg_l = self._neg_table.tolist()
+        if q <= 1024:
+            # full addition table: scalar and vector addition are look-ups
+            x = np.arange(q)
+            self._add_table = self._zech_add(x[:, None], x[None, :])
             self._add_l = self._add_table.tolist()
-        else:
-            self._add_l = None
-        if self._neg_table is not None:
-            self._neg_l = self._neg_table.tolist()
-        else:
-            self._neg_l = None
 
     # -- scalar ops --------------------------------------------------------
 
@@ -370,15 +336,7 @@ class FieldSpec:
             return (a + b) % self.p
         if self._add_l is not None:
             return self._add_l[a][b]
-        p = self.p
-        out = 0
-        shift = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+        return int(self._zech_add(a, b))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
@@ -420,11 +378,13 @@ class FieldSpec:
             return (np.asarray(a, dtype=np.int64) + b) % self.p
         if self._add_table is not None:
             return self._add_table[a, b]
-        return self._digit_add(a, b)
+        return self._zech_add(a, b)
 
-    def _digit_add(self, a, b):
-        """Digit-wise addition mod p, for odd extensions without an add table."""
-        return ((self._dig[a] + self._dig[b]) % self.p).astype(np.int64) @ self._pv
+    def _zech_add(self, a, b):
+        """a + b = a * (1 + b/a) in an odd extension: log look-ups, then one
+        gather from the Zech table and one from the extended antilog table."""
+        la = self._logx[a]
+        return self._expx[la + self._zech[self._logx[b] - la + 2 * (self.q - 1)]]
 
     def vneg(self, a):
         if self.p == 2:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -332,12 +333,32 @@ def test_table_unreadable_results_exit1(capsys, tmp_path, doc):
 
 
 def test_budget_floor_rejected(capsys):
-    code, _, err = run_cli(
-        capsys, "construct", "--family", "P49", "--q", "19", "--n", "18",
-        "--delta", "4", "--budget", "10",
-    )
-    assert code == 1
-    assert "budget" in err
+    for budget in ("10", "1e400", "inf"):
+        code, _, err = run_cli(
+            capsys, "construct", "--family", "P49", "--q", "19", "--n", "18",
+            "--delta", "4", "--budget", budget,
+        )
+        assert code == 1
+        assert "budget must be finite and at least" in err
+
+
+@pytest.mark.parametrize("q", ["4^-1", "1^5", "0^3", "2^21", "1048583^2", "2^999999999"])
+def test_field_size_power_rejected(capsys, q):
+    code, out, err = run_cli(capsys, "construct", "--family", "C56", "--q", q, "--n", "7",
+                             "--delta", "2", "--m", "2")
+    assert code == 1 and out == ""
+    assert "argument --q" in err and "need p >= 2, m >= 1" in err
+
+
+def test_field_size_above_cap_refused_before_factoring(capsys):
+    # q = 2^61 - 1 passes validation (18 | q-1); trial division of it was
+    # still running after 20 s, so the cap must come first
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "--family", "P49", "--q", str(2**61 - 1),
+                             "--n", "18", "--delta", "2")
+    assert code == 1 and out == ""
+    assert "SizeCapExceeded" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 5
 
 
 def test_corrupted_corpus_identified(tmp_path):

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,36 +93,65 @@ def test_scalar_vector_agree(p, m):
         assert F.sub(x, y) == int(F.vsub(np.array([x]), np.array([y]))[0])
 
 
-@pytest.mark.parametrize("p,m", [(5, 2), (3, 3), (7, 2), (5, 3), (23, 2)])
+def digitwise(F, op, *xs):
+    """Apply `op` to the base-p digits of the index arrays `xs`, mod p: the
+    reference for addition, subtraction and negation in GF(p^m)."""
+    xs = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in xs))
+    out = np.zeros(xs[0].shape, dtype=np.int64)
+    for j in range(F.m):
+        place = F.p**j
+        out += (op(*(x // place % F.p for x in xs)) % F.p) * place
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(5, 2), (3, 3), (7, 2), (5, 3), (23, 2), (3, 7), (7, 4), (5, 6)])
 def test_table_addition_matches_digit_addition(p, m):
-    # odd extensions with q <= 1024 add by table gather: every pair, several shapes
+    # odd extensions on both sides of the q <= 1024 add-table rule against the
+    # digit reference: every pair below it, zero operands and random pairs above
     F = field_create(p, m)
-    assert F._add_table is not None
+    assert (F._add_table is not None) == (F.q <= 1024)
     x = np.arange(F.q)
-    digit_sum = F._digit_add(x[:, None], x[None, :])
-    assert np.array_equal(F.vadd(x[:, None], x[None, :]), digit_sum)
-    assert np.array_equal(F.vsub(x[:, None], x[None, :]), F._digit_add(x[:, None], F.vneg(x)[None, :]))
-    assert not F._digit_add(x, F.vneg(x)).any()
     rng = np.random.default_rng(p * 100 + m)
-    a = rng.integers(0, F.q, (3, 1, 7))
-    b = rng.integers(0, F.q, (4, 7))
-    assert F.vadd(a, b).shape == (3, 4, 7)
-    assert np.array_equal(F.vadd(a, b), F._digit_add(a, b))
+    if F.q <= 1024:
+        a, b = x[:, None], x[None, :]
+    else:
+        a = np.concatenate([[0, 0, 1, 7], rng.integers(0, F.q, 20000)])
+        b = np.concatenate([[0, 1, 0, F.neg(7)], rng.integers(0, F.q, 20000)])
+    assert np.array_equal(F.vadd(a, b), digitwise(F, np.add, a, b))
+    assert np.array_equal(F.vsub(a, b), digitwise(F, np.subtract, a, b))
+    assert np.array_equal(F.vneg(x), digitwise(F, np.negative, x))
+    assert not F.vadd(x, F.vneg(x)).any()
+    assert np.array_equal(F.vadd(x, 0), x) and np.array_equal(F.vadd(0, x), x)
     s = int(rng.integers(0, F.q))
-    assert np.array_equal(F.vadd(x, s), digit_sum[:, s])
-    assert np.array_equal(F.vadd(s, x), digit_sum[s])
+    assert np.array_equal(F.vadd(x, s), digitwise(F, np.add, x, s))
+    assert np.array_equal(F.vadd(s, x), digitwise(F, np.add, s, x))
+    a3 = rng.integers(0, F.q, (3, 1, 7))
+    b3 = rng.integers(0, F.q, (4, 7))
+    assert F.vadd(a3, b3).shape == (3, 4, 7)
+    assert np.array_equal(F.vadd(a3, b3), digitwise(F, np.add, a3, b3))
     assert F.vadd(x, x).dtype == np.int64
+    pairs = rng.integers(0, F.q, (300, 2)).tolist() + [[0, 0], [0, 3], [3, 0], [3, F.neg(3)]]
+    for u, v in pairs:
+        assert F.add(u, v) == int(digitwise(F, np.add, u, v))
+        assert F.sub(u, v) == int(digitwise(F, np.subtract, u, v))
+        assert F.neg(u) == int(digitwise(F, np.negative, u))
+        assert type(F.add(u, v)) is int
 
 
-def test_digit_addition_above_table_size():
-    F = field_create(3, 7)  # q = 2187 > 1024: no addition table
-    assert F._add_table is None
-    rng = np.random.default_rng(37)
-    a = rng.integers(0, F.q, 300)
-    b = rng.integers(0, F.q, 300)
-    for x, y, z, w in zip(a.tolist(), b.tolist(), F.vadd(a, b).tolist(), F.vsub(a, b).tolist()):
-        assert z == F.add(x, y)
-        assert w == F.sub(x, y)
+def table_digest(F):
+    h = hashlib.sha256(repr((tuple(F.modulus), F.generator)).encode())
+    h.update(F._exp.astype("<i8").tobytes())
+    h.update(F._log.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def test_field_tables_pinned():
+    # every field the golden corpus, the sweeps and the tests build keeps its
+    # reducing polynomial, generator and log/antilog tables byte for byte
+    pinned = json.loads((Path(__file__).parent / "data" / "field_tables.json").read_text())
+    for name, digest in pinned.items():
+        p, m = map(int, name.split("^"))
+        assert table_digest(field_create(p, m)) == digest, name
 
 
 def test_identity_laws_all_elements():
