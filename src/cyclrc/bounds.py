@@ -40,9 +40,6 @@ class BchWitness:
     b: int
     length: int
 
-    def exponents(self, n: int) -> list[int]:
-        return [(self.u + i * self.b) % n for i in range(self.length)]
-
 
 @dataclass(frozen=True)
 class BettiSalaWitness:

@@ -9,7 +9,12 @@ base field when the code is declared over it.
 Minimum distances and minimum-weight words come from one dispatcher,
 `_settle`, which runs the exact strategies in order of estimated cost:
 
-* message-space enumeration (dimension small),
+* message-space enumeration (dimension small), with no product in its loop:
+  every multiple of every generator row is formed once, one block holds
+  every combination of the last rows, and each step adds an offset word,
+  kept by one subtraction and one addition per changed digit, to the block;
+  the order of enumeration cannot change a certificate, because
+  minimum-weight words with one support are proportional,
 * zero-core enumeration for codes over the ambient field: every codeword is
   an evaluation of a polynomial supported on the nonzero exponents, and any
   minimum-weight word, after a cyclic shift, vanishes on k-1 points that
@@ -496,38 +501,58 @@ def _normalize_word(F: FieldSpec, word: np.ndarray) -> np.ndarray:
 
 def _exhaustive_scan(code: CyclicCode, early_stop_at: Optional[int] = None, want_words: bool = False,
                      chunk: int = 1 << 15):
-    """Enumerate the message space; returns (min weight, words of that weight)."""
+    """Enumerate the message space; returns (min weight, words of that weight).
+
+    The loop forms no product.  Every multiple of every generator row is
+    formed once, as a (k, q_b, n) table.  One block holds every combination
+    of the last j rows, j the most rows whose q_b^j words fit in `chunk` (at
+    least one row).  A mixed-radix counter steps the first k-j rows: each
+    changed digit swaps its row's multiple in the offset word by one vsub and
+    one vadd, and each step adds the offset to the whole block.  The zero word
+    is the block's first row at the first step, the only one that skips it.
+
+    The order of enumeration cannot change a certificate: two minimum-weight
+    words with one support are proportional (else a combination of them
+    would be lighter), so `_canonical_word` picks the same word from any order.
+    """
     F = code.field
     n, k = code.n, code.k
-    sub = code.base_elements
+    if k == 0:
+        return n + 1, []
+    sub = code.base_elements  # sorted, so sub[0] = 0 and mult[i, 0] is zero
     qb = len(sub)
-    total = qb**k
-    G = code.generator_matrix()
+    mult = F.vmul(sub[None, :, None], code.generator_matrix()[:, None, :])
+    j = 1
+    while j < k and qb ** (j + 1) <= chunk:
+        j += 1
+    block = mult[k - 1]
+    for i in range(k - 2, k - j - 1, -1):
+        block = F.vadd(mult[i][:, None], block[None, :]).reshape(-1, n)
+    digits = [0] * (k - j)
+    offset = np.zeros(n, dtype=np.int64)
+    cw = block[1:]
     best = n + 1
     best_words: list[np.ndarray] = []
-    start = 1
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        cw = np.zeros((len(idx), n), dtype=np.int64)
-        v = idx.copy()
-        for row in range(k):
-            digit = v % qb
-            v //= qb
-            syms = sub[digit]
-            cw = F.vadd(cw, F.vmul(syms[:, None], G[row][None, :]))
-        wts = (cw != 0).sum(axis=1)
+    for step in range(qb ** (k - j)):
+        if step:
+            i = 0
+            while digits[i] == qb - 1:  # carry: the row's multiple drops out
+                offset = F.vsub(offset, mult[i, -1])
+                digits[i] = 0
+                i += 1
+            offset = F.vadd(F.vsub(offset, mult[i, digits[i]]), mult[i, digits[i] + 1])
+            digits[i] += 1
+            cw = F.vadd(block, offset)
+        wts = np.count_nonzero(cw, axis=1)
         mn = int(wts.min())
         if mn < best:
             best = mn
             best_words = []
         if want_words and mn == best:
-            rows = np.nonzero(wts == best)[0]
-            for r in rows:
-                best_words.append(_normalize_word(F, cw[int(r)].copy()))
+            for r in np.flatnonzero(wts == best):
+                best_words.append(_normalize_word(F, cw[r].copy()))
         if not want_words and early_stop_at is not None and best <= early_stop_at:
             return best, []
-        start = stop
     return best, best_words
 
 

@@ -6,11 +6,11 @@ digit).  Construction has one GF(p)[x] product: it finds the reducing
 polynomial and the generator, and gives the map "multiply by g" from which
 numpy builds the antilog table by doubling.  Multiplication runs on log/antilog
 tables.  Addition is XOR in characteristic 2, a sum mod p in prime fields and,
-in odd extensions, the Zech-logarithm law a + b = a * (1 + b/a), gathered from
-a q x q table when q <= 1024.  So everything vectorizes over numpy index
-arrays.  Two calls with the same (p, m) always produce identical arithmetic:
-the reducing polynomial is the first monic irreducible in index order and the
-generator is the smallest index of full multiplicative order.
+in odd extensions, the Zech-logarithm law a + b = a * (1 + b/a), which fills a
+q x q table for vector addition when q <= 1024.  So everything vectorizes over
+numpy index arrays.  Two calls with the same (p, m) always produce identical
+arithmetic: the reducing polynomial is the first monic irreducible in index
+order and the generator is the smallest index of full multiplicative order.
 """
 
 from __future__ import annotations
@@ -211,8 +211,9 @@ class FieldSpec:
     Characteristic 2 adds by XOR and prime fields by a sum mod p.  Odd
     extensions add by a + b = a * (1 + b/a): one gather from the Zech table
     `_zech`, indexed by log b - log a + 2(q-1), then one from `_expx`.  When
-    q <= 1024 that law fills the q x q table `_add_table` once, and addition
-    is a single gather from it.  Negation gathers from `_neg_table`.
+    q <= 1024 that law fills the q x q table `_add_table` once, and vector
+    addition is a single gather from it; scalar addition reads the law from
+    the plain-list mirrors.  Negation gathers from `_neg_table`.
 
     Attributes
     ----------
@@ -305,7 +306,8 @@ class FieldSpec:
 
     def _build_add_tables(self) -> None:
         p, q, n1 = self.p, self.q, self.q - 1
-        self._zech = self._add_table = self._neg_table = self._add_l = self._neg_l = None
+        self._zech = self._add_table = self._neg_table = self._zech_l = self._neg_l = None
+        self._zech_off = 2 * n1
         if p == 2 or self.m == 1:
             return
         exp, logx = self._exp, self._logx
@@ -321,11 +323,12 @@ class FieldSpec:
         self._zech = zech
         self._neg_table = self._expx[logx + n1 // 2]  # -1 = g^((q-1)/2)
         self._neg_l = self._neg_table.tolist()
+        if self._expx_l is not None:
+            self._zech_l = zech.tolist()
         if q <= 1024:
-            # full addition table: scalar and vector addition are look-ups
+            # full addition table: vector addition is one look-up
             x = np.arange(q)
             self._add_table = self._zech_add(x[:, None], x[None, :])
-            self._add_l = self._add_table.tolist()
 
     # -- scalar ops --------------------------------------------------------
 
@@ -334,8 +337,9 @@ class FieldSpec:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        if self._add_l is not None:
-            return self._add_l[a][b]
+        if self._zech_l is not None:
+            la = self._logx_l[a]
+            return self._expx_l[la + self._zech_l[self._logx_l[b] - la + self._zech_off]]
         return int(self._zech_add(a, b))
 
     def neg(self, a: int) -> int:
@@ -384,7 +388,7 @@ class FieldSpec:
         """a + b = a * (1 + b/a) in an odd extension: log look-ups, then one
         gather from the Zech table and one from the extended antilog table."""
         la = self._logx[a]
-        return self._expx[la + self._zech[self._logx[b] - la + 2 * (self.q - 1)]]
+        return self._expx[la + self._zech[self._logx[b] - la + self._zech_off]]
 
     def vneg(self, a):
         if self.p == 2:

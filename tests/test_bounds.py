@@ -25,7 +25,7 @@ def test_bch_consecutive_run():
     S = ctx.exponent_set(range(3, 3 + 6))
     bound, w = bch_lower(S)
     assert bound == 7
-    assert set(w.exponents(18)) <= set(S.exps)
+    assert {(w.u + i * w.b) % 18 for i in range(w.length)} <= set(S.exps)
 
 
 def test_bch_nonunit_step_found():

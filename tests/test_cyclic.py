@@ -207,6 +207,75 @@ def test_exhaustive_partitioned_iteration():
         assert got == want
 
 
+def reference_exhaustive_scan(code, early_stop_at=None, want_words=False, chunk=1 << 15):
+    """The product-based message enumeration: each chunk of message indices is
+    rebuilt from its base-q_b digits by k rounds of vmul plus vadd."""
+    F = code.field
+    n, k = code.n, code.k
+    sub = code.base_elements
+    qb = len(sub)
+    total = qb**k
+    G = code.generator_matrix()
+    best = n + 1
+    best_words = []
+    start = 1
+    while start < total:
+        stop = min(start + chunk, total)
+        v = np.arange(start, stop, dtype=np.int64)
+        cw = np.zeros((len(v), n), dtype=np.int64)
+        for row in range(k):
+            cw = F.vadd(cw, F.vmul(sub[v % qb][:, None], G[row][None, :]))
+            v //= qb
+        wts = (cw != 0).sum(axis=1)
+        mn = int(wts.min())
+        if mn < best:
+            best = mn
+            best_words = []
+        if want_words and mn == best:
+            best_words.extend(cy._normalize_word(F, cw[r].copy()) for r in np.flatnonzero(wts == best))
+        if not want_words and early_stop_at is not None and best <= early_stop_at:
+            return best, []
+        start = stop
+    return best, best_words
+
+
+# (q, n, base, coset representatives of the nonzeros): binary, prime, and the
+# odd extensions GF(25) and GF(27) over the subfield and the extension base
+SCAN_CODES = [
+    (2, 15, "subfield", [0]),  # k = 1
+    (2, 15, "subfield", [0, 1, 3]),
+    (2, 15, "extension", [1]),
+    (19, 18, "subfield", [0, 1, 5, 9]),
+    (5, 24, "subfield", [0, 1, 2, 3]),
+    (5, 24, "extension", [1, 6]),
+    (3, 26, "subfield", [0, 1, 2, 13]),
+    (3, 26, "extension", [1]),
+]
+
+
+@pytest.mark.parametrize("q,n,base,reps", SCAN_CODES)
+def test_exhaustive_scan_matches_product_reference(q, n, base, reps):
+    # offsets plus one block against the product-based loop: the same d, the
+    # same minimum-weight words, and the same early stop, however the block is cut
+    ctx = cyc_context(q, n)
+    nonzeros = [e for r in reps for e in cyclotomic_coset(r, ctx).exps]
+    code = code_from_defining_set(ctx, ctx.exponent_set(nonzeros).complement(), base=base)
+    total = code.base_q**code.k
+    # 1000 is no power of q_b, so q_b^k is no multiple of the reference's chunk
+    for chunk in (1 << 15, 1000, 7):
+        if total // chunk > 4096:
+            continue
+        want_d, want = reference_exhaustive_scan(code, want_words=True, chunk=chunk)
+        d, words = cy._exhaustive_scan(code, want_words=True, chunk=chunk)
+        assert d == want_d
+        assert sorted(tuple(int(x) for x in w) for w in words) == sorted(tuple(int(x) for x in w) for w in want)
+        assert words
+    # the early stop at a lower bound that the scan reaches returns it, no words
+    for stop in (want_d, cy.bounds.bch_lower(code.defining)[0]):
+        assert cy._exhaustive_scan(code, early_stop_at=stop) == reference_exhaustive_scan(code, early_stop_at=stop)
+    assert cy._exhaustive_scan(code, early_stop_at=want_d) == (want_d, [])
+
+
 def test_has_weight_at_most_examples():
     ctx = cyc_context(2, 31)
     B = ctx.exponent_set([5, 9, 10, 18, 20])
