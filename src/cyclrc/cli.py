@@ -32,12 +32,15 @@ from .constructions import (
     build,
     verify_certificate,
 )
-from .cyclic import DEFAULT_BUDGET
+from .cyclic import DEFAULT_BUDGET, BudgetTooSmall
 from .field import SIZE_CAP, FieldError
 from .locality import BudgetExceededInconclusive
 
 CSV_HEADER = ["family", "q", "n", "r", "delta", "k", "d", "optimal", "divides"]
 MIN_BUDGET = 10**6
+# errors a well-formed request or certificate can still end in; each is
+# printed as `<ErrorName>: <message>` with exit 1
+NAMED_ERRORS = (FieldError, BudgetExceededInconclusive, BudgetTooSmall, ConstructionInternalError)
 # a grid block names the request fields, with one tail exponent per `tail` value
 GRID_KEYS = tuple("tail" if f.name == "tails" else f.name for f in fields(ConstructionRequest))
 
@@ -123,7 +126,7 @@ def cmd_construct(args) -> int:
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 1
-    except (FieldError, BudgetExceededInconclusive, ConstructionInternalError) as exc:
+    except NAMED_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     fmt = _default_format(args.format)
@@ -146,6 +149,9 @@ def cmd_verify(args) -> int:
             report = verify_certificate(json.load(fh), args.budget)
     except (OSError, json.JSONDecodeError, MalformedCertificate) as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
+        return 1
+    except NAMED_ERRORS as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     for claim, status, detail in report:
         print(f"{status:12s} {claim}" + (f": {detail}" if detail else ""))
@@ -212,7 +218,7 @@ def cmd_search(args) -> int:
             except HypothesisViolated:
                 skipped += 1
                 continue
-            except (FieldError, BudgetExceededInconclusive, ConstructionInternalError) as exc:
+            except NAMED_ERRORS as exc:
                 print(f"{type(exc).__name__}: {exc} at {json.dumps(reqdict, sort_keys=True)}",
                       file=sys.stderr)
                 failed += 1

@@ -30,6 +30,7 @@ from typing import NamedTuple, Optional
 from . import bounds
 from .bounds import BettiSalaWitness
 from .cyclic import (
+    BudgetTooSmall,
     CycContext,
     CyclicCode,
     DEFAULT_BUDGET,
@@ -523,10 +524,13 @@ def verify_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> list[tuple[s
     record is re-derived by `check_locality_record`; the distance is
     recomputed with the request's witness and, once the locality holds, the
     Singleton-like bound; the bound, divisibility, optimal flag, distance
-    claim and notes follow from those.  Raises MalformedCertificate.
+    claim and notes follow from those.  Raises MalformedCertificate, or
+    BudgetTooSmall when `budget` cannot cover the distance bound scan.
     """
     try:
         return _verify(cert, budget)
+    except BudgetTooSmall:
+        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise MalformedCertificate(f"{type(exc).__name__}: {exc}") from exc
 

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, linalg
-from .field import FieldSpec, field_create, is_in_subfield, ord_mod, prime_power_split, primitive_nth_root
+from .field import FieldSpec, field_create, ord_mod, prime_power_split, primitive_nth_root
 from .poly import Polynomial, product_from_roots, reciprocal
 
 DEFAULT_BUDGET = 10**8
@@ -101,10 +101,6 @@ class CycContext:
         self._code_cache: dict = {}
         self._run_dist_cache: dict = {}
         self._dual_word_cache: dict = {}
-
-    def root(self, j: int) -> int:
-        """Element index of the j-th power of the primitive n-th root."""
-        return int(self.field.vpow_gen(self._alpha_log * (j % self.n)))
 
     def root_powers(self, exps, mults) -> np.ndarray:
         """Matrix alpha^(e*i) for e in exps (rows) and i in mults (cols)."""
@@ -317,15 +313,16 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
             f"defining set is not closed under multiplication by {ctx.q} mod {ctx.n}: "
             f"exponent {bad} needs the full coset {list(coset.exps)}"
         )
-    roots = [ctx.root(j) for j in S.exps]
-    gen = product_from_roots(ctx.field, roots)
+    gen = product_from_roots(ctx.field, ctx.root_powers([1], S.exps)[0])
     base_q = ctx.q if base == "subfield" else ctx.field.q
     if base == "subfield":
-        for c in gen.coeffs:
-            if not is_in_subfield(ctx.field, c, ctx.q):
-                raise CoefficientLeak(
-                    f"generator coefficient {c} escapes GF({ctx.q}) despite closed defining set"
-                )
+        # a look-up table over the index range: isin's default sorting path
+        # imports numpy.ma on first use, about 15 ms in a fresh process
+        leaks = np.flatnonzero(~np.isin(gen.coeffs, ctx.base_elements, kind="table"))
+        if leaks.size:
+            raise CoefficientLeak(
+                f"generator coefficient {gen.coeffs[leaks[0]]} escapes GF({ctx.q}) despite closed defining set"
+            )
     code = CyclicCode(ctx, S, base_q, gen)
     ctx._code_cache[(S.exps, base)] = code
     return code

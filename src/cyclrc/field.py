@@ -8,9 +8,11 @@ numpy builds the antilog table by doubling.  Multiplication runs on log/antilog
 tables.  Addition is XOR in characteristic 2, a sum mod p in prime fields and,
 in odd extensions, the Zech-logarithm law a + b = a * (1 + b/a), which fills a
 q x q table for vector addition when q <= 1024.  So everything vectorizes over
-numpy index arrays.  Two calls with the same (p, m) always produce identical
-arithmetic: the reducing polynomial is the first monic irreducible in index
-order and the generator is the smallest index of full multiplicative order.
+numpy index arrays, and there is one arithmetic: the scalar ops are the
+vector kernels applied to one element.  Two calls with the same (p, m) always
+produce identical arithmetic: the reducing polynomial is the first monic
+irreducible in index order and the generator is the smallest index of full
+multiplicative order.
 """
 
 from __future__ import annotations
@@ -211,9 +213,11 @@ class FieldSpec:
     Characteristic 2 adds by XOR and prime fields by a sum mod p.  Odd
     extensions add by a + b = a * (1 + b/a): one gather from the Zech table
     `_zech`, indexed by log b - log a + 2(q-1), then one from `_expx`.  When
-    q <= 1024 that law fills the q x q table `_add_table` once, and vector
-    addition is a single gather from it; scalar addition reads the law from
-    the plain-list mirrors.  Negation gathers from `_neg_table`.
+    q <= 1024 that law fills the q x q table `_add_table` once, and addition
+    is a single gather from it.  Negation gathers from `_neg_table`.  The
+    kernels (`vadd`, `vsub`, `vneg`, `vmul`, `vdiv_nz`, `vpow_gen`) take
+    numpy index arrays or plain ints alike; the scalar ops `neg`, `inv` and
+    `pow` call one of them on one element and return an int.
 
     Attributes
     ----------
@@ -295,19 +299,10 @@ class FieldSpec:
         self._log = log
         self._expx = expx
         self._logx = logx
-        # plain-list mirrors make single-element arithmetic cheap
-        if q <= 1 << 16:
-            self._expx_l = expx.tolist()
-            self._logx_l = logx.tolist()
-            self._exp_l = exp.tolist()
-            self._log_l = log.tolist()
-        else:
-            self._expx_l = self._logx_l = self._exp_l = self._log_l = None
 
     def _build_add_tables(self) -> None:
         p, q, n1 = self.p, self.q, self.q - 1
-        self._zech = self._add_table = self._neg_table = self._zech_l = self._neg_l = None
-        self._zech_off = 2 * n1
+        self._zech = self._add_table = self._neg_table = None
         if p == 2 or self.m == 1:
             return
         exp, logx = self._exp, self._logx
@@ -322,45 +317,20 @@ class FieldSpec:
         zech[2 * n1 : 3 * n1] = zech[n1 : 2 * n1]
         self._zech = zech
         self._neg_table = self._expx[logx + n1 // 2]  # -1 = g^((q-1)/2)
-        self._neg_l = self._neg_table.tolist()
-        if self._expx_l is not None:
-            self._zech_l = zech.tolist()
         if q <= 1024:
             # full addition table: vector addition is one look-up
             x = np.arange(q)
             self._add_table = self._zech_add(x[:, None], x[None, :])
 
-    # -- scalar ops --------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % self.p
-        if self._zech_l is not None:
-            la = self._logx_l[a]
-            return self._expx_l[la + self._zech_l[self._logx_l[b] - la + self._zech_off]]
-        return int(self._zech_add(a, b))
+    # -- scalar ops: one element through a vector kernel ------------------
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.p
-        return self._neg_l[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self._expx_l is not None:
-            return self._expx_l[self._logx_l[a] + self._logx_l[b]]
-        return int(self._expx[self._logx[a] + self._logx[b]])
+        return int(self.vneg(a))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return int(self._exp[(-self._log[a]) % (self.q - 1)])
+        return int(self.vdiv_nz(1, a))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -369,9 +339,8 @@ class FieldSpec:
             if e == 0:
                 return 1
             raise DivisionByZero("negative power of zero")
-        if self._exp_l is not None:
-            return self._exp_l[(self._log_l[a] * e) % (self.q - 1)]
-        return int(self._exp[(self._log[a] * e) % (self.q - 1)])
+        # Python ints, so a large exponent cannot overflow int64
+        return int(self.vpow_gen(int(self._log[a]) * e % (self.q - 1)))
 
     # -- vector ops on numpy index arrays -----------------------------------
 
@@ -388,7 +357,7 @@ class FieldSpec:
         """a + b = a * (1 + b/a) in an odd extension: log look-ups, then one
         gather from the Zech table and one from the extended antilog table."""
         la = self._logx[a]
-        return self._expx[la + self._zech[self._logx[b] - la + self._zech_off]]
+        return self._expx[la + self._zech[self._logx[b] - la + 2 * (self.q - 1)]]
 
     def vneg(self, a):
         if self.p == 2:

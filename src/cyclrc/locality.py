@@ -64,16 +64,11 @@ def check_delta_independence(F, M, delta: int) -> bool:
 def _subgroup_word(ctx, ell: int, t: int) -> np.ndarray:
     """Dual word from summing the rows of the order-ell coset matrix."""
     n = ctx.n
-    F = ctx.field
-    s = n // ell
-    word = np.zeros(n, dtype=np.int64)
-    scal = 0
-    for _ in range(ell % ctx.p):
-        scal = F.add(scal, 1)
+    scal = ell % ctx.p  # the element ell * 1 is the constant ell mod p, whose index is ell mod p
     if scal == 0:  # impossible: gcd(ell, p) = 1 because ell | n and gcd(n, q) = 1
         raise InvariantViolated(f"coset order {ell} is divisible by the characteristic {ctx.p}")
-    for j in range(0, n, ell):
-        word[j] = F.mul(scal, ctx.root(j * t))
+    word = np.zeros(n, dtype=np.int64)
+    word[::ell] = ctx.field.vmul(scal, ctx.root_powers([t], range(0, n, ell))[0])
     return word
 
 

@@ -1,13 +1,18 @@
 """Dense univariate polynomial arithmetic over a FieldSpec.
 
 Coefficient vectors run low-to-high with no trailing zeros; the zero
-polynomial is the empty vector.  Lengths stay small (codes at desk scale),
-so all loops are plain Python over integer element indices.
+polynomial is the empty vector.  `coeffs` is a tuple of integer element
+indices, so polynomials hash, compare and serialise as plain data.  The
+arithmetic runs on the field's vector kernels: at most two kernel calls per
+row of a product, per quotient step of a division and per root of a root
+product, never one per pair of coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .field import DivisionByZero, FieldSpec, MixedFields
 
@@ -27,18 +32,13 @@ class Polynomial:
 
     @staticmethod
     def make(spec: FieldSpec, coeffs) -> "Polynomial":
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(spec, tuple(cs))
+        cs = np.asarray(coeffs, dtype=np.int64)
+        nz = np.flatnonzero(cs)
+        return Polynomial(spec, tuple(cs[: nz[-1] + 1].tolist()) if nz.size else ())
 
     @staticmethod
     def zero(spec: FieldSpec) -> "Polynomial":
         return Polynomial(spec, ())
-
-    @staticmethod
-    def one(spec: FieldSpec) -> "Polynomial":
-        return Polynomial(spec, (1,))
 
     @staticmethod
     def x_pow_minus_one(spec: FieldSpec, n: int) -> "Polynomial":
@@ -63,20 +63,19 @@ class Polynomial:
         if other.spec is not self.spec:
             raise MixedFields("polynomials live in different fields")
 
+    def _array(self, length: int | None = None) -> np.ndarray:
+        """The coefficients as an int64 array, zero-padded to `length`."""
+        out = np.zeros(len(self.coeffs) if length is None else length, dtype=np.int64)
+        out[: len(self.coeffs)] = self.coeffs
+        return out
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        F = self.spec
         n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(F.add(a, b))
-        return Polynomial.make(F, out)
+        return Polynomial.make(self.spec, self.spec.vadd(self._array(n), other._array(n)))
 
     def __neg__(self) -> "Polynomial":
-        F = self.spec
-        return Polynomial(F, tuple(F.neg(c) for c in self.coeffs))
+        return Polynomial(self.spec, tuple(self.spec.vneg(self._array()).tolist()))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -86,40 +85,39 @@ class Polynomial:
         F = self.spec
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(F)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = F.add(out[i + j], F.mul(a, b))
+        # one row of products per coefficient of the shorter factor, each
+        # added into the output at its offset
+        a, b = sorted((self, other), key=lambda f: len(f.coeffs))
+        rows = F.vmul(a._array()[:, None], b._array()[None, :])
+        out = np.zeros(len(a.coeffs) + len(b.coeffs) - 1, dtype=np.int64)
+        width = len(b.coeffs)
+        for i, c in enumerate(a.coeffs):
+            if c:
+                out[i : i + width] = F.vadd(out[i : i + width], rows[i])
         return Polynomial.make(F, out)
 
     def scale(self, c: int) -> "Polynomial":
-        F = self.spec
-        if c == 0:
-            return Polynomial.zero(F)
-        return Polynomial.make(F, [F.mul(a, c) for a in self.coeffs])
+        return Polynomial.make(self.spec, self.spec.vmul(self._array(), c))
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         self._check(other)
         F = self.spec
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
+        # divide by the monic associate b / lead(b): each step's quotient
+        # coefficient is then the remainder's top coefficient, and the true
+        # quotient is that one scaled by 1 / lead(b)
         db = other.degree
         lead_inv = F.inv(other.coeffs[-1])
-        quo = [0] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            lead = F.mul(rem[-1], lead_inv)
-            pos = len(rem) - 1 - db
-            if lead:
-                quo[pos] = lead
-                for j in range(db + 1):
-                    rem[pos + j] = F.sub(rem[pos + j], F.mul(lead, other.coeffs[j]))
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial.make(F, quo), Polynomial.make(F, rem)
+        low = F.vmul(other._array()[:db], lead_inv)  # the monic divisor below x^db
+        rem = self._array()
+        quo = np.zeros(max(0, len(rem) - db), dtype=np.int64)
+        for top in range(len(rem) - 1, db - 1, -1):
+            c = int(rem[top])
+            if c:
+                quo[top - db] = c
+                rem[top - db : top] = F.vsub(rem[top - db : top], F.vmul(c, low))
+        return Polynomial.make(F, F.vmul(quo, lead_inv)), Polynomial.make(F, rem[:db])
 
     def monic(self) -> "Polynomial":
         if self.is_zero() or self.is_monic():
@@ -148,10 +146,12 @@ def product_from_roots(spec: FieldSpec, roots) -> Polynomial:
     idx = [int(r) for r in roots]
     if len(set(idx)) != len(idx):
         raise DuplicateRoot("root list contains repeats")
-    out = Polynomial.one(spec)
-    for r in idx:
-        out = out * Polynomial.make(spec, [spec.neg(r), 1])
-    return out
+    # high-to-low coefficients: times (x - r), entry j becomes h[j] - r*h[j-1]
+    h = np.zeros(len(idx) + 1, dtype=np.int64)
+    h[0] = 1
+    for d, r in enumerate(idx, start=1):
+        h[1 : d + 1] = spec.vsub(h[1 : d + 1], spec.vmul(r, h[:d]))
+    return Polynomial(spec, tuple(h[::-1].tolist()))
 
 
 def reciprocal(h: Polynomial, k: int) -> Polynomial:

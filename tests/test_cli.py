@@ -217,6 +217,41 @@ def test_construct_certificate_matches_recorded_digest(tmp_path, name, argv):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded
 
 
+# n^2 = 2047^2 is above the budget floor, so the O(n^2) bound scan of the
+# distance cannot run at --budget 1e6
+T48_N2047 = ["--family", "T48", "--q", "2048", "--n", "2047", "--delta", "2", "--m", "1"]
+
+
+def test_construct_budget_too_small_exit1(capsys):
+    code, out, err = run_cli(capsys, "construct", *T48_N2047, "--budget", "1e6")
+    assert code == 1 and out == ""
+    assert err.startswith("BudgetTooSmall: budget 1000000 cannot cover")
+    assert "Traceback" not in err
+
+
+def test_search_budget_too_small_reported_per_point(capsys, tmp_path):
+    grid = tmp_path / "large.json"
+    grid.write_text(json.dumps({"grids": [{"family": "T48", "q": 2048, "n": 2047, "delta": 2, "m": 1}]}))
+    code, out, err = run_cli(capsys, "search", "--grid", str(grid), "--budget", "1e6")
+    assert code == 1
+    assert err.startswith("BudgetTooSmall: budget 1000000 cannot cover") and '"n": 2047' in err
+    assert "Traceback" not in err
+    assert out.strip() == "family,q,n,r,delta,k,d,optimal,divides"
+
+
+def test_verify_budget_too_small_is_not_malformed(capsys, tmp_path):
+    # a well-formed certificate whose n^2 exceeds the budget: the budget is
+    # named, the certificate is not called malformed
+    path = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "construct", "--family", "T41", "--q", "1024", "--n", "1023", "--delta", "2",
+                         "--m", "1", "--tail", "5", "--format", "json", "-o", str(path))
+    assert code in (0, 2)
+    code, out, err = run_cli(capsys, "verify", str(path), "--budget", "1e6")
+    assert code == 1 and out == ""
+    assert err.startswith("BudgetTooSmall: budget 1000000 cannot cover") and "malformed" not in err
+    assert "Traceback" not in err
+
+
 def test_verify_malformed_exit1(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

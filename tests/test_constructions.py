@@ -19,8 +19,9 @@ from cyclrc.constructions import (
     _with_defaults,
     build,
     validate,
+    verify_certificate,
 )
-from cyclrc.cyclic import cyc_context, product_set
+from cyclrc.cyclic import BudgetTooSmall, cyc_context, product_set
 
 
 def _ab_exponents(req):
@@ -163,6 +164,16 @@ def test_certificate_determinism():
     a = json.dumps(build(req).certificate, sort_keys=True)
     b = json.dumps(build(req).certificate, sort_keys=True)
     assert a == b
+
+
+def test_verify_budget_below_bound_scan_is_not_malformed():
+    # the locality record of this certificate checks at any budget, so the
+    # distance's O(n^2) bound scan is reached and refuses a budget below n^2
+    req = ConstructionRequest(family="C44", q=19, n=18, delta=2, t=1, m=5, tails=(8,))
+    cert = build(req).certificate
+    with pytest.raises(BudgetTooSmall):  # MalformedCertificate is no BudgetTooSmall
+        verify_certificate(cert, 18 * 18 - 1)
+    assert all(status == "agree" for _, status, _ in verify_certificate(cert))
 
 
 def test_certificate_independent_of_earlier_budgets():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclrc import cyclic as cy
 from cyclrc import linalg
+from cyclrc.field import FieldSpec
 from cyclrc.cyclic import (
     BoundInversion,
     CombinatorialBudgetExceeded,
@@ -111,8 +112,8 @@ def test_codeword_roots_and_shift_closure_randomized():
         cw = code.encode(msg)
         for j in code.defining.exps:
             acc = 0
-            for i in range(n):
-                acc = ctx.field.add(acc, ctx.field.mul(int(cw[i]), ctx.root(j * i)))
+            for i, root in enumerate(ctx.root_powers([j], range(n))[0]):
+                acc = ctx.field.vadd(acc, ctx.field.vmul(int(cw[i]), root))
             assert acc == 0
             break  # one root per draw keeps the loop cheap
         shifted = np.roll(cw, int(rng.integers(1, n)))
@@ -274,6 +275,28 @@ def test_exhaustive_scan_matches_product_reference(q, n, base, reps):
     for stop in (want_d, cy.bounds.bch_lower(code.defining)[0]):
         assert cy._exhaustive_scan(code, early_stop_at=stop) == reference_exhaustive_scan(code, early_stop_at=stop)
     assert cy._exhaustive_scan(code, early_stop_at=want_d) == (want_d, [])
+
+
+def test_exhaustive_scan_stops_at_the_lower_bound(monkeypatch):
+    # the binary Hamming [15, 11, 3] code at chunk 16: one block of the last
+    # four rows (three vadd sums) and 2^7 offset steps.  Every row has weight
+    # 3, so the first block meets the lower bound 3 and the scan stops there
+    ctx = cyc_context(2, 15)
+    code = code_from_defining_set(ctx, cyclotomic_coset(1, ctx))
+    assert code.k == 11 and len(code.gen.coeffs) - code.gen.coeffs.count(0) == 3
+    calls = []
+    vadd = FieldSpec.vadd
+
+    def counting_vadd(F, a, b):
+        calls.append(1)
+        return vadd(F, a, b)
+
+    monkeypatch.setattr(FieldSpec, "vadd", counting_vadd)
+    assert cy._exhaustive_scan(code, early_stop_at=3, chunk=16) == (3, [])
+    assert len(calls) == 3
+    calls.clear()
+    assert cy._exhaustive_scan(code, chunk=16) == (3, [])
+    assert len(calls) > 2**7
 
 
 def test_has_weight_at_most_examples():

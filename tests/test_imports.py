@@ -96,3 +96,34 @@ def test_every_module_function_is_referenced():
             for qualname, short, method in defined_functions(tree)
             if short not in (attrs if method else names) and qualname not in UNREFERENCED_ALLOWED]
     assert not dead, f"functions and public methods that no src module references: {', '.join(dead)}"
+
+
+def self_attributes(target):
+    """Attribute names assigned on `self` by one assignment target."""
+    if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == "self":
+        yield target.attr
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from self_attributes(elt)
+
+
+def test_every_self_attribute_is_read():
+    # an attribute a class stores on `self` is read as an attribute somewhere
+    # in src; a stale table copy or cache that nothing consults fails here
+    assigned, read = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                assigned.update(f"{path.name}:{cls.name}.{attr}" for t in targets for attr in self_attributes(t))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert assigned, "no attribute assignments found; the walk is broken"
+    unread = sorted(name for name in assigned if name.rsplit(".", 1)[1] not in read)
+    assert not unread, f"attributes stored on self that no src module reads: {', '.join(unread)}"

@@ -43,8 +43,8 @@ def cofactor_det(F, M) -> int:
     det = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        term = F.mul(int(M[0][j]), cofactor_det(F, minor))
-        det = F.add(det, F.neg(term) if j % 2 else term)
+        term = int(F.vmul(int(M[0][j]), cofactor_det(F, minor)))
+        det = int(F.vadd(det, F.neg(term) if j % 2 else term))
     return det
 
 

@@ -14,7 +14,7 @@ def rand_poly(F, rng, max_deg=9):
 def test_ring_identities(p, m):
     F = field_create(p, m)
     rng = np.random.default_rng(p + m)
-    one = Polynomial.one(F)
+    one = Polynomial.make(F, [1])
     zero = Polynomial.zero(F)
     for _ in range(300):
         a = rand_poly(F, rng)
@@ -41,7 +41,7 @@ def test_divmod_roundtrip_randomized(p, m):
 def test_divmod_by_zero():
     F = field_create(2, 3)
     with pytest.raises(DivisionByZero):
-        divmod(Polynomial.one(F), Polynomial.zero(F))
+        divmod(Polynomial.make(F, [1]), Polynomial.zero(F))
 
 
 def test_divmod_known_value():
@@ -65,13 +65,13 @@ def eval_at(poly, x):
     # Horner evaluation at the element index x
     acc = 0
     for c in reversed(poly.coeffs):
-        acc = poly.spec.add(poly.spec.mul(acc, x), c)
+        acc = poly.spec.vadd(poly.spec.vmul(acc, x), c)
     return acc
 
 
 def test_product_from_roots():
     F = field_create(2, 5)
-    assert product_from_roots(F, []) == Polynomial.one(F)
+    assert product_from_roots(F, []) == Polynomial.make(F, [1])
     assert product_from_roots(F, [1]) == Polynomial.make(F, [F.neg(1), 1])
     with pytest.raises(DuplicateRoot):
         product_from_roots(F, [3, 3])
@@ -93,7 +93,7 @@ def test_product_from_closed_set_stays_in_subfield():
 
     ctx = cyc_context(2, 15)
     coset = cyclotomic_coset(3, ctx)
-    pr = product_from_roots(ctx.field, [ctx.root(j) for j in coset.exps])
+    pr = product_from_roots(ctx.field, ctx.root_powers([1], coset.exps)[0])
     for c in pr.coeffs:
         assert is_in_subfield(ctx.field, c, 2)
 
@@ -122,3 +122,66 @@ def test_pretty_matches_bracket_style():
         "x^20 + x^19 + x^17 + x^15 + x^14 + x^13 + x^10 + x^7 + x^6 + x^5 + x^3 + x + 1"
     )
     assert Polynomial.zero(F2).pretty() == "0"
+
+
+# The scalar loops that the row kernels replaced, kept as references: one
+# field operation per pair of coefficients, each on plain ints.
+def reference_mul(a, b):
+    F = a.spec
+    if a.is_zero() or b.is_zero():
+        return Polynomial.zero(F)
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    out[i + j] = int(F.vadd(out[i + j], F.vmul(x, y)))
+    return Polynomial.make(F, out)
+
+
+def reference_divmod(a, b):
+    F = a.spec
+    rem = list(a.coeffs)
+    db = b.degree
+    lead_inv = F.inv(b.coeffs[-1])
+    quo = [0] * max(0, len(rem) - db)
+    while len(rem) - 1 >= db and rem:
+        lead = int(F.vmul(rem[-1], lead_inv))
+        pos = len(rem) - 1 - db
+        if lead:
+            quo[pos] = lead
+            for j in range(db + 1):
+                rem[pos + j] = int(F.vsub(rem[pos + j], F.vmul(lead, b.coeffs[j])))
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return Polynomial.make(F, quo), Polynomial.make(F, rem)
+
+
+def reference_product_from_roots(F, roots):
+    out = Polynomial.make(F, [1])
+    for r in roots:
+        out = reference_mul(out, Polynomial.make(F, [F.neg(r), 1]))
+    return out
+
+
+# binary, prime, and odd extensions on both sides of the q <= 1024 add table
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 10), (19, 1), (5, 2), (23, 2), (5, 6)])
+def test_kernel_arithmetic_matches_scalar_reference(p, m):
+    F = field_create(p, m)
+    rng = np.random.default_rng(1000 * p + m)
+    polys = [Polynomial.zero(F), Polynomial.make(F, [1]), Polynomial.make(F, [0, 0, 0, 2])]
+    polys += [rand_poly(F, rng, 12) for _ in range(22)]
+    for a in polys:
+        for b in polys:
+            assert a * b == reference_mul(a, b)
+            assert a + b == Polynomial.make(F, [int(F.vadd(x, y)) for x, y in zip(a._array(30), b._array(30))])
+            # divisors of higher degree than the dividend, and non-monic ones
+            if not b.is_zero():
+                assert divmod(a, b) == reference_divmod(a, b)
+        assert -a == Polynomial.make(F, [F.neg(x) for x in a.coeffs])
+        c = int(rng.integers(0, F.q))
+        assert a.scale(c) == Polynomial.make(F, [int(F.vmul(x, c)) for x in a.coeffs])
+    for size in (0, 1, 2, 17, 33):
+        roots = rng.choice(F.q, size=min(size, F.q), replace=False)
+        assert product_from_roots(F, roots) == reference_product_from_roots(F, roots.tolist())
