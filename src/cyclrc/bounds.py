@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from math import ceil, gcd
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
     from .cyclic import ExponentSet
 
@@ -64,45 +66,36 @@ def units_mod(n: int) -> list[int]:
     return [b for b in range(1, n) if gcd(b, n) == 1]
 
 
-def _longest_run(positions: set[int], n: int) -> tuple[int, int]:
-    """Longest cyclic run of consecutive residues; returns (length, start)."""
-    if len(positions) >= n:
-        return n, 0
-    if not positions:
-        return 0, 0
-    # a proper subset breaks every run, so two passes see each run in full
-    best_len, best_start = 0, 0
-    run = 0
-    start = 0
-    for i in range(2 * n):
-        if (i % n) in positions:
-            if run == 0:
-                start = i % n
-            run += 1
-            if run > best_len:
-                best_len, best_start = run, start
-        else:
-            run = 0
-    return best_len, best_start
-
-
 def bch_lower(S: "ExponentSet") -> tuple[int, BchWitness]:
     """Best consecutive-run lower bound over all unit steps and offsets.
 
     Ties resolve to the smallest step, then the smallest starting exponent,
-    so repeated runs return identical witnesses.
+    so repeated runs return identical witnesses.  One membership table per
+    block of steps: entry (b, i) tells whether i*b is in the set, for i up
+    to 2n, so the two passes see every run of a proper subset in full.  The
+    run ending at i is i minus the last gap at or before i, capped at n for
+    the full set; the first longest run of the first step that reaches the
+    longest length is the witness.
     """
     n = S.ctx.n
-    exps = set(S.exps)
-    if not exps:
+    if not S.exps:
         return 1, BchWitness(0, 1, 0)
+    inset = np.zeros(n, dtype=bool)
+    inset[list(S.exps)] = True
+    steps = np.array(units_mod(n), dtype=np.int64)
+    idx = np.arange(2 * n)
+    chunk = max(1, (1 << 20) // (2 * n))  # about 2^20 table entries per block
     best = (0, 1, 0)  # (length, b, u)
-    for b in units_mod(n):
-        binv = pow(b, -1, n)
-        pos = {(e * binv) % n for e in exps}
-        length, start = _longest_run(pos, n)
-        if length > best[0]:
-            best = (length, b, (start * b) % n)
+    for lo in range(0, len(steps), chunk):
+        b = steps[lo : lo + chunk]
+        gap = np.where(inset[b[:, None] * idx % n], -1, idx)
+        run = np.minimum(idx - np.maximum.accumulate(gap, axis=1), n)
+        end = run.argmax(axis=1)
+        length = run.max(axis=1)
+        j = int(length.argmax())
+        if length[j] > best[0]:
+            start = (int(end[j]) - int(length[j]) + 1) % n
+            best = (int(length[j]), int(b[j]), start * int(b[j]) % n)
     length, b, u = best
     return length + 1, BchWitness(u, b, length)
 

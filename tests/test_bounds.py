@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from cyclrc.bounds import (
     BadParams,
+    BchWitness,
     BettiSalaWitness,
     StepNotUnit,
     WitnessNotContained,
@@ -10,8 +12,9 @@ from cyclrc.bounds import (
     exact_dual_distance,
     singleton_like,
     subgroup_coset_in,
+    units_mod,
 )
-from cyclrc.cyclic import code_from_defining_set, cyc_context, min_distance
+from cyclrc.cyclic import all_cyclotomic_cosets, code_from_defining_set, cyc_context, min_distance
 
 
 def test_bch_empty_set():
@@ -58,6 +61,60 @@ def test_bch_witness_exhaustive_oracle():
                 ln += 1
             best = max(best, ln)
         assert bound == best + 1
+
+
+
+def reference_longest_run(positions: set[int], n: int) -> tuple[int, int]:
+    """The two-pass loop bch_lower ran per step: longest cyclic run of
+    consecutive residues as (length, start), the first such run on ties."""
+    if len(positions) >= n:
+        return n, 0
+    best_len, best_start, run, start = 0, 0, 0, 0
+    for i in range(2 * n):
+        if (i % n) in positions:
+            if run == 0:
+                start = i % n
+            run += 1
+            if run > best_len:
+                best_len, best_start = run, start
+        else:
+            run = 0
+    return best_len, best_start
+
+
+def reference_bch_lower(S):
+    n = S.ctx.n
+    if not S.exps:
+        return 1, BchWitness(0, 1, 0)
+    best = (0, 1, 0)  # (length, b, u): the smallest step wins ties
+    for b in units_mod(n):
+        binv = pow(b, -1, n)
+        length, start = reference_longest_run({(e * binv) % n for e in S.exps}, n)
+        if length > best[0]:
+            best = (length, b, (start * b) % n)
+    length, b, u = best
+    return length + 1, BchWitness(u, b, length)
+
+
+def test_bch_lower_matches_loop_reference():
+    # every closed set over six contexts, 3000 random sets over (19, 18), and
+    # a few sets at n = 1 and n = 1023: the same bound and the same witness
+    sets = []
+    for q, n in [(2, 15), (3, 13), (5, 8), (4, 15), (2, 21), (2, 31)]:
+        ctx = cyc_context(q, n)
+        cosets = all_cyclotomic_cosets(ctx)
+        for mask in range(1 << len(cosets)):
+            sets.append(ctx.exponent_set([e for i, c in enumerate(cosets) if mask >> i & 1 for e in c.exps]))
+    assert len(sets) == 832
+    rng = np.random.default_rng(14)
+    ctx = cyc_context(19, 18)
+    sets += [ctx.exponent_set(np.flatnonzero(rng.random(18) < rng.random())) for _ in range(3000)]
+    sets += [cyc_context(2, 1).exponent_set(e) for e in ([], [0])]
+    ctx = cyc_context(2, 1023)
+    sets += [ctx.exponent_set(rng.choice(1023, size=s, replace=False)) for s in (1, 300, 1022)]
+    sets.append(ctx.exponent_set(range(1023)))
+    for S in sets:
+        assert bch_lower(S) == reference_bch_lower(S), (S.ctx.q, S.ctx.n, S.exps)
 
 
 def test_betti_sala_bound_and_errors():

@@ -1,4 +1,5 @@
 import itertools
+import os
 import subprocess
 import sys
 from math import comb
@@ -334,6 +335,72 @@ def test_support_scan_agrees_with_enumeration_binary_sweep():
                 assert has_weight_at_most(code, w) == (w >= d), (n, exps, w, d)
 
 
+def reference_dependent_support(code, w):
+    """The all-subsets scan: the lex-first dependent w-set of all C(n, w)
+    parity-check column subsets."""
+    return linalg.first_dependent_columns(code.field, code.parity_check_matrix(), w)
+
+
+# (q, n, defining exponents, base): binary, prime, and GF(25) and GF(27)
+# ambients over their base fields and over the extension; "dual" is the
+# dual of the extension code of the C511 anchor at n = 17, over GF(2^8)
+SUPPORT_CODES = [
+    (2, 15, [1, 2, 4, 8, 3, 6, 12, 9], "subfield"),
+    (2, 15, [], "subfield"),
+    (2, 31, [1, 2, 4, 8, 16, 3, 6, 12, 24, 17], "subfield"),
+    (19, 18, range(1, 7), "subfield"),
+    (19, 18, [0, 5, 10, 12, 16], "subfield"),
+    (5, 12, [1, 5, 2, 10, 3], "subfield"),
+    (5, 12, [1, 5, 2, 10, 3], "extension"),
+    (5, 12, [1, 2, 3, 4], "extension"),
+    (3, 13, [1, 3, 9, 2, 6, 5], "subfield"),
+    (3, 13, [1, 2, 3, 4, 5], "extension"),
+    (16, 17, [0, 1, 2, 8, 14, 15, 16], "dual"),
+]
+
+
+@pytest.mark.parametrize("q,n,exps,base", SUPPORT_CODES,
+                         ids=[f"{q}-{n}-{base}-{len(list(e))}" for q, n, e, base in SUPPORT_CODES])
+def test_dependent_support_matches_all_subsets_scan(q, n, exps, base):
+    # the scan through coordinate 0 returns the all-subsets scan's support at
+    # every weight up to n-k+1, where w-1 exceeds the rows of H[1:, 1:]
+    ctx = cyc_context(q, n)
+    if base == "dual":
+        code = code_from_defining_set(ctx, ctx.exponent_set(exps), base="extension").dual_code()
+    else:
+        code = code_from_defining_set(ctx, ctx.exponent_set(exps), base=base)
+    r = n - code.k
+    outcomes = set()
+    for w in range(1, r + 2):
+        got = cy._dependent_support(code, w, float("inf"))
+        assert got == reference_dependent_support(code, w), w
+        outcomes.add(got is None)
+    assert outcomes == ({False} if r == 0 else {True, False})
+    # the budget check prices all C(n, w) supports, as column_scan_cost does
+    w = min(2, r + 1)
+    with pytest.raises(CombinatorialBudgetExceeded):
+        cy._dependent_support(code, w, linalg.column_scan_cost(n, r, w) - 1)
+
+
+def test_support_scan_runs_through_coordinate_zero(monkeypatch):
+    # the [18, 8, 11] Reed-Solomon code over GF(19): at weight 7 the scan finds
+    # nothing, so it eliminates every support it tries, the C(17, 6) supports
+    # through coordinate 0 and not all C(18, 7)
+    ctx = cyc_context(19, 18)
+    code = code_from_defining_set(ctx, ctx.exponent_set(range(1, 11)))
+    assert code.n - code.k == 10
+    mats = []
+    batch_rank = linalg.batch_rank
+
+    def counting_batch_rank(F, stack):
+        mats.append(len(stack))
+        return batch_rank(F, stack)
+
+    monkeypatch.setattr(linalg, "batch_rank", counting_batch_rank)
+    assert not has_weight_at_most(code, 7)
+    assert sum(mats) == comb(17, 6) == 12376
+
+
 def test_min_weight_word_properties():
     ctx = cyc_context(2, 31)
     A = ctx.exponent_set([0, 1, 2, 4, 8, 16])
@@ -524,6 +591,27 @@ def test_n33_anchor_dual_settles_by_zero_core():
     dual = code_from_defining_set(ctx, ctx.exponent_set([0, 14, 15, 16, 17, 18, 19]), base="extension").dual_code()
     res = min_distance(dual)
     assert (dual.k, res.exact, res.method) == (7, 23, "zero_core")
+
+
+def test_zero_core_words_do_not_import_numpy_ma():
+    # a fresh process that takes the zero-core word path never imports
+    # numpy.ma, whose lazy import costs ~16 ms (np.unique would trigger it)
+    ctx = cyc_context(16, 17)
+    dual = code_from_defining_set(ctx, ctx.exponent_set([0, 1, 2, 8, 14, 15, 16]), base="extension").dual_code()
+    assert min_distance(dual).method == "zero_core"
+    probe = (
+        "import sys\n"
+        "from cyclrc.cyclic import code_from_defining_set, cyc_context, min_weight_word\n"
+        "ctx = cyc_context(16, 17)\n"
+        "code = code_from_defining_set(ctx, ctx.exponent_set([0, 1, 2, 8, 14, 15, 16]), base='extension')\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "d, _, _ = min_weight_word(code.dual_code())\n"
+        "print(d, before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cy.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["9", "False", "False"]
 
 
 # ambient-field codes with many degenerate cores, whose kernels hold over
