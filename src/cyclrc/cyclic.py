@@ -187,6 +187,22 @@ def product_set(A: ExponentSet, B: ExponentSet) -> ExponentSet:
     return ExponentSet.of(A.ctx, [(a + b) % n for a in A.exps for b in B.exps])
 
 
+def support_orbit(support, n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The distinct cyclic shifts of a nonempty support mod n, as (shift,
+    shifted support) pairs sorted by support; the first is the lex-first
+    shift, and it contains 0.
+
+    The shifts fixing a support are the multiples of its period p, the least
+    divisor of n with support + p = support, so shifts 0..p-1 give the orbit.
+    """
+    sup = sorted({int(i) % n for i in support})
+    if not sup:
+        raise ValueError("an empty support has no shift orbit")
+    members = set(sup)
+    period = next(p for p in range(1, n + 1) if n % p == 0 and all((i + p) % n in members for i in sup))
+    return sorted(((s, tuple(sorted((i + s) % n for i in sup))) for s in range(period)), key=lambda e: e[1])
+
+
 @dataclass
 class DistanceResult:
     lower: int
@@ -387,18 +403,14 @@ def min_weight_word(code: CyclicCode, budget: int = DEFAULT_BUDGET):
 
 def _canonical_word(F: FieldSpec, words):
     """(support, word) with the lexicographically smallest support among the
-    words and all their cyclic shifts, the word scaled to leading coefficient 1."""
-    best_sup = None
-    best_word = None
-    for w0 in words:
-        n = len(w0)
-        sup0 = np.nonzero(w0)[0]
-        for s in range(n):
-            sup = tuple(sorted((int(x) + s) % n for x in sup0))
-            if best_sup is None or sup < best_sup:
-                best_sup = sup
-                best_word = _normalize_word(F, np.roll(w0, s))
-    return best_sup, best_word
+    words and all their cyclic shifts, the word scaled to leading coefficient 1.
+
+    Each word contributes the first entry of its support's orbit.  The words
+    have minimum weight, so two with one support are proportional and the
+    scaled word does not depend on which word or shift reached it."""
+    (shift, sup), word = min(((support_orbit(np.flatnonzero(w), len(w))[0], w) for w in words),
+                             key=lambda e: e[0][1])
+    return sup, _normalize_word(F, np.roll(word, shift))
 
 
 def _settle(code: CyclicCode, lower: int, upper: int, budget: int, want_words: bool):

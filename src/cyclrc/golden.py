@@ -63,6 +63,8 @@ def load_corpus(path=None) -> dict:
         raise ValueError(f"{label}: unrecognized layout")
     seen = set()
     for e in data["entries"]:
+        if not isinstance(e, dict):
+            raise ValueError(f"{label}: entry is not an object: {e!r}")
         for key in ("name", "kind", "expect"):
             if key not in e:
                 raise ValueError(f"{label}: entry missing {key!r}: {e}")

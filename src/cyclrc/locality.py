@@ -8,9 +8,11 @@ delta-1 erasures.  Certificates carry the dual word and every repair group.
 
 The definition-level verifier is the independent oracle: it knows nothing of
 the construction and simply checks punctured distances of candidate groups
-over the code's own base field.  `check_locality_record` re-derives a
-certificate's locality record from its evidence, with one punctured check
-for all the groups, which are one orbit under cyclic shifts.
+of at most r+delta-1 coordinates over the code's own base field.  A cyclic
+shift maps the code onto itself, so it decides on one group through
+coordinate 0, whose shifts serve every coordinate.  `check_locality_record`
+re-derives a certificate's locality record from its evidence, with one
+punctured check for all the groups, which are one orbit under cyclic shifts.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .cyclic import (
     min_distance,
     min_weight_word,
     product_set,
+    support_orbit,
 )
 
 
@@ -202,7 +205,7 @@ def repair_groups(support, n: int) -> tuple[list[list[int]], str]:
     """The distinct cyclic shifts of `support`, sorted, and their mode:
     'subgroup_partition' when they partition the n coordinates, else
     'shift_cover'."""
-    groups = [list(g) for g in sorted({tuple(sorted((i + s) % n for i in support)) for s in range(n)})]
+    groups = [list(g) for _, g in support_orbit(support, n)]
     return groups, "subgroup_partition" if len(groups) * len(support) == n else "shift_cover"
 
 
@@ -248,9 +251,12 @@ def verify_locality_exhaustive(
     """Definition-level check: every coordinate sits in some group of at most
     r+delta-1 coordinates whose punctured code has distance >= delta.
 
-    Tries hinted groups first, then cyclic shifts of unit-step windows, then
-    (small lengths only) the full subset search.  Distinguishes a definitive
-    False from running out of budget.
+    A cyclic shift maps the code onto itself, so that holds exactly when one
+    group through coordinate 0 does: its shifts serve every coordinate.
+    Tries the hinted groups, then the unit-step windows through 0, then
+    (small lengths only) every group through 0 of each size from r+delta-1
+    down to delta, and stops at the first group that holds.  Distinguishes a
+    definitive False from running out of budget.
     """
     if delta < 2:
         raise ValueError("locality needs delta >= 2")
@@ -258,53 +264,26 @@ def verify_locality_exhaustive(
     size = r + delta - 1
     if size > n:
         raise ValueError("group size exceeds the code length")
-    good: set[int] = set()
     tested: dict[tuple[int, ...], bool] = {}
 
-    def try_group(g) -> bool:
-        g = tuple(sorted(int(x) % n for x in g))
-        if len(g) > size:
+    def holds(g) -> bool:
+        g = {int(x) % n for x in g}
+        if not g or len(g) > size:
             return False
-        # a cyclic shift maps the code onto itself, so a group shares its
-        # verdict with its shift-canonical form (the shift putting x at 0)
-        key = min((tuple(sorted((y - x) % n for y in g)) for x in g), default=g)
+        # a group shares its verdict with each of its shifts: memo on the lex-first one
+        key = support_orbit(g, n)[0][1]
         if key not in tested:
-            tested[key] = punctured_distance_at_least(code, g, delta, budget)
-        if tested[key]:
-            good.update(g)
+            tested[key] = punctured_distance_at_least(code, key, delta, budget)
         return tested[key]
 
-    for g in hint_groups or ():
-        try_group(g)
-        if len(good) == n:
-            return True
-
-    for b in bounds.units_mod(n):
-        for u in range(n):
-            if len(good) == n:
-                return True
-            if all(((u + i * b) % n) in good for i in range(size)):
-                continue
-            try_group([(u + i * b) % n for i in range(size)])
-        if len(good) == n:
-            return True
-
-    if len(good) == n:
+    windows = ([i * b % n for i in range(size)] for b in bounds.units_mod(n))
+    if any(holds(g) for g in itertools.chain(hint_groups or (), windows)):
         return True
-    # full search for the still-uncovered coordinates
-    if comb(n - 1, size - 1) > 200000:
-        raise BudgetExceededInconclusive(
-            f"{n - len(good)} coordinates unresolved and full subset search too large"
-        )
-    for i in sorted(set(range(n)) - good):
-        found = False
-        for rest in itertools.combinations([j for j in range(n) if j != i], size - 1):
-            if try_group((i,) + rest):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    subsets = sum(comb(n - 1, s - 1) for s in range(delta, size + 1))
+    if subsets > 200000:
+        raise BudgetExceededInconclusive(f"full search over {subsets} groups through 0 too large")
+    return any(holds((0,) + rest) for s in range(size, delta - 1, -1)
+               for rest in itertools.combinations(range(1, n), s - 1))
 
 
 def claim_line(claim: str, ok: bool, detail: str = "") -> tuple[str, str, str]:
@@ -330,9 +309,8 @@ def check_locality_record(code: CyclicCode, record: dict, budget: int = DEFAULT_
     anchor_code = code_from_defining_set(ctx, anchor, base="extension")
     word = ev["h0_word"]
     support = [i for i, x in enumerate(word) if x]
-    groups, mode = repair_groups(support, n)
     problem = ""
-    if len(word) != n or not all(0 <= x < F.q for x in word):
+    if len(word) != n or not all(type(x) is int and 0 <= x < F.q for x in word):
         problem = f"h0_word is not a vector of length {n} over GF({F.q})"
     elif not support:
         problem = "h0_word is zero"
@@ -340,10 +318,12 @@ def check_locality_record(code: CyclicCode, record: dict, budget: int = DEFAULT_
         problem = f"h0_support {ev['h0_support']} is not the support {support} of h0_word"
     elif linalg.mat_mul(F, anchor_code.generator_matrix(), [[x] for x in word]).any():
         problem = "h0_word is not orthogonal to the anchor code"
-    elif record["groups"] != groups:
-        problem = "groups are not the distinct cyclic shifts of h0_support"
-    elif ev["group_mode"] != mode:
-        problem = f"the groups make a {mode}, not a {ev['group_mode']}"
+    else:
+        groups, mode = repair_groups(support, n)
+        if record["groups"] != groups:
+            problem = "groups are not the distinct cyclic shifts of h0_support"
+        elif ev["group_mode"] != mode:
+            problem = f"the groups make a {mode}, not a {ev['group_mode']}"
     lines = [claim_line("locality evidence", not problem, problem)]
 
     missing = sorted(set(product_set(anchor, run).exps) - set(code.defining.exps))

@@ -400,10 +400,11 @@ def test_corrupted_corpus_identified(tmp_path):
     from cyclrc.golden import run_corpus
 
     bad = tmp_path / "corpus.json"
-    bad.write_text("{\"schema\": 1")
-    results = run_corpus(path=str(bad))
-    assert len(results) == 1 and not results[0].ok
-    assert "corpus.json" in results[0].detail
+    for text in ('{"schema": 1', '{"schema": 1, "entries": ["name kind expect"]}'):
+        bad.write_text(text)
+        results = run_corpus(path=str(bad))
+        assert len(results) == 1 and not results[0].ok
+        assert results[0].check == "well-formed golden data" and "corpus.json" in results[0].detail
 
 
 def test_verify_sandwich_certificate(capsys, tmp_path):
@@ -426,6 +427,8 @@ def test_verify_sandwich_certificate(capsys, tmp_path):
 
 P49_ARGV = ["construct", "--family", "P49", "--q", "19", "--n", "18", "--delta", "4", "--t", "0", "--b", "1"]
 T48_ARGV = ["construct", "--family", "T48", "--q", "31", "--n", "30", "--delta", "2", "--m", "2"]
+C44_ARGV = ["construct", "--family", "C44", "--q", "19", "--n", "18", "--delta", "4", "--t", "1", "--m", "5",
+            "--tail", "8"]
 
 
 def _set(path, value):
@@ -456,7 +459,11 @@ def _edits(*tampers):
     (C42_ARGV + ["--i", "0", "--ell", "0"],
      _edits(_set(("locality", "dA_perp"), 99), _set(("locality", "evidence", "run_exponents"), [5]),
             _set(("locality", "evidence", "dual_lower"), 42))),
-], ids=["p49_r1", "p49_group_out_of_range", "p49_r8", "t48_four_edits", "c42_dual_and_run"])
+    # h0_word[0] is 1; the generator product casts to int64, which read 1.5 and true as 1
+    (C44_ARGV, _set(("locality", "evidence", "h0_word", 0), 1.5)),
+    (C44_ARGV, _set(("locality", "evidence", "h0_word", 0), True)),
+], ids=["p49_r1", "p49_group_out_of_range", "p49_r8", "t48_four_edits", "c42_dual_and_run",
+        "c44_h0_float", "c44_h0_bool"])
 def test_verify_edited_certificate_exit1_without_traceback(capsys, tmp_path, argv, tamper):
     path = tmp_path / "cert.json"
     code, _, _ = run_cli(capsys, *argv, "--format", "json", "-o", str(path))

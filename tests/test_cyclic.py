@@ -26,6 +26,7 @@ from cyclrc.cyclic import (
     min_distance,
     min_weight_word,
     product_set,
+    support_orbit,
 )
 
 
@@ -656,3 +657,81 @@ def test_inverted_distance_result_raises_named_error():
     )
     out = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "raised"
+
+
+def reference_shift_set(support, n):
+    """Every shift of the support, one per s in range(n), deduplicated."""
+    return {tuple(sorted((i + s) % n for i in support)) for s in range(n)}
+
+
+def orbit_cases():
+    rng = np.random.default_rng(1501)
+    yield [0], 1  # n = 1
+    for n in (1, 2, 7, 12, 18, 30):
+        yield list(range(n)), n  # the full set, period 1
+        for i in {0, n // 2, n - 1}:
+            yield [i], n  # singletons
+        for ell in (e for e in range(1, n + 1) if n % e == 0):
+            for c in {0, 1 % ell, ell - 1}:
+                yield list(range(c, n, ell)), n  # subgroup cosets
+                yield sorted(set(range(c, n, ell)) | {0, (c + 1) % n}), n  # a coset plus two points
+        for _ in range(12):
+            yield sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()), n
+    # unions of cosets of one subgroup: period n/ell, though no single coset
+    yield [0, 1, 6, 7, 12, 13], 18
+    yield [2, 5, 9, 12, 16, 19, 23, 26], 28
+
+
+def test_support_orbit_matches_all_n_shifts():
+    for support, n in orbit_cases():
+        orbit = support_orbit(support, n)
+        sups = [g for _, g in orbit]
+        assert set(sups) == reference_shift_set(support, n), (support, n)
+        assert sups == sorted(set(sups)), (support, n)  # distinct, sorted by support
+        for s, g in orbit:
+            assert 0 <= s < n and g == tuple(sorted((i + s) % n for i in support)), (support, n, s)
+        assert 0 in sups[0] and sups[0] == min(reference_shift_set(support, n)), (support, n)
+        # the orbit length is n over the number of shifts fixing the support
+        fixing = sum(set(support) == {(i + s) % n for i in support} for s in range(n))
+        assert len(orbit) * fixing == n, (support, n)
+
+
+def test_support_orbit_rejects_an_empty_support():
+    with pytest.raises(ValueError):
+        support_orbit([], 5)
+
+
+def reference_canonical_word(F, words):
+    """The lex-first support over every word and all n of its shifts, the
+    word scaled to leading coefficient 1."""
+    best_sup = best_word = None
+    for w0 in words:
+        n = len(w0)
+        sup0 = np.nonzero(w0)[0]
+        for s in range(n):
+            sup = tuple(sorted((int(x) + s) % n for x in sup0))
+            if best_sup is None or sup < best_sup:
+                best_sup, best_word = sup, cy._normalize_word(F, np.roll(w0, s))
+    return best_sup, best_word
+
+
+def canonical_word_lists():
+    for code in [*random_ambient_codes(2207, 2), *anchor_duals()]:
+        yield code, cy._zero_core_scan(code, want_words=True)[1]
+    for q, n, exps in ((2, 15, [0, 1, 2, 4, 8]), (2, 21, [1, 2, 4, 8, 11, 16, 3, 6, 12]),
+                       (3, 13, [0, 1, 3, 9, 2, 6, 5]), (19, 18, range(2, 18)),
+                       (4, 15, [3, 5, 6, 7, 9, 10, 11, 12, 13, 14])):
+        ctx = cyc_context(q, n)
+        code = code_from_defining_set(ctx, ctx.exponent_set(exps))
+        yield code, cy._exhaustive_scan(code, want_words=True)[1]
+
+
+@pytest.mark.parametrize("code,words", list(canonical_word_lists()),
+                         ids=lambda v: f"{v.ctx.q}-{v.n}-k{v.k}" if isinstance(v, cy.CyclicCode) else f"{len(v)}w")
+def test_canonical_word_matches_n_shift_loop(code, words):
+    # the orbit's first entry per word picks the same (support, word) as
+    # trying all n shifts of every word
+    assert words
+    sup, word = cy._canonical_word(code.field, words)
+    ref_sup, ref_word = reference_canonical_word(code.field, words)
+    assert sup == ref_sup and word.tolist() == ref_word.tolist()

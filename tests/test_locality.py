@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from cyclrc.cyclic import code_from_defining_set, cyc_context, min_distance, product_set
+from cyclrc import linalg
+from cyclrc.cyclic import all_cyclotomic_cosets, code_from_defining_set, cyc_context, min_distance, product_set
 from cyclrc.locality import (
     BudgetExceededInconclusive,
     DistanceOrderingViolated,
@@ -206,3 +209,65 @@ def test_product_route_achievable_over_small_sweep():
             if better:
                 break  # a better r existing is fine: the route is achievable,
                        # not maximal; claiming below the best would not be
+
+
+def closed_codes(q, n):
+    """Every base-field code of length n over GF(q) whose defining set is a
+    proper nonempty union of cyclotomic cosets."""
+    ctx = cyc_context(q, n)
+    cosets = all_cyclotomic_cosets(ctx)
+    for mask in range(1, (1 << len(cosets)) - 1):
+        exps = [e for i, c in enumerate(cosets) if mask >> i & 1 for e in c.exps]
+        yield code_from_defining_set(ctx, ctx.exponent_set(exps))
+
+
+def definition_verdicts(code, deltas):
+    """{(r, delta): verdict} straight from the definition: every coordinate i
+    lies in a group S of at most r+delta-1 coordinates on which the nonzero
+    restrictions of the enumerated codewords weigh at least delta."""
+    n, k = code.n, code.k
+    messages = np.array(list(itertools.product(code.base_elements, repeat=k)), dtype=np.int64)
+    nonzero = linalg.mat_mul(code.field, messages, code.generator_matrix()) != 0
+    groups = [S for size in range(1, n + 1) for S in itertools.combinations(range(n), size)]
+    dist = {}
+    for S in groups:
+        w = nonzero[:, list(S)].sum(axis=1)
+        dist[S] = int(w[w > 0].min()) if (w > 0).any() else n + 1  # the zero code tolerates anything
+    return {(r, delta): all(any(i in S and len(S) <= r + delta - 1 and dist[S] >= delta for S in groups)
+                            for i in range(n))
+            for delta in deltas for r in range(1, n - delta + 2)}
+
+
+@pytest.mark.parametrize("q,n", [(2, 7), (3, 8), (4, 5), (5, 6)])
+def test_verify_locality_exhaustive_matches_the_definition(q, n):
+    # the verifier against a brute-force reading of the definition, on every
+    # r and delta, so no verdict turns False as r grows
+    for code in closed_codes(q, n):
+        want = definition_verdicts(code, (2, 3))
+        got = {key: verify_locality_exhaustive(code, *key) for key in want}
+        assert got == want, (code.defining.exps, {key for key in want if got[key] != want[key]})
+        for r, delta in got:
+            assert not got[r, delta] or got.get((r + 1, delta), True), (code.defining.exps, r, delta)
+
+
+def test_verify_locality_exhaustive_tries_smaller_groups():
+    # the [7,4] Hamming code: no 5 coordinates tolerate one erasure (the one
+    # dual word inside them misses a coordinate), but the 4-coordinate
+    # support of a weight-4 dual word does, so (4, 2) holds as (3, 2) does
+    ctx = cyc_context(2, 7)
+    hamming = code_from_defining_set(ctx, ctx.exponent_set([1, 2, 4]))
+    assert hamming.k == 4
+    assert not punctured_distance_at_least(hamming, range(5), 2)
+    assert verify_locality_exhaustive(hamming, 3, 2)
+    assert verify_locality_exhaustive(hamming, 4, 2)
+
+
+def test_verify_locality_exhaustive_single_hint():
+    # one hinted group that holds serves every coordinate through its shifts
+    ctx = cyc_context(19, 18)
+    anchor = ctx.exponent_set([0, 1, 5, 9])
+    run = ctx.exponent_set([0, 1, 2])
+    code = code_from_defining_set(ctx, product_set(anchor, run))
+    hint = list(range(0, 18, 2))
+    assert punctured_distance_at_least(code, hint, 4)
+    assert verify_locality_exhaustive(code, 7, 4, hint_groups=[hint])
