@@ -38,7 +38,6 @@ from .cyclic import (
 from .field import (
     FieldSpec,
     field_create,
-    is_in_subfield,
     ord_mod,
     primitive_nth_root,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "exact_dual_distance",
     "field_create",
     "has_weight_at_most",
-    "is_in_subfield",
     "is_q_closed",
     "locality_from_product",
     "min_distance",

@@ -15,7 +15,7 @@ anchor dual distance, target block count) come from one dispatch,
 oracles; a disagreement raises instead of emitting a bad certificate.
 `build` returns the code with its certificate, the JSON document (schema,
 field, code, locality record, optimality record) that `verify_certificate`
-reads; the two share one optimality decision, `_optimality`.
+reads; the two share one assembly (`_optimality`, `_certificate`).
 Optimality side conditions that fail (the ceiling condition, or the
 dual-distance inequality of the single-tail families) return the code with
 the flag down and a note, since parameter searches need those points.
@@ -40,7 +40,7 @@ from .cyclic import (
     min_distance,
     product_set,
 )
-from .locality import check_locality_record, claim_line, locality_from_product
+from .locality import LOCALITY_CLAIMS, compare, locality_from_product, rederive_locality, report
 
 CERTIFICATE_SCHEMA = 1
 
@@ -79,12 +79,21 @@ class ConstructionRequest:
 
     @staticmethod
     def from_dict(d: dict) -> "ConstructionRequest":
+        """The request of a JSON object: family a string, tails a list of
+        ints, every other field an int, or null where the field defaults to
+        None.  Raises HypothesisViolated on an unknown or mistyped field."""
         d = dict(d)
-        tails = tuple(d.pop("tails", ()) or ())
+        tails = d.pop("tails", None)
         extra = set(d) - {f.name for f in fields(ConstructionRequest)}
         if extra:
             raise HypothesisViolated([f"unknown request fields {sorted(extra)}"])
-        return ConstructionRequest(tails=tails, **d)
+        mistyped = [f.name for f in fields(ConstructionRequest) if f.name in d and not (
+            type(d[f.name]) is (str if f.name == "family" else int) or (d[f.name] is None and f.default is None))]
+        if tails is not None and (type(tails) not in (list, tuple) or not all(type(e) is int for e in tails)):
+            mistyped.append("tails")
+        if mistyped:
+            raise HypothesisViolated([f"request fields {mistyped} are not of their types"])
+        return ConstructionRequest(tails=tuple(tails or ()), **d)
 
 
 # the request fields a family may leave unset; an unset one is left out of
@@ -457,75 +466,82 @@ def _assemble(req: ConstructionRequest) -> tuple[ConstructionRequest, ExponentSe
 
 def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult:
     """Build a family request end to end and certify it."""
-    request = req.to_dict()
+    request = req
     req, anchor, run = _assemble(req)
     code = code_from_defining_set(anchor.ctx, product_set(anchor, run), base="subfield")
-    k, _, pinned_dual, _ = _paper_values(req)
-    if code.k != k:
-        raise ConstructionInternalError(
-            f"dimension formula gives {k} but the product set leaves {code.k}"
-        )
-
     loc = locality_from_product(anchor, run, code, budget)
-    if loc["dB"] != req.delta:
-        raise ConstructionInternalError(f"run code distance {loc['dB']} differs from delta={req.delta}")
-    if pinned_dual is not None and loc["dA_perp"] != pinned_dual:
-        raise ConstructionInternalError(f"anchor dual distance {loc['dA_perp']} differs from the pinned {pinned_dual}")
-    res, singleton_val, d_claim, cond, optimal, notes = _optimality(code, req, loc, budget)
-    if cond and res.exact is not None and res.exact != d_claim:
-        raise ConstructionInternalError(
-            f"certified distance {res.exact} disagrees with the formula value {d_claim}"
-        )
-    if req.family == "C46":
-        # optimality is guaranteed by the statement, so verify it
-        if res.exact not in (req.m + 1, req.m + 2):
-            raise ConstructionInternalError(
-                f"distance {res.exact} outside the expected branch values "
-                f"{{{req.m + 1}, {req.m + 2}}}"
-            )
-        if not optimal:
-            raise ConstructionInternalError(
-                "single-root-tail family failed its guaranteed optimality check"
-            )
+    cert, broken = _certificate(request, req, code, loc, _optimality(code, req, loc, budget))
+    if broken:
+        raise ConstructionInternalError(broken[0][2])
+    return BuildResult(code, cert)
 
+
+def _certificate(request: ConstructionRequest, req: ConstructionRequest, code: CyclicCode, loc: dict,
+                 decision) -> tuple[dict, list]:
+    """The one assembly of the certificate, from the request (and `req`, with
+    defaults), its code, locality record and `_optimality` decision (None
+    leaves the optimality record out); and a finding for each formula they
+    break, on which `build` raises and which `verify_certificate` reports."""
+    k, _, pinned, _ = _paper_values(req)
+    found = [(claim, "disagree", detail) for ok, claim, detail in (
+        (code.k == k, "dimension", f"dimension formula gives {k} but the product set leaves {code.k}"),
+        (loc["dB"] == req.delta, "locality r and delta",
+         f"run code distance {loc['dB']} differs from delta={req.delta}"),
+        (pinned in (None, loc["dA_perp"]), "anchor dual bounds",
+         f"anchor dual distance {loc['dA_perp']} differs from the pinned {pinned}"),
+    ) if not ok]
+    cert = {"schema": CERTIFICATE_SCHEMA, "field": code.ctx.to_dict(), "code": code.to_dict(), "locality": loc,
+            "optimality": None}
+    if decision is None:
+        return cert, found
+    res, singleton, d_claim, cond, optimal, notes = decision
+    if cond and res.exact not in (None, d_claim):
+        found.append(("distance claim", "disagree",
+                      f"certified distance {res.exact} disagrees with the formula value {d_claim}"))
+    if req.family == "C46" and not (optimal and res.exact in (req.m + 1, req.m + 2)):
+        # optimality is guaranteed by the statement, so verify it; a distance
+        # this budget leaves open is only inconclusive
+        found.append(("optimal flag", "disagree" if res.exact is not None else "inconclusive",
+                      f"single-root-tail family not certified optimal at distance {res.exact} "
+                      f"(expected {req.m + 1} or {req.m + 2})"))
     r, delta = loc["r"], loc["delta"]
-    opt = {
-        "n": req.n,
-        "k": k,
-        "d_exact": res.exact,
-        "d_lower": res.lower,
-        "d_upper": res.upper,
-        "d_claim": d_claim,
-        "singleton_like_value": singleton_val,
-        "r": r,
-        "delta": delta,
-        "optimal": optimal,
-        "family": req.family,
-        "request": request,
-        "distance_method": res.method,
-        "witness": _witness(req)[1],
-        "divides": req.n % (r + delta - 1) == 0,
-        "notes": notes,
+    cert["optimality"] = {
+        "n": req.n, "k": code.k, "d_exact": res.exact, "d_lower": res.lower, "d_upper": res.upper,
+        "d_claim": d_claim, "singleton_like_value": singleton, "r": r, "delta": delta, "optimal": optimal,
+        "family": req.family, "request": request.to_dict(), "distance_method": res.method,
+        "witness": _witness(req)[1], "divides": req.n % (r + delta - 1) == 0, "notes": notes,
     }
-    return BuildResult(code, {"schema": CERTIFICATE_SCHEMA, "field": code.ctx.to_dict(), "code": code.to_dict(),
-                              "locality": loc, "optimality": opt})
+    return cert, found
 
 
 class MalformedCertificate(ValueError):
     """A document that does not have the shape of a certificate."""
 
 
+# the report line of each certificate leaf, by its path in the certificate
+CLAIMS = {
+    "schema": ("schema",), "field": ("field",),
+    "request": ("code.q", "code.n", "code.defining_exponents", "optimality.request", "optimality.family",
+                "optimality.n"),
+    "dimension": ("code.k", "optimality.k"), "generator polynomial": ("code.generator_coeffs",),
+    **{claim: tuple(f"locality.{path}" for path in paths) for claim, paths in LOCALITY_CLAIMS.items()},
+    **{claim: tuple(f"optimality.{key}" for key in keys.split()) for claim, keys in (
+        ("locality copies", "r delta"), ("witness", "witness"), ("distance", "d_lower d_upper d_exact distance_method"),
+        ("distance claim", "d_claim"), ("singleton-like bound", "singleton_like_value"), ("divides", "divides"),
+        ("optimal flag", "optimal"), ("notes", "notes"))},
+}
+
+
 def verify_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> list[tuple[str, str, str]]:
     """Re-derive every claim of a parsed JSON certificate: one (claim,
-    status, detail) line per claim, with status agree, disagree or
-    inconclusive (not settled within `budget`).
+    status, detail) line per claim of `CLAIMS`, with status agree, disagree
+    or inconclusive (not settled within `budget`).
 
-    The request is rebuilt through the assembly `build` uses; the locality
-    record is re-derived by `check_locality_record`; the distance is
-    recomputed with the request's witness and, once the locality holds, the
-    Singleton-like bound; the bound, divisibility, optimal flag, distance
-    claim and notes follow from those.  Raises MalformedCertificate, or
-    BudgetTooSmall when `budget` cannot cover the distance bound scan.
+    Only the request, h0_word and dual_exact are read; the rest is rebuilt
+    from them through `build`'s assembly, after the oracle checks of
+    `rederive_locality`, and compared with the certificate, types included.
+    Raises MalformedCertificate, or BudgetTooSmall when `budget` cannot
+    cover the distance bound scan.
     """
     try:
         return _verify(cert, budget)
@@ -536,71 +552,52 @@ def verify_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> list[tuple[s
 
 
 def _verify(cert: dict, budget: int) -> list[tuple[str, str, str]]:
-    info, loc, opt = cert["code"], cert["locality"], cert["optimality"]
-    lines = [claim_line("schema", cert["schema"] == CERTIFICATE_SCHEMA,
-                        f"claimed {cert['schema']!r}, supported {CERTIFICATE_SCHEMA}")]
+    claimed_loc, claimed_opt = cert["locality"], cert["optimality"]
     try:
-        if [opt["request"]["q"], opt["request"]["n"]] != [info["q"], info["n"]]:
-            raise HypothesisViolated(["request q and n are the code's q and n"])
-        req, anchor, run = _assemble(ConstructionRequest.from_dict(opt["request"]))
+        request = ConstructionRequest.from_dict(claimed_opt["request"])
+        req, anchor, run = _assemble(request)
     except HypothesisViolated as exc:
-        return lines + [("request", "disagree", f"hypothesis violated: {exc}")]
-    ctx, n = anchor.ctx, req.n
-    code = code_from_defining_set(ctx, product_set(anchor, run), base="subfield")
-    ev = loc["evidence"]
-    rebuilt = [list(code.defining.exps), list(anchor.exps), list(run.exps), req.family, n]
-    lines += [
-        claim_line("field", cert["field"] == ctx.to_dict(), f"recomputed {ctx.to_dict()}, claimed {cert['field']}"),
-        claim_line("request", [info["defining_exponents"], ev["anchor_exponents"], ev["run_exponents"],
-                               opt["family"], opt["n"]] == rebuilt,
-                   "rebuilt defining, anchor and run exponents, family and n"),
-        claim_line("dimension", info["k"] == opt["k"] == code.k, f"recomputed {code.k}, claimed {info['k']}"),
-        claim_line("generator polynomial", info["generator_coeffs"] == list(code.gen.coeffs)),
-    ]
-
-    loc_lines = check_locality_record(code, loc, budget)
-    lines += loc_lines
-    holds = all(status == "agree" for _, status, _ in loc_lines)  # loc's r, delta, dA_perp are re-derived
-    r, delta = loc["r"], loc["delta"]
-    lines.append(claim_line("locality copies", [opt["r"], opt["delta"]] == [r, delta],
-                            f"optimality ({opt['r']}, {opt['delta']}), locality ({r}, {delta})"))
-
-    witness, record = _witness(req)
-    # betti_sala_lower raises unless the witness pattern lies in the defining set
-    lower = None if witness is None else bounds.betti_sala_lower(code.defining, witness)
-    lines.append(claim_line("witness", opt["witness"] == record, f"rebuilt {record}, lower bound {lower}"))
-    if not holds:
-        status = "inconclusive" if all(s != "disagree" for _, s, _ in loc_lines) else "disagree"
-        return lines + [("optimality", status, "the distance sandwich, bound, flag and notes rest on the locality record")]
-    res, singleton, d_claim, _, optimal, notes = _optimality(code, req, loc, budget)
-    d = res.exact
-    return lines + [
-        _distance_line(opt, res),
-        ("distance claim", "inconclusive", "distance not settled") if d_claim is None
-        else claim_line("distance claim", opt["d_claim"] == d_claim, f"recomputed {d_claim}, claimed {opt['d_claim']}"),
-        claim_line("singleton-like bound", opt["singleton_like_value"] == singleton, f"recomputed {singleton}"),
-        claim_line("divides", opt["divides"] == (n % (r + delta - 1) == 0), f"(r+delta-1) = {r + delta - 1}, n = {n}"),
-        ("optimal flag", "inconclusive", "distance not settled") if d is None and opt["optimal"] and opt["d_exact"] is not None
-        else claim_line("optimal flag", opt["optimal"] == optimal, f"bound {singleton}, distance {d}"),
-        claim_line("notes", opt["notes"] == notes, f"rebuilt {notes}"),
-    ]
-
-
-def _distance_line(opt: dict, res) -> tuple[str, str, str]:
-    """Agree when the recomputed sandwich, distance and method are the
-    recorded ones.  The upper bound does not depend on the budget, nor does
-    the lower one once the distance is settled; where this budget leaves the
-    distance open on either side, or settles it by another method, a
-    consistent record is inconclusive."""
-    claimed = [opt["d_lower"], opt["d_upper"], opt["d_exact"], opt["distance_method"]]
-    got = [res.lower, res.upper, res.exact, res.method]
-    detail = "recomputed [{},{}] exact {} ({}), claimed [{},{}] exact {} ({})".format(*got, *claimed)
-    if claimed == got:
-        return "distance", "agree", detail
-    if None in (claimed[2], res.exact):
-        a = [claimed[2]] * 2 if claimed[2] is not None else claimed[:2]
-        b = [res.exact] * 2 if res.exact is not None else got[:2]
-        consistent = claimed[1] == res.upper and max(a[0], b[0]) <= min(a[1], b[1])
+        return [("request", "disagree", f"hypothesis violated: {exc}")]
+    code = code_from_defining_set(anchor.ctx, product_set(anchor, run), base="subfield")
+    found, loc = rederive_locality(code, anchor, run, claimed_loc["evidence"], budget)
+    holds = all(status == "agree" for _, status, _ in found)
+    decision = _optimality(code, req, loc, budget) if holds else None
+    rebuilt, broken = _certificate(request, req, code, loc or claimed_loc, decision)
+    if decision is None:
+        found += [(claim, "inconclusive", "not checked: rests on the locality record")
+                  for claim, paths in CLAIMS.items() if all(p.startswith("optimality.") for p in paths)]
+        rebuilt["optimality"] = claimed_opt
     else:
-        consistent = claimed[:3] == got[:3]
-    return "distance", "inconclusive" if consistent else "disagree", detail
+        found += _budget_findings(claimed_opt, rebuilt["optimality"])
+    return report(CLAIMS, found + broken + compare(cert, rebuilt, CLAIMS))
+
+
+_DISTANCE_LEAVES = ("d_lower", "d_upper", "d_exact", "distance_method")
+
+
+def _budget_findings(claimed: dict, rebuilt: dict) -> list:
+    """The distance finding, inconclusive where this budget leaves the
+    distance open on either side, or settles it by another method,
+    consistently with the claim; then the C46 distance claim and the optimal
+    flag, which rest on the distance, are inconclusive too.  Each leaf so
+    explained is copied into `rebuilt`, so the comparison passes it."""
+    got = [rebuilt[key] for key in _DISTANCE_LEAVES]
+    claim = [claimed.get(key) for key in _DISTANCE_LEAVES]
+    detail = "recomputed [{},{}] exact {} ({}), claimed [{},{}] exact {} ({})".format(*got, *claim)
+    found = [("distance", "agree", detail)]
+    typed = type(claim[0]) is type(claim[1]) is int and type(claim[2]) in (int, type(None)) and type(claim[3]) is str
+    if not typed or claim == got:
+        return found
+    (a0, a1), (b0, b1) = ([v[2]] * 2 if v[2] is not None else v[:2] for v in (claim, got))
+    # the upper bound does not depend on the budget, nor the lower one once the distance is settled
+    if claim[1] != got[1] or max(a0, b0) > min(a1, b1) or None not in (claim[2], got[2]) and claim[0] != got[0]:
+        return found
+    found.append(("distance", "inconclusive", detail))
+    rebuilt.update(zip(_DISTANCE_LEAVES, claim))
+    if rebuilt["d_claim"] is None and type(claimed.get("d_claim")) is int:
+        found.append(("distance claim", "inconclusive", "distance not settled"))
+        rebuilt["d_claim"] = claimed["d_claim"]
+    if got[2] is None and claimed.get("optimal") is True and claim[2] is not None:
+        found.append(("optimal flag", "inconclusive", "distance not settled"))
+        rebuilt["optimal"] = True
+    return found

@@ -417,14 +417,6 @@ def field_create(p: int, m: int) -> FieldSpec:
     return FieldSpec(p, m)
 
 
-def is_in_subfield(spec: FieldSpec, x: int, q0: int) -> bool:
-    """True iff element x lies in the subfield of size q0 (fixed by y -> y^q0)."""
-    p0, m0 = prime_power_split(q0)
-    if p0 != spec.p or spec.m % m0 != 0:
-        raise NotASubfield(f"GF({q0}) is not a subfield of GF({spec.q})")
-    return spec.pow(x, q0) == x
-
-
 def primitive_nth_root(spec: FieldSpec, n: int) -> int:
     """The canonical primitive n-th root of unity g^((q-1)/n)."""
     if n < 1 or (spec.q - 1) % n != 0:

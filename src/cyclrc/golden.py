@@ -98,103 +98,80 @@ def crosscheck_distance(code, d: int, budget: int) -> Optional[str]:
         return None
 
 
-def _verifier_checks(name: str, report) -> list[CheckResult]:
+def _verifier_checks(report):
     """One check per verifier line, passing when the line agrees."""
-    return [CheckResult(name, f"verify {claim}", status == "agree", f"{status}: {detail}" if detail else status)
-            for claim, status, detail in report]
+    for claim, status, detail in report:
+        yield f"verify {claim}", status == "agree", f"{status}: {detail}" if detail else status
 
 
-def _check_family(entry: dict, budget: int) -> list[CheckResult]:
-    name = entry["name"]
+def _check_family(entry: dict, budget: int):
     exp = entry["expect"]
-    out: list[CheckResult] = []
-
-    def add(check: str, ok: bool, detail: str = ""):
-        out.append(CheckResult(name, check, ok, detail))
-
     res = build(ConstructionRequest.from_dict(entry["request"]), budget)
     o, loc, code = res.certificate["optimality"], res.certificate["locality"], res.code
 
     for check, key in (("length", "n"), ("dimension", "k"), ("locality r", "r"), ("locality delta", "delta"),
                        ("optimal flag", "optimal"), ("divisibility flag", "divides")):
-        add(check, o[key] == exp[key], f"{o[key]} vs {exp[key]}")
+        yield check, o[key] == exp[key], f"{o[key]} vs {exp[key]}"
     if "anchor_dual" in exp:
-        add("anchor dual distance", loc["dA_perp"] == exp["anchor_dual"], f"{loc['dA_perp']} vs {exp['anchor_dual']}")
+        yield "anchor dual distance", loc["dA_perp"] == exp["anchor_dual"], f"{loc['dA_perp']} vs {exp['anchor_dual']}"
         exact = loc["evidence"]["dual_exact"]
-        add("anchor dual exactness", exact == exp.get("anchor_dual_exact", True), f"exact={exact}")
+        yield "anchor dual exactness", exact == exp.get("anchor_dual_exact", True), f"exact={exact}"
 
     if exp.get("d_exact_known", True):
         ok = o["d_exact"] == exp["d"]
-        add("distance", ok, f"exact {o['d_exact']} vs {exp['d']}")
+        yield "distance", ok, f"exact {o['d_exact']} vs {exp['d']}"
         if ok:
             method = crosscheck_distance(code, o["d_exact"], budget)
-            add("distance cross-check", True, method or "bound sandwich stands alone")
+            yield "distance cross-check", True, method or "bound sandwich stands alone"
     else:
-        add("distance lower bound", o["d_lower"] == exp["d"], f"{o['d_lower']} vs {exp['d']}")
-        add("distance upper bound", o["d_upper"] == exp["d_upper"], f"{o['d_upper']} vs {exp['d_upper']}")
-        add("distance left open", o["d_exact"] is None, f"exact={o['d_exact']}")
+        yield "distance lower bound", o["d_lower"] == exp["d"], f"{o['d_lower']} vs {exp['d']}"
+        yield "distance upper bound", o["d_upper"] == exp["d_upper"], f"{o['d_upper']} vs {exp['d_upper']}"
+        yield "distance left open", o["d_exact"] is None, f"exact={o['d_exact']}"
 
     # the certificate as a user receives it, through the verifier `cyclrc verify` runs
-    out += _verifier_checks(name, verify_certificate(json.loads(json.dumps(res.certificate)), budget))
-    add("locality verified", verify_locality_exhaustive(code, o["r"], o["delta"], budget, hint_groups=loc["groups"]))
-    return out
+    yield from _verifier_checks(verify_certificate(json.loads(json.dumps(res.certificate)), budget))
+    yield "locality verified", verify_locality_exhaustive(code, o["r"], o["delta"], budget, hint_groups=loc["groups"])
 
 
-def _check_product(entry: dict, budget: int) -> list[CheckResult]:
-    name = entry["name"]
+def _check_product(entry: dict, budget: int):
     exp = entry["expect"]
-    out: list[CheckResult] = []
-
-    def add(check: str, ok: bool, detail: str = ""):
-        out.append(CheckResult(name, check, ok, detail))
-
     ctx = cyc_context(entry["q"], entry["n"])
     anchor = ctx.exponent_set(entry["anchor"])
     run = ctx.exponent_set(entry["run"])
     ab = product_set(anchor, run)
-    add("product set", list(ab.exps) == exp["ab"], f"{list(ab.exps)}")
+    yield "product set", list(ab.exps) == exp["ab"], f"{list(ab.exps)}"
     code = code_from_defining_set(ctx, ab)
-    add("dimension", code.k == exp["k"], f"{code.k} vs {exp['k']}")
+    yield "dimension", code.k == exp["k"], f"{code.k} vs {exp['k']}"
     if "generator" in exp:
-        add("generator coefficients", list(code.gen.coeffs) == exp["generator"],
-            code.gen.pretty())
+        yield "generator coefficients", list(code.gen.coeffs) == exp["generator"], code.gen.pretty()
     loc = locality_from_product(anchor, run, code, budget)
     for check, key, want in (("anchor dual distance", "dA_perp", "anchor_dual"), ("run distance", "dB", "run_distance"),
                              ("locality r", "r", "r"), ("locality delta", "delta", "delta")):
-        add(check, loc[key] == exp[want], f"{loc[key]} vs {exp[want]}")
+        yield check, loc[key] == exp[want], f"{loc[key]} vs {exp[want]}"
     if "code_distance" in exp:
         res = min_distance(code, budget)
-        add("code distance", res.exact == exp["code_distance"],
-            f"{res.exact} vs {exp['code_distance']} [{res.method}]")
-    out += _verifier_checks(name, check_locality_record(code, loc, budget))
-    add("locality verified",
-        verify_locality_exhaustive(code, loc["r"], loc["delta"], budget, hint_groups=loc["groups"]))
-    return out
+        yield ("code distance", res.exact == exp["code_distance"],
+               f"{res.exact} vs {exp['code_distance']} [{res.method}]")
+    yield from _verifier_checks(check_locality_record(code, loc, budget))
+    yield "locality verified", verify_locality_exhaustive(code, loc["r"], loc["delta"], budget,
+                                                          hint_groups=loc["groups"])
 
 
-def _check_dual_pair(entry: dict, budget: int) -> list[CheckResult]:
-    name = entry["name"]
+def _check_dual_pair(entry: dict, budget: int):
     exp = entry["expect"]
-    out: list[CheckResult] = []
-
-    def add(check: str, ok: bool, detail: str = ""):
-        out.append(CheckResult(name, check, ok, detail))
-
     ctx = cyc_context(entry["q"], entry["n"])
     S = ctx.exponent_set(entry["defining"])
     code = code_from_defining_set(ctx, S)
     d_dual = min_distance(code.dual_code(), budget)
     d_comp = min_distance(code.complement_code(), budget)
-    add("dual vs complement", d_dual.exact == d_comp.exact,
-        f"{d_dual.exact} vs {d_comp.exact}")
-    add("recorded value", d_dual.exact == exp["value"],
-        f"{d_dual.exact} vs {exp['value']}")
+    yield "dual vs complement", d_dual.exact == d_comp.exact, f"{d_dual.exact} vs {d_comp.exact}"
+    yield "recorded value", d_dual.exact == exp["value"], f"{d_dual.exact} vs {exp['value']}"
     for label, c in (("dual", code.dual_code()), ("complement", code.complement_code())):
         method = crosscheck_distance(c, exp["value"], budget)
-        add(f"{label} distance cross-check", True, method or "bound sandwich stands alone")
-    return out
+        yield f"{label} distance cross-check", True, method or "bound sandwich stands alone"
 
 
+# each checker yields (check, ok, detail) for the checks of one entry
 _CHECKERS = {
     "family": _check_family,
     "product": _check_product,
@@ -207,7 +184,7 @@ def run_entry(entry: dict, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     if kind not in _CHECKERS:
         return [CheckResult(entry.get("name", "?"), "known kind", False, f"unknown kind {kind!r}")]
     try:
-        return _CHECKERS[kind](entry, budget)
+        return [CheckResult(entry["name"], *check) for check in _CHECKERS[kind](entry, budget)]
     except Exception as exc:  # a crash is a failed entry, not a crashed run
         return [CheckResult(entry["name"], "rebuild", False, f"{type(exc).__name__}: {exc}")]
 

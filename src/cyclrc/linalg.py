@@ -16,7 +16,8 @@ t-subsets of a matrix's columns through `batch_rank`, and
 `column_scan_cost` is its work estimate.  The support climb of a cyclic code
 scans only the C(n-1, w-1) supports through coordinate 0, but the estimate
 still counts all C(n, w), and so do the strategy ranking and the budget
-refusals built on it, until the cost model is recalibrated (ROADMAP item 2).
+refusals built on it, until the cost model is recalibrated (an open ROADMAP
+item).
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def column_scan_cost(cols: int, rows: int, t: int) -> int:
     """Work estimate of `first_dependent_columns`: one rows x t elimination
     per t-subset of the columns.  The support climb's scan through coordinate
     0 does C(cols-1, t-1) of them; it is still priced at C(cols, t) until the
-    cost model is recalibrated (ROADMAP item 2)."""
+    cost model is recalibrated (an open ROADMAP item)."""
     return comb(cols, t) * rows * t * min(t, rows)
 
 

@@ -10,14 +10,18 @@ The definition-level verifier is the independent oracle: it knows nothing of
 the construction and simply checks punctured distances of candidate groups
 of at most r+delta-1 coordinates over the code's own base field.  A cyclic
 shift maps the code onto itself, so it decides on one group through
-coordinate 0, whose shifts serve every coordinate.  `check_locality_record`
-re-derives a certificate's locality record from its evidence, with one
-punctured check for all the groups, which are one orbit under cyclic shifts.
+coordinate 0, whose shifts serve every coordinate.
+
+`locality_record` is the one assembly of a certificate's locality record:
+the product route calls it with the word it found, `rederive_locality` with
+a certificate's word, after the oracle checks on it; `compare` holds the
+claimed record against the re-derived one, types included.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from math import comb
 
 import numpy as np
@@ -76,14 +80,11 @@ def _subgroup_word(ctx, ell: int, t: int) -> np.ndarray:
 
 
 def anchor_dual_word(anchor: ExponentSet, budget: int = DEFAULT_BUDGET):
-    """Low-weight dual codeword of the anchor's ambient code.
-
-    Returns (word, support, weight, exact, lower):
-    * exact=True: weight is the exact dual distance (subgroup-run criterion
-      or an affordable exact oracle), support lexicographically canonical;
-    * exact=False: the subgroup-coset word is only an upper witness and
-      `lower` carries the certified run lower bound on the dual distance.
-    """
+    """Low-weight dual codeword of the anchor's ambient code, as (word,
+    support, weight, exact).  exact=True: the weight is the exact dual
+    distance (subgroup-run criterion or an affordable exact oracle), the
+    support lexicographically canonical; exact=False: the subgroup-coset word
+    is only an upper witness."""
     ctx = anchor.ctx
     # the fallback depends on the budget, so the budget is part of the key
     key = (anchor.exps, budget)
@@ -92,29 +93,22 @@ def anchor_dual_word(anchor: ExponentSet, budget: int = DEFAULT_BUDGET):
     n = ctx.n
     exact_val = bounds.exact_dual_distance(anchor)
     cosets = bounds.subgroup_coset_in(anchor)
+    exact = True
     if exact_val is not None:
         # the criterion's value is n/ell for one of these cosets
-        ell, t = next((e, t) for e, t in cosets if n // e == exact_val)
-        word = _subgroup_word(ctx, ell, t)
-        support = tuple(int(i) for i in np.nonzero(word)[0])
-        result = (word, support, exact_val, True, exact_val)
+        word = _subgroup_word(ctx, *next((e, t) for e, t in cosets if n // e == exact_val))
     else:
-        ca = code_from_defining_set(ctx, anchor, base="extension")
-        dual = ca.dual_code()
+        dual = code_from_defining_set(ctx, anchor, base="extension").dual_code()
         try:
-            d, word, support = min_weight_word(dual, budget)
-            result = (word, support, d, True, d)
+            word = min_weight_word(dual, budget)[1]
         except CombinatorialBudgetExceeded:
-            lower, _ = bounds.bch_lower(dual.defining)
             if not cosets:
                 raise BudgetExceededInconclusive(
                     f"no affordable dual-distance oracle and no subgroup witness for n={n}"
                 )
-            ell, t = cosets[0]  # largest order = lightest witness word
-            word = _subgroup_word(ctx, ell, t)
-            support = tuple(int(i) for i in np.nonzero(word)[0])
-            result = (word, support, n // ell, False, min(lower, n // ell))
-    ctx._dual_word_cache[key] = result
+            word, exact = _subgroup_word(ctx, *cosets[0]), False  # largest order = lightest witness word
+    support = tuple(int(i) for i in np.flatnonzero(word))
+    result = ctx._dual_word_cache[key] = (word, support, len(support), exact)
     return result
 
 
@@ -136,18 +130,13 @@ def locality_from_product(
     target: CyclicCode,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """The locality record certifying that `target` tolerates delta-1
-    erasures in groups of r+delta-1 coordinates, where r = w(h0) - d_run + 1:
-    r, delta, the anchor dual word weight dA_perp, the run distance dB, the
-    groups and their evidence, as the certificate's `locality` JSON record.
-    The evidence's dual_exact says whether dA_perp is the exact anchor dual
-    distance, and dual_lower is a certified lower bound on that distance.
+    """The locality record (see `locality_record`) certifying that `target`
+    tolerates delta-1 erasures in groups of r+delta-1 coordinates.
 
     The defining set of `target` must contain the product of the two sets.
-    Every group is materialized, and the independence condition is checked
-    once, on h0, for all of them; an independence failure aborts (it would
-    mean an implementation bug, and a silently downgraded certificate would
-    be worthless).
+    The independence condition is checked once, on h0, for every group; an
+    independence failure aborts (it would mean an implementation bug, and a
+    silently downgraded certificate would be worthless).
     """
     ctx = anchor.ctx
     if run.ctx is not ctx or target.ctx is not ctx:
@@ -159,21 +148,18 @@ def locality_from_product(
             "missing from the target defining set"
         )
     d_run = run_code_distance(run, budget)
-    word, support, w, dual_exact, dual_lower = anchor_dual_word(anchor, budget)
+    word, _, w, dual_exact = anchor_dual_word(anchor, budget)
     if w < d_run:
         raise DistanceOrderingViolated(f"dual word weight {w} below run distance {d_run}")
-    F = ctx.field
-    groups, group_mode = repair_groups(support, ctx.n)
-    if set().union(*groups) != set(range(ctx.n)):
-        raise InvariantViolated("repair groups fail to cover all coordinates")
-
     # h0 itself is only a dual word of the anchor code; the rows entering the
-    # certificate are its run-exponent translates, which land in the dual of
-    # any code whose defining set contains the product set.  One check on h0
-    # covers every group: shifting h0 by s shifts its translate rows and
-    # scales row e by alpha^(s*e), which keeps each row's support, its
-    # orthogonality to the cyclic target and the independence of its columns.
-    rows = _local_parity_rows(ctx, word, np.array(run.exps, dtype=np.int64))
+    # certificate are its run-exponent translates alpha^(j*e) * h0_j, which
+    # land in the dual of any code whose defining set contains the product
+    # set.  One check on h0 covers every group: shifting h0 by s shifts its
+    # translate rows and scales row e by alpha^(s*e), which keeps each row's
+    # support, its orthogonality to the cyclic target and the independence
+    # of its columns.
+    F = ctx.field
+    rows = F.vmul(ctx.root_powers(run.exps, range(ctx.n)), word[None, :])
     sup = np.nonzero(word)[0]
     if any(set(np.nonzero(row)[0]) != set(sup) for row in rows):
         raise IndependenceCheckFailed("translate rows do not share the support of h0")
@@ -181,40 +167,29 @@ def locality_from_product(
         raise IndependenceCheckFailed("local parity row leaves the dual code")
     if not check_delta_independence(F, rows[:, sup], d_run):
         raise IndependenceCheckFailed(f"{d_run - 1} columns of a local parity block are dependent")
-
-    return {
-        "r": w - d_run + 1,
-        "delta": d_run,
-        "dA_perp": w,
-        "dB": d_run,
-        "groups": groups,
-        "evidence": {
-            "h0_support": [int(x) for x in support],
-            "h0_word": [int(x) for x in word],
-            "independence_checked": True,
-            "dual_exact": dual_exact,
-            "dual_lower": dual_lower,
-            "anchor_exponents": list(anchor.exps),
-            "run_exponents": list(run.exps),
-            "group_mode": group_mode,
-        },
-    }
+    return locality_record(anchor, run, word, dual_exact, d_run)
 
 
-def repair_groups(support, n: int) -> tuple[list[list[int]], str]:
-    """The distinct cyclic shifts of `support`, sorted, and their mode:
-    'subgroup_partition' when they partition the n coordinates, else
-    'shift_cover'."""
+def locality_record(anchor: ExponentSet, run: ExponentSet, word, dual_exact: bool, d_run: int) -> dict:
+    """The certificate's `locality` record of a dual word h0 of the anchor
+    code and the run code distance d_run, the one assembly of that record:
+    r = w(h0) - d_run + 1, delta = dB = d_run, dA_perp = w(h0), the groups
+    (the distinct cyclic shifts of h0's support; `group_mode` says whether
+    they partition the coordinates) and their evidence.  dual_lower is a
+    certified lower bound on the anchor dual distance: w(h0) when dual_exact
+    says that w(h0) is that distance, else the anchor dual's run bound."""
+    support = [i for i, x in enumerate(word) if x]
+    w, n = len(support), anchor.ctx.n
+    lower = w
+    if not dual_exact:
+        anchor_code = code_from_defining_set(anchor.ctx, anchor, base="extension")
+        lower = min(bounds.bch_lower(anchor_code.dual_code().defining)[0], w)
     groups = [list(g) for _, g in support_orbit(support, n)]
-    return groups, "subgroup_partition" if len(groups) * len(support) == n else "shift_cover"
-
-
-def _local_parity_rows(ctx, word: np.ndarray, run_exps: np.ndarray) -> np.ndarray:
-    """Rows alpha^(j*e) * word_j for each run exponent e."""
-    n = ctx.n
-    F = ctx.field
-    powers = ctx.root_powers(run_exps, range(n))  # (v, n)
-    return F.vmul(powers, word[None, :])
+    return {"r": w - d_run + 1, "delta": d_run, "dA_perp": w, "dB": d_run, "groups": groups, "evidence": {
+        "h0_support": support, "h0_word": [int(x) for x in word], "independence_checked": True,
+        "dual_exact": dual_exact, "dual_lower": lower, "anchor_exponents": list(anchor.exps),
+        "run_exponents": list(run.exps),
+        "group_mode": "subgroup_partition" if len(groups) * w == n else "shift_cover"}}
 
 
 # ---------------------------------------------------------------------------
@@ -286,70 +261,122 @@ def verify_locality_exhaustive(
                for rest in itertools.combinations(range(1, n), s - 1))
 
 
-def claim_line(claim: str, ok: bool, detail: str = "") -> tuple[str, str, str]:
-    """One verifier report line: (claim, 'agree' or 'disagree', detail)."""
-    return claim, "agree" if ok else "disagree", detail
+# the report line of each leaf of a locality record, by its path in the record
+LOCALITY_CLAIMS = {
+    "locality evidence": ("groups", "evidence.h0_word", "evidence.h0_support", "evidence.group_mode"),
+    "product set": ("evidence.anchor_exponents", "evidence.run_exponents"),
+    "anchor dual bounds": ("evidence.dual_exact", "evidence.dual_lower"),
+    "locality r and delta": ("r", "delta", "dA_perp", "dB"),
+    "punctured distances": ("evidence.independence_checked",),
+}
+
+
+def _text(x) -> str:
+    return json.dumps(x, sort_keys=True)
+
+
+def mismatches(claimed, rebuilt, path=()):
+    """(path, claimed node, rebuilt node) for each place where a claimed JSON
+    document differs from the rebuilt one: two dicts with different key
+    sets, or two leaves, nodes of different types or lists of different
+    lengths.  Two JSON values have the same text exactly when they have the
+    same key set at every level and the same type and value at every leaf
+    (18.0 is not 18, true is not 1); equal subtrees are skipped on their
+    text and a list is descended at its first differing entry, so the cost
+    is linear in the document."""
+    if _text(claimed) == _text(rebuilt):
+        return
+    if isinstance(claimed, dict) and isinstance(rebuilt, dict):
+        if claimed.keys() != rebuilt.keys():
+            yield path, claimed, rebuilt
+        for key in sorted(claimed.keys() & rebuilt.keys()):
+            yield from mismatches(claimed[key], rebuilt[key], path + (key,))
+    elif isinstance(claimed, list) and isinstance(rebuilt, list) and len(claimed) == len(rebuilt):
+        i = next(i for i, (a, b) in enumerate(zip(claimed, rebuilt)) if _text(a) != _text(b))
+        yield from mismatches(claimed[i], rebuilt[i], path + (i,))
+    else:
+        yield path, claimed, rebuilt
+
+
+def compare(claimed, rebuilt, claims: dict) -> list:
+    """A disagree finding for each mismatch of a claimed document against the
+    rebuilt one: a differing key set on the schema line, any other mismatch
+    on the claim that `claims` gives the longest prefix of its path."""
+    claim_of = {path: claim for claim, paths in claims.items() for path in paths}
+    found = []
+    for path, a, b in mismatches(claimed, rebuilt):
+        where = ".".join(map(str, path))
+        if isinstance(a, dict) and isinstance(b, dict):
+            found.append(("schema", "disagree", f"{where or 'the document'}: unknown keys "
+                          f"{sorted(a.keys() - b.keys())}, missing keys {sorted(b.keys() - a.keys())}"))
+        else:
+            prefixes = (".".join(map(str, path[:i])) for i in range(len(path), 0, -1))
+            claim = next((claim_of[p] for p in prefixes if p in claim_of), "schema")
+            found.append((claim, "disagree", f"{where}: claimed {_text(a)[:60]}, recomputed {_text(b)[:60]}"))
+    return found
+
+
+def report(claims, findings) -> list:
+    """One (claim, status, detail) line per claim, in the order of `claims`
+    and then of the findings: disagree when a finding on the claim disagrees,
+    else inconclusive when one is, else agree; the detail joins the details
+    of the findings with that status."""
+    lines = []
+    for claim in dict.fromkeys([*claims, *(c for c, _, _ in findings)]):
+        own = [(status, detail) for c, status, detail in findings if c == claim]
+        status = min((s for s, _ in own), key=("disagree", "inconclusive", "agree").index, default="agree")
+        lines.append((claim, status, "; ".join(d for s, d in own if s == status and d)))
+    return lines
+
+
+def rederive_locality(code: CyclicCode, anchor: ExponentSet, run: ExponentSet, evidence: dict,
+                      budget: int = DEFAULT_BUDGET) -> tuple[list, dict | None]:
+    """The oracle findings on a claimed locality evidence for `code`, and the
+    record `locality_record` re-derives from its h0_word and dual_exact, or
+    None where they admit none.  The oracles: anchor x run lies in the
+    defining set; h0_word is a nonzero dual word of the anchor code, no
+    lighter than the run distance; and the code punctured to its support
+    tolerates delta-1 erasures, which covers every group, since a cyclic
+    shift maps the code to itself.  The anchor dual distance is not
+    recomputed."""
+    ctx, F, n = code.ctx, code.field, code.n
+    missing = sorted(set(product_set(anchor, run).exps) - set(code.defining.exps))
+    found = [("product set", "disagree" if missing else "agree", f"anchor x run exponents {missing} outside the "
+              "defining set" if missing else "anchor x run lies in the defining set")]
+
+    def stop(claim, status, detail, record=None):
+        # the checks after a failed one rest on it
+        rest = [(c, "inconclusive", "not checked") for c in LOCALITY_CLAIMS if c not in (claim, "product set")]
+        return found + [(claim, status, detail)] + rest, record
+
+    word, exact = evidence["h0_word"], evidence["dual_exact"]
+    if type(exact) is not bool:
+        return stop("anchor dual bounds", "disagree", f"dual_exact {exact!r} is not a bool")
+    if type(word) is not list or len(word) != n or not all(type(x) is int and 0 <= x < F.q for x in word):
+        return stop("locality evidence", "disagree", f"h0_word is not a vector of length {n} over GF({F.q})")
+    if not any(word):
+        return stop("locality evidence", "disagree", "h0_word is zero")
+    d_run = run_code_distance(run, budget)  # the run code is MDS: its sandwich closes at once
+    record = locality_record(anchor, run, word, exact, d_run)
+    anchor_code = code_from_defining_set(ctx, anchor, base="extension")
+    if linalg.mat_mul(F, anchor_code.generator_matrix(), [[x] for x in word]).any():
+        return stop("locality evidence", "disagree", "h0_word is not orthogonal to the anchor code", record)
+    if record["dA_perp"] < d_run:
+        return stop("locality r and delta", "disagree", f"h0 weight {record['dA_perp']} below the run distance",
+                    record)
+    try:
+        ok = punctured_distance_at_least(code, record["evidence"]["h0_support"], d_run, budget)
+    except BudgetExceededInconclusive as exc:
+        return found + [("punctured distances", "inconclusive", str(exc))], record
+    return found + [("punctured distances", "agree" if ok else "disagree",
+                     f"{len(record['groups'])} shifts of h0_support tolerate {d_run - 1} erasures: {ok}")], record
 
 
 def check_locality_record(code: CyclicCode, record: dict, budget: int = DEFAULT_BUDGET) -> list:
     """Re-derive a locality record (the one `locality_from_product` returns)
-    for `code`: one (claim, status, detail) line per claim, with status agree,
-    disagree or inconclusive.
-
-    h0_word must be a nonzero dual word of the anchor code whose support's
-    distinct cyclic shifts are the groups; dA_perp is its weight, dB the run
-    code's distance, and r, delta follow from them.  A cyclic shift is an
-    automorphism of the code, so one punctured check on the support covers
-    every group.  The anchor dual distance is not recomputed: exactness is
-    only checked against the recorded lower bound.
-    """
-    ctx, F, n = code.ctx, code.field, code.n
+    for `code` from its anchor and run exponents, h0_word and dual_exact:
+    one (claim, status, detail) line per claim of `LOCALITY_CLAIMS`."""
     ev = record["evidence"]
-    anchor, run = ctx.exponent_set(ev["anchor_exponents"]), ctx.exponent_set(ev["run_exponents"])
-    anchor_code = code_from_defining_set(ctx, anchor, base="extension")
-    word = ev["h0_word"]
-    support = [i for i, x in enumerate(word) if x]
-    problem = ""
-    if len(word) != n or not all(type(x) is int and 0 <= x < F.q for x in word):
-        problem = f"h0_word is not a vector of length {n} over GF({F.q})"
-    elif not support:
-        problem = "h0_word is zero"
-    elif ev["h0_support"] != support:
-        problem = f"h0_support {ev['h0_support']} is not the support {support} of h0_word"
-    elif linalg.mat_mul(F, anchor_code.generator_matrix(), [[x] for x in word]).any():
-        problem = "h0_word is not orthogonal to the anchor code"
-    else:
-        groups, mode = repair_groups(support, n)
-        if record["groups"] != groups:
-            problem = "groups are not the distinct cyclic shifts of h0_support"
-        elif ev["group_mode"] != mode:
-            problem = f"the groups make a {mode}, not a {ev['group_mode']}"
-    lines = [claim_line("locality evidence", not problem, problem)]
-
-    missing = sorted(set(product_set(anchor, run).exps) - set(code.defining.exps))
-    lines.append(claim_line("product set", not missing, f"anchor x run exponents {missing} outside the defining set"
-                            if missing else "anchor x run lies in the defining set"))
-
-    w, lower, exact = len(support), ev["dual_lower"], ev["dual_exact"]
-    # an inexact lower bound is the anchor dual's run bound, capped below the weight
-    ok = lower == w if exact else lower == min(bounds.bch_lower(anchor_code.dual_code().defining)[0], w) < w
-    lines.append(claim_line("anchor dual bounds", ok, f"weight {w}, claimed lower bound {lower}, exact {exact}"))
-
-    try:
-        d_run = run_code_distance(run, budget)
-    except BudgetExceededInconclusive as exc:
-        return lines + [("locality r and delta", "inconclusive", str(exc)),
-                        ("punctured distances", "inconclusive", "run distance not settled")]
-    want = {"dA_perp": w, "dB": d_run, "r": w - d_run + 1, "delta": d_run}
-    got = {key: record[key] for key in want}
-    lines.append(claim_line("locality r and delta", got == want and w >= d_run, f"recomputed {want}, claimed {got}"))
-
-    if problem:
-        return lines + [("punctured distances", "disagree", "not checked: the locality evidence does not hold")]
-    try:
-        tolerant = punctured_distance_at_least(code, support, d_run, budget)
-    except BudgetExceededInconclusive as exc:
-        return lines + [("punctured distances", "inconclusive", str(exc))]
-    return lines + [claim_line("punctured distances", tolerant and ev["independence_checked"] is True,
-                               f"{len(groups)} shifts of h0_support tolerate {d_run - 1} erasures: {tolerant}; "
-                               f"independence_checked: {ev['independence_checked']}")]
+    anchor, run = code.ctx.exponent_set(ev["anchor_exponents"]), code.ctx.exponent_set(ev["run_exponents"])
+    found, rebuilt = rederive_locality(code, anchor, run, ev, budget)
+    return report(LOCALITY_CLAIMS, found + compare(record, rebuilt or record, LOCALITY_CLAIMS))

@@ -217,6 +217,22 @@ def test_construct_certificate_matches_recorded_digest(tmp_path, name, argv):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded
 
 
+def test_every_corpus_certificate_matches_recorded_digest():
+    # the digests and exits the certify benchmark pins, built in one process:
+    # a change of the certificate assembly that moves a byte fails here
+    from cyclrc.constructions import ConstructionRequest, build
+    from cyclrc.golden import load_corpus
+
+    got = {}
+    for entry in load_corpus()["entries"]:
+        if entry["kind"] == "family":
+            cert = build(ConstructionRequest.from_dict(entry["request"])).certificate
+            text = json.dumps(cert, indent=2, sort_keys=True) + "\n"
+            got[entry["name"]] = {"construct_exit": 0 if cert["optimality"]["optimal"] else 2,
+                                  "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    assert got == json.loads(RECORDED_DIGESTS.read_text())
+
+
 # n^2 = 2047^2 is above the budget floor, so the O(n^2) bound scan of the
 # distance cannot run at --budget 1e6
 T48_N2047 = ["--family", "T48", "--q", "2048", "--n", "2047", "--delta", "2", "--m", "1"]
@@ -425,6 +441,23 @@ def test_verify_sandwich_certificate(capsys, tmp_path):
     assert code == 0 and "disagree" not in out
 
 
+@pytest.mark.parametrize("exact,exit_code", [(37, 2), (37.0, 1), (40, 1)])
+def test_verify_distance_settled_at_a_larger_budget(capsys, tmp_path, exact, exit_code):
+    # a distance inside this budget's sandwich [36, 39], settled by a method
+    # this budget cannot run, is inconclusive; one outside it, or a float,
+    # disagrees
+    path = tmp_path / "sandwich.json"
+    run_cli(capsys, "construct", "--family", "T51", "--q", "64", "--n", "65", "--delta", "4", "--t", "49",
+            "--m", "33", *(f"--tail={t}" for t in (36, 41, 46, 51, 56, 61)), "--format", "json", "-o", str(path))
+    cert = json.loads(path.read_text())
+    cert["optimality"].update(d_lower=exact, d_exact=exact, distance_method="zero_core")
+    path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == exit_code and "Traceback" not in err
+    status = "inconclusive" if exit_code == 2 else "disagree"
+    assert [ln.split()[:2] for ln in out.splitlines() if not ln.startswith("agree")] == [[status, "distance:"]]
+
+
 P49_ARGV = ["construct", "--family", "P49", "--q", "19", "--n", "18", "--delta", "4", "--t", "0", "--b", "1"]
 T48_ARGV = ["construct", "--family", "T48", "--q", "31", "--n", "30", "--delta", "2", "--m", "2"]
 C44_ARGV = ["construct", "--family", "C44", "--q", "19", "--n", "18", "--delta", "4", "--t", "1", "--m", "5",
@@ -476,6 +509,32 @@ def test_verify_edited_certificate_exit1_without_traceback(capsys, tmp_path, arg
     assert "malformed certificate" in err or any(ln.startswith("disagree") for ln in out.splitlines())
 
 
+def test_verify_refuses_a_heavier_dual_word_than_the_pinned_distance(capsys, tmp_path):
+    # h0 plus its shift by one is a dual word of weight 18 of the P410 anchor
+    # code; the certificate the shared assembly makes of it (r = 15, dual
+    # bounds 18, exact) is consistent in every leaf, and only the pinned dual
+    # distance 2*delta+1 = 9 refutes it
+    import numpy as np
+
+    from cyclrc.constructions import ConstructionRequest, _assemble, _certificate, _optimality, build
+    from cyclrc.locality import locality_record
+
+    request = ConstructionRequest(family="P410", q=19, n=18, delta=4)
+    res = build(request)
+    h0 = np.array(res.certificate["locality"]["evidence"]["h0_word"])
+    req, anchor, run = _assemble(request)
+    loc = locality_record(anchor, run, res.code.field.vadd(h0, np.roll(h0, 1)), True, req.delta)
+    assert (loc["dA_perp"], loc["r"], loc["evidence"]["dual_lower"]) == (18, 15, 18)
+    cert, broken = _certificate(request, req, res.code, loc, _optimality(res.code, req, loc, 10**9))
+    assert [claim for claim, _, _ in broken] == ["anchor dual bounds"]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and "Traceback" not in err
+    assert [ln.split(":")[0].split(None, 1) for ln in out.splitlines() if ln.startswith("disagree")] == [
+        ["disagree", "anchor dual bounds"]]
+
+
 # the three digest-pinned requests, the P49 one and a non-optimal T48 one
 PERTURBED = {
     "n24_case1": dict(family="C52", q=23, n=24, delta=4, r=3, i=1, ell=1, case=1),
@@ -487,21 +546,29 @@ PERTURBED = {
 
 
 def perturbations(node, path=()):
-    """(path, value) for each leaf edit: int +-1, bool flipped, string
-    changed, and the same on the first entry of each list."""
+    """(path, value) for each edit: int +-1, to float and to bool; bool
+    flipped and to int; string changed; each scalar wrapped in a list; one
+    extra key in each record; and the same on the first entry of each list."""
     if isinstance(node, dict):
+        yield path + ("proof",), "trust me"
         for key in sorted(node):
             yield from perturbations(node[key], path + (key,))
-    elif isinstance(node, list):
+        return
+    if isinstance(node, list):
         if node:
             yield from perturbations(node[0], path + (0,))
-    elif isinstance(node, bool):
+        return
+    if isinstance(node, bool):
         yield path, not node
+        yield path, int(node)
     elif isinstance(node, int):
         yield path, node + 1
         yield path, node - 1
+        yield path, float(node)
+        yield path, bool(node)
     elif isinstance(node, str):
         yield path, node + "x"
+    yield path, [node]
 
 
 @pytest.mark.parametrize("name", sorted(PERTURBED))

@@ -51,25 +51,42 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-# patched by name by `perfbench/trace_layers.py` (goes with ROADMAP item 3),
-# and the reference encoder of the tests
-UNREFERENCED_ALLOWED = {"batch_det", "batch_nullvec", "mat_vec", "CyclicCode.encode"}
+# patched by name by `perfbench/trace_layers.py` (they go once the tracer no
+# longer patches them), and the reference encoder of the tests
+UNREFERENCED_ALLOWED = {"batch_det", "batch_nullvec", "mat_vec", "rank", "CyclicCode.encode"}
 FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def referenced_names(tree):
-    """(names read, imported or listed in `__all__`; attributes read)."""
-    names, attrs = set(), set()
+def package_bindings(tree):
+    """{bound name: (module, function)} of a module's package imports:
+    `from . import m` binds m to (m, None), `from .m import f` f to (m, f)."""
+    out = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            attrs.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            names.update(elt.value for elt in node.value.elts)
-    return names, attrs
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound = (alias.name, None) if node.module is None else (node.module, alias.name)
+                out[alias.asname or alias.name] = bound
+    return out
+
+
+def unshadowed_reads(tree):
+    """Names read where no parameter or assigned local of an enclosing
+    function shadows them."""
+    reads = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, (*FUNCTION_NODES, ast.Lambda)):
+            a = node.args
+            args = [arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if arg is not None]
+            stores = [sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+            shadowed = shadowed | {arg.arg for arg in args} | set(stores)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+            reads.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return reads
 
 
 def defined_functions(tree):
@@ -85,17 +102,26 @@ def defined_functions(tree):
 
 
 def test_every_module_function_is_referenced():
-    # a method counts as referenced only when some module reads it as an
-    # attribute; a bare name of the same spelling (a local, `math.gcd`'s
-    # import) does not reach it
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
-    refs = [referenced_names(t) for t in trees.values()]
-    attrs = set().union(*(a for _, a in refs))
-    names = attrs.union(*(n for n, _ in refs))
-    dead = [f"{name}:{qualname}" for name, tree in sorted(trees.items())
+    # a function counts as used only when some module reads it through its
+    # defining module (`bounds.bch_lower`), imports it by name and reads it,
+    # or reads it in its own module where no local shadows it; `__all__` and
+    # a bare name of the same spelling elsewhere do not count.  A method
+    # counts when some module reads it as an attribute.
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    used, attrs = set(), set()
+    for module, tree in trees.items():
+        binds, reads = package_bindings(tree), unshadowed_reads(tree)
+        used |= {(module, name) for name in reads}
+        used |= {binds[name] for name in reads if name in binds}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and binds.get(node.value.id, (None, ""))[1] is None:
+                    used.add((binds[node.value.id][0], node.attr))
+    dead = [f"{module}.py:{qualname}" for module, tree in sorted(trees.items())
             for qualname, short, method in defined_functions(tree)
-            if short not in (attrs if method else names) and qualname not in UNREFERENCED_ALLOWED]
-    assert not dead, f"functions and public methods that no src module references: {', '.join(dead)}"
+            if not (short in attrs if method else (module, short) in used) and qualname not in UNREFERENCED_ALLOWED]
+    assert not dead, f"functions and public methods that no src module uses: {', '.join(dead)}"
 
 
 def self_attributes(target):
