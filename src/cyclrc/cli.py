@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.certificate, encoding="utf-8") as fh:
             report = verify_certificate(json.load(fh), args.budget)
-    except (OSError, json.JSONDecodeError, MalformedCertificate) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, MalformedCertificate) as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return 1
     except NAMED_ERRORS as exc:

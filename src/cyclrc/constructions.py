@@ -559,7 +559,8 @@ def _verify(cert: dict, budget: int) -> list[tuple[str, str, str]]:
     except HypothesisViolated as exc:
         return [("request", "disagree", f"hypothesis violated: {exc}")]
     code = code_from_defining_set(anchor.ctx, product_set(anchor, run), base="subfield")
-    found, loc = rederive_locality(code, anchor, run, claimed_loc["evidence"], budget)
+    evidence = claimed_loc["evidence"]
+    found, loc = rederive_locality(code, anchor, run, evidence["h0_word"], evidence["dual_exact"], budget)
     holds = all(status == "agree" for _, status, _ in found)
     decision = _optimality(code, req, loc, budget) if holds else None
     rebuilt, broken = _certificate(request, req, code, loc or claimed_loc, decision)

@@ -146,9 +146,6 @@ class ExponentSet:
     def negate(self) -> "ExponentSet":
         return ExponentSet.of(self.ctx, [-e for e in self.exps])
 
-    def is_subset(self, other: "ExponentSet") -> bool:
-        return set(self.exps) <= set(other.exps)
-
 
 def cyclotomic_coset(s: int, ctx: CycContext) -> ExponentSet:
     """Orbit of s under multiplication by q modulo n."""

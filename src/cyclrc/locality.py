@@ -1,21 +1,22 @@
 """Locality certification for cyclic codes.
 
 The constructive route: when the defining set of a code contains the product
-of two root sets, shifted copies of one low-weight dual codeword of the
+of two root sets, shifted copies of one low-weight dual codeword h0 of the
 anchor code yield concrete repair groups, and a short consecutive run in the
 second set forces enough column independence inside each group to tolerate
 delta-1 erasures.  Certificates carry the dual word and every repair group.
+
+`rederive_locality` is the one list of locality checks: the product route
+runs it on the word it found and raises on the first failure, `verify` on a
+certificate's word.  `locality_record` is the one assembly of the record
+from that word; `compare` holds a claimed record against the re-derived
+one, types included.
 
 The definition-level verifier is the independent oracle: it knows nothing of
 the construction and simply checks punctured distances of candidate groups
 of at most r+delta-1 coordinates over the code's own base field.  A cyclic
 shift maps the code onto itself, so it decides on one group through
 coordinate 0, whose shifts serve every coordinate.
-
-`locality_record` is the one assembly of a certificate's locality record:
-the product route calls it with the word it found, `rederive_locality` with
-a certificate's word, after the oracle checks on it; `compare` holds the
-claimed record against the re-derived one, types included.
 """
 
 from __future__ import annotations
@@ -133,41 +134,23 @@ def locality_from_product(
     """The locality record (see `locality_record`) certifying that `target`
     tolerates delta-1 erasures in groups of r+delta-1 coordinates.
 
-    The defining set of `target` must contain the product of the two sets.
-    The independence condition is checked once, on h0, for every group; an
-    independence failure aborts (it would mean an implementation bug, and a
+    The checks of `rederive_locality` run on the word `anchor_dual_word`
+    finds; the first that fails raises ProductNotContained (product set),
+    DistanceOrderingViolated (weight), BudgetExceededInconclusive (a check
+    over budget) or else IndependenceCheckFailed (an implementation bug: a
     silently downgraded certificate would be worthless).
     """
     ctx = anchor.ctx
     if run.ctx is not ctx or target.ctx is not ctx:
         raise ValueError("anchor, run and target must share one context")
-    ab = product_set(anchor, run)
-    if not ab.is_subset(target.defining):
-        raise ProductNotContained(
-            f"product exponents {sorted(set(ab.exps) - set(target.defining.exps))} "
-            "missing from the target defining set"
-        )
-    d_run = run_code_distance(run, budget)
-    word, _, w, dual_exact = anchor_dual_word(anchor, budget)
-    if w < d_run:
-        raise DistanceOrderingViolated(f"dual word weight {w} below run distance {d_run}")
-    # h0 itself is only a dual word of the anchor code; the rows entering the
-    # certificate are its run-exponent translates alpha^(j*e) * h0_j, which
-    # land in the dual of any code whose defining set contains the product
-    # set.  One check on h0 covers every group: shifting h0 by s shifts its
-    # translate rows and scales row e by alpha^(s*e), which keeps each row's
-    # support, its orthogonality to the cyclic target and the independence
-    # of its columns.
-    F = ctx.field
-    rows = F.vmul(ctx.root_powers(run.exps, range(ctx.n)), word[None, :])
-    sup = np.nonzero(word)[0]
-    if any(set(np.nonzero(row)[0]) != set(sup) for row in rows):
-        raise IndependenceCheckFailed("translate rows do not share the support of h0")
-    if linalg.mat_mul(F, target.generator_matrix(), rows.T).any():
-        raise IndependenceCheckFailed("local parity row leaves the dual code")
-    if not check_delta_independence(F, rows[:, sup], d_run):
-        raise IndependenceCheckFailed(f"{d_run - 1} columns of a local parity block are dependent")
-    return locality_record(anchor, run, word, dual_exact, d_run)
+    word, _, _, dual_exact = anchor_dual_word(anchor, budget)
+    found, record = rederive_locality(target, anchor, run, [int(x) for x in word], dual_exact, budget)
+    for claim, status, detail in found:
+        if status == "inconclusive":
+            raise BudgetExceededInconclusive(detail)
+        if status == "disagree":
+            raise _FAILURES.get(claim, IndependenceCheckFailed)(detail)
+    return record
 
 
 def locality_record(anchor: ExponentSet, run: ExponentSet, word, dual_exact: bool, d_run: int) -> dict:
@@ -269,6 +252,8 @@ LOCALITY_CLAIMS = {
     "locality r and delta": ("r", "delta", "dA_perp", "dB"),
     "punctured distances": ("evidence.independence_checked",),
 }
+# the error `locality_from_product` raises on a failed claim, IndependenceCheckFailed where none is named
+_FAILURES = {"product set": ProductNotContained, "locality r and delta": DistanceOrderingViolated}
 
 
 def _text(x) -> str:
@@ -329,16 +314,21 @@ def report(claims, findings) -> list:
     return lines
 
 
-def rederive_locality(code: CyclicCode, anchor: ExponentSet, run: ExponentSet, evidence: dict,
+def rederive_locality(code: CyclicCode, anchor: ExponentSet, run: ExponentSet, h0_word, dual_exact,
                       budget: int = DEFAULT_BUDGET) -> tuple[list, dict | None]:
-    """The oracle findings on a claimed locality evidence for `code`, and the
-    record `locality_record` re-derives from its h0_word and dual_exact, or
-    None where they admit none.  The oracles: anchor x run lies in the
-    defining set; h0_word is a nonzero dual word of the anchor code, no
-    lighter than the run distance; and the code punctured to its support
-    tolerates delta-1 erasures, which covers every group, since a cyclic
-    shift maps the code to itself.  The anchor dual distance is not
-    recomputed."""
+    """The findings of the locality checks on h0 = h0_word for `code`, in
+    order, and the record `locality_record` derives from h0_word and
+    dual_exact, or None where they admit none: (1) anchor x run lies in the
+    defining set; (2) h0 is a nonzero vector, a dual word of the anchor
+    code; (3) w(h0) >= d_run, the run code distance; (4) the translates
+    alpha^(j*e) * h0_j (e in run) are dual words of the code; (5) any
+    d_run-1 of their columns on the support S of h0 are independent.
+    Passing rows are a proof in themselves: supported on S (a nonzero entry
+    times a root power is nonzero), they make the code punctured to S
+    tolerate d_run-1 erasures, and a cyclic shift maps the code to itself,
+    which covers every group.  (1) and (2) imply (4), and (5) holds as the
+    columns are scaled columns of the run code's parity checks.  The anchor
+    dual distance is not recomputed."""
     ctx, F, n = code.ctx, code.field, code.n
     missing = sorted(set(product_set(anchor, run).exps) - set(code.defining.exps))
     found = [("product set", "disagree" if missing else "agree", f"anchor x run exponents {missing} outside the "
@@ -349,25 +339,27 @@ def rederive_locality(code: CyclicCode, anchor: ExponentSet, run: ExponentSet, e
         rest = [(c, "inconclusive", "not checked") for c in LOCALITY_CLAIMS if c not in (claim, "product set")]
         return found + [(claim, status, detail)] + rest, record
 
-    word, exact = evidence["h0_word"], evidence["dual_exact"]
-    if type(exact) is not bool:
-        return stop("anchor dual bounds", "disagree", f"dual_exact {exact!r} is not a bool")
-    if type(word) is not list or len(word) != n or not all(type(x) is int and 0 <= x < F.q for x in word):
+    if type(dual_exact) is not bool:
+        return stop("anchor dual bounds", "disagree", f"dual_exact {dual_exact!r} is not a bool")
+    if type(h0_word) is not list or len(h0_word) != n or not all(type(x) is int and 0 <= x < F.q for x in h0_word):
         return stop("locality evidence", "disagree", f"h0_word is not a vector of length {n} over GF({F.q})")
-    if not any(word):
+    if not any(h0_word):
         return stop("locality evidence", "disagree", "h0_word is zero")
     d_run = run_code_distance(run, budget)  # the run code is MDS: its sandwich closes at once
-    record = locality_record(anchor, run, word, exact, d_run)
+    record = locality_record(anchor, run, h0_word, dual_exact, d_run)
     anchor_code = code_from_defining_set(ctx, anchor, base="extension")
-    if linalg.mat_mul(F, anchor_code.generator_matrix(), [[x] for x in word]).any():
+    if linalg.mat_mul(F, anchor_code.generator_matrix(), [[x] for x in h0_word]).any():
         return stop("locality evidence", "disagree", "h0_word is not orthogonal to the anchor code", record)
     if record["dA_perp"] < d_run:
         return stop("locality r and delta", "disagree", f"h0 weight {record['dA_perp']} below the run distance",
                     record)
-    try:
-        ok = punctured_distance_at_least(code, record["evidence"]["h0_support"], d_run, budget)
-    except BudgetExceededInconclusive as exc:
-        return found + [("punctured distances", "inconclusive", str(exc))], record
+    rows = F.vmul(ctx.root_powers(run.exps, range(n)), np.array([h0_word], dtype=np.int64))
+    if linalg.mat_mul(F, code.generator_matrix(), rows.T).any():
+        return found + [("punctured distances", "disagree", "a translate row of h0 leaves the dual code")], record
+    cost = linalg.column_scan_cost(record["dA_perp"], len(rows), d_run - 1)
+    if cost > budget:
+        return found + [("punctured distances", "inconclusive", f"independence scan needs ~{cost:.2e} ops")], record
+    ok = check_delta_independence(F, rows[:, np.flatnonzero(h0_word)], d_run)
     return found + [("punctured distances", "agree" if ok else "disagree",
                      f"{len(record['groups'])} shifts of h0_support tolerate {d_run - 1} erasures: {ok}")], record
 
@@ -378,5 +370,5 @@ def check_locality_record(code: CyclicCode, record: dict, budget: int = DEFAULT_
     one (claim, status, detail) line per claim of `LOCALITY_CLAIMS`."""
     ev = record["evidence"]
     anchor, run = code.ctx.exponent_set(ev["anchor_exponents"]), code.ctx.exponent_set(ev["run_exponents"])
-    found, rebuilt = rederive_locality(code, anchor, run, ev, budget)
+    found, rebuilt = rederive_locality(code, anchor, run, ev["h0_word"], ev["dual_exact"], budget)
     return report(LOCALITY_CLAIMS, found + compare(record, rebuilt or record, LOCALITY_CLAIMS))

@@ -6,9 +6,12 @@ import time
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cyclrc import linalg
 from cyclrc.cli import main
+from cyclrc.constructions import verify_certificate
 
 GRID = str(resources.files("cyclrc").joinpath("golden/search_nondividing.json"))
 
@@ -255,24 +258,49 @@ def test_search_budget_too_small_reported_per_point(capsys, tmp_path):
     assert out.strip() == "family,q,n,r,delta,k,d,optimal,divides"
 
 
-def test_verify_budget_too_small_is_not_malformed(capsys, tmp_path):
+@pytest.fixture(scope="module")
+def t41_n1023(tmp_path_factory):
+    """The certificate of T41 q=1024 n=1023 m=1 tail=5 delta=2, a high-rate
+    code (n - k = 2) whose h0 has 1022 coordinates, as a file."""
+    path = tmp_path_factory.mktemp("t41") / "cert.json"
+    assert main(["construct", "--family", "T41", "--q", "1024", "--n", "1023", "--delta", "2", "--m", "1",
+                 "--tail", "5", "--format", "json", "-o", str(path)]) in (0, 2)
+    return path
+
+
+def test_verify_budget_too_small_is_not_malformed(capsys, t41_n1023):
     # a well-formed certificate whose n^2 exceeds the budget: the budget is
     # named, the certificate is not called malformed
-    path = tmp_path / "cert.json"
-    code, _, _ = run_cli(capsys, "construct", "--family", "T41", "--q", "1024", "--n", "1023", "--delta", "2",
-                         "--m", "1", "--tail", "5", "--format", "json", "-o", str(path))
-    assert code in (0, 2)
-    code, out, err = run_cli(capsys, "verify", str(path), "--budget", "1e6")
+    code, out, err = run_cli(capsys, "verify", str(t41_n1023), "--budget", "1e6")
     assert code == 1 and out == ""
     assert err.startswith("BudgetTooSmall: budget 1000000 cannot cover") and "malformed" not in err
     assert "Traceback" not in err
 
 
+def test_verify_eliminates_nothing_larger_than_the_parity_checks(monkeypatch, t41_n1023):
+    # locality is read off h0's translate rows, as construct does, so no
+    # elimination verify runs has more rows than the n - k parity checks
+    cert = json.loads(t41_n1023.read_text(encoding="utf-8"))
+    shapes = []
+
+    def recording(F, mats, real=linalg.gauss_jordan):
+        shapes.append(np.shape(mats))
+        return real(F, mats)
+
+    monkeypatch.setattr(linalg, "gauss_jordan", recording)
+    report = verify_certificate(cert)
+    assert {status for _, status, _ in report} == {"agree"}
+    assert shapes and max(rows for _, rows, _ in shapes) <= cert["code"]["n"] - cert["code"]["k"] == 2
+
+
 def test_verify_malformed_exit1(capsys, tmp_path):
+    # invalid JSON, and bytes that are not UTF-8
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, err = run_cli(capsys, "verify", str(path))
-    assert code == 1 and "malformed" in err
+    for content in (b"{not json", b"\xff\xfe"):
+        path.write_bytes(content)
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 1 and err.startswith("malformed certificate:")
+        assert "Traceback" not in err
 
 
 def test_search_headline_grid(capsys):

@@ -13,8 +13,10 @@ from cyclrc.locality import (
     check_locality_record,
     locality_from_product,
     punctured_distance_at_least,
+    rederive_locality,
     verify_locality_exhaustive,
 )
+from cyclrc.selfcheck import closed_sets
 
 
 def test_check_delta_independence_cases():
@@ -271,3 +273,57 @@ def test_verify_locality_exhaustive_single_hint():
     hint = list(range(0, 18, 2))
     assert punctured_distance_at_least(code, hint, 4)
     assert verify_locality_exhaustive(code, 7, 4, hint_groups=[hint])
+
+
+@pytest.mark.parametrize("q,n", [(2, 15), (2, 21), (4, 15), (3, 13), (2, 31)])
+def test_translate_row_check_implies_the_punctured_distance(q, n):
+    # differential: the shared locality check against the punctured
+    # parity-check scan on h0's support, on random dual words of anchor
+    # codes and q-closed runs, the consecutive {0} and random unions of
+    # cosets on at most n/3 exponents; whenever h0 is no lighter than the
+    # run distance, both hold
+    rng = np.random.default_rng(q * 1000 + n)
+    ctx = cyc_context(q, n)
+    F = ctx.field
+    proper = list(closed_sets(ctx))[1:-1]
+    short = [S for S in proper if len(S) <= n // 3]
+    checked = 0
+    for anchor in (proper[i] for i in rng.choice(len(proper), 10, replace=False)):
+        dual = code_from_defining_set(ctx, anchor, base="extension").dual_code()
+        G = dual.generator_matrix()
+        for run in [ctx.exponent_set([0]), *(short[i] for i in rng.choice(len(short), 3))]:
+            code = code_from_defining_set(ctx, product_set(anchor, run))
+            for nonzero in (1, 2, dual.k):
+                picked = rng.choice(dual.k, size=min(nonzero, dual.k), replace=False)
+                msg = np.zeros(dual.k, dtype=np.int64)
+                msg[picked] = rng.integers(1, F.q, size=len(picked))
+                word = [int(x) for x in linalg.mat_mul(F, msg[None, :], G)[0]]
+                if not any(word):
+                    continue
+                found, record = rederive_locality(code, anchor, run, word, True)
+                statuses = {claim: status for claim, status, _ in found}
+                if record["dA_perp"] < record["delta"]:
+                    assert statuses["locality r and delta"] == "disagree"
+                    continue
+                assert set(statuses.values()) == {"agree"}, found
+                support = record["evidence"]["h0_support"]
+                assert punctured_distance_at_least(code, support, record["delta"]), (anchor.exps, run.exps, word)
+                checked += 1
+    assert checked >= 20
+
+
+def test_independence_scan_priced_against_the_budget():
+    # the scan on h0's 15 coordinates costs C(15, 2) * 5 * 2 * 2 = 2100 ops:
+    # a budget above n^2 = 961 but below that leaves the claim open
+    ctx = cyc_context(2, 31)
+    anchor = ctx.exponent_set([0, 1, 2, 4, 8, 16])
+    run = ctx.exponent_set([5, 9, 10, 18, 20])
+    code = code_from_defining_set(ctx, product_set(anchor, run))
+    cert = locality_from_product(anchor, run, code)
+    assert linalg.column_scan_cost(cert["dA_perp"], len(run), cert["delta"] - 1) == 2100
+    lines = {claim: status for claim, status, _ in check_locality_record(code, cert, 2000)}
+    assert lines.pop("punctured distances") == "inconclusive"
+    assert set(lines.values()) == {"agree"}
+    assert record_holds(code, cert)
+    with pytest.raises(BudgetExceededInconclusive, match="independence scan"):
+        locality_from_product(anchor, run, code, 2000)
