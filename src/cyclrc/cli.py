@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .constructions import (
     FAMILY_NAMES,
@@ -43,6 +43,8 @@ MIN_BUDGET = 10**6
 NAMED_ERRORS = (FieldError, BudgetExceededInconclusive, BudgetTooSmall, ConstructionInternalError)
 # a grid block names the request fields, with one tail exponent per `tail` value
 GRID_KEYS = tuple("tail" if f.name == "tails" else f.name for f in fields(ConstructionRequest))
+# the request fields without a default, which every grid block must name
+REQUIRED_GRID_KEYS = tuple(f.name for f in fields(ConstructionRequest) if f.default is MISSING)
 
 
 def _budget(value: str) -> int:
@@ -70,10 +72,19 @@ def _default_format(explicit: str | None) -> str:
     return "pretty" if sys.stdout.isatty() else "json"
 
 
+class OutputUnwritable(Exception):
+    """The `--output` path cannot be written."""
+
+
 def _emit(text: str, output: str | None) -> None:
+    """Write a command's output to the `--output` path, or to stdout when it
+    is unset or `-`.  Raises OutputUnwritable, which `main` reports."""
     if output and output != "-":
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputUnwritable(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -161,14 +172,18 @@ def cmd_verify(args) -> int:
 
 def _grid_axes(block) -> list[tuple[str, list]]:
     """The (key, values) axes of one grid block, `family` first.  A scalar is
-    an axis of one value.  Raises ValueError unless `family` is a string and
-    every other key is a request field whose values are integers; a `tail`
-    value may also be a list of integers, giving several tail exponents."""
+    an axis of one value.  Raises ValueError unless `family` is a string,
+    every request field without a default is named, and every other key is a
+    request field whose values are integers; a `tail` value may also be a
+    list of integers, giving several tail exponents."""
     if not isinstance(block, dict) or not isinstance(block.get("family"), str):
         raise ValueError(f"grid block without a string family: {block!r}")
     unknown = sorted(set(block) - set(GRID_KEYS))
     if unknown:
         raise ValueError(f"unknown grid keys {unknown} in {block!r}")
+    missing = [key for key in REQUIRED_GRID_KEYS if key not in block]
+    if missing:
+        raise ValueError(f"missing grid keys {missing} in {block!r}")
     axes = []
     for key in GRID_KEYS:
         if key not in block:
@@ -333,6 +348,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
+        return 1
+    except OutputUnwritable as exc:
+        print(exc, file=sys.stderr)
         return 1
 
 

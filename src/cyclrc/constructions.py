@@ -9,10 +9,11 @@ an exact oracle, and only then decide the optimality flag.
 
 Each family's shared hypotheses (the side n | q-1 or n | q+1, the delta
 parity, whether the anchor takes the shift t, the optional fields read) are
-one row of `_FAMILIES`.  Its theorem values (dimension, distance, pinned
-anchor dual distance, target block count) come from one dispatch,
-`_paper_values`, and are cross-checked against the constructed sets and
-oracles; a disagreement raises instead of emitting a bad certificate.
+one row of `_FAMILIES`.  Every anchor is one run plus tails, each corollary's
+as the request of its theorem (`_run_and_tails`), and the theorem values
+come from `_paper_values`, one formula per theorem.  They are cross-checked
+against the constructed sets and oracles; a disagreement raises instead of
+emitting a bad certificate.
 `build` returns the code with its certificate, the JSON document (schema,
 field, code, locality record, optimality record) that `verify_certificate`
 reads; the two share one assembly (`_optimality`, `_certificate`).
@@ -312,89 +313,65 @@ def _run_set(ctx: CycContext, req: ConstructionRequest) -> ExponentSet:
     return ctx.exponent_set([e * req.b for e in steps])
 
 
-def _anchor_exponents(req: ConstructionRequest) -> list[int]:
-    fam, n, b, t, delta = req.family, req.n, req.b, req.t, req.delta
-    r, i, ell, j, m = req.r, req.i, req.ell, req.j, req.m
-    if fam in ("T41", "T51", "T58"):
-        return [t + e * b for e in range(m)] + [t + e * b for e in req.tails]
-    if fam == "C42":
-        g = r + delta - 1
-        nu = n // g
-        main = [t + e * b for e in range(ell * g + i + 1)]
-        tails = [t + ((ell + u) * g + j) * b for u in range(1, nu - ell)]
-        return main + tails
-    if fam in ("C44", "C46"):
-        return [t + e * b for e in range(m)] + [t + req.tails[0] * b]
+def _run_and_tails(req: ConstructionRequest) -> tuple[int, int, tuple[int, ...]]:
+    """The anchor as its theorem's request (t, m, tails): the exponents t + e*b
+    for 0 <= e < m and for e in tails.  C44 and C46 are T41 with one tail,
+    C42 is T41 with a tail per block of r+delta-1; C52 and C56 are T51 and
+    C59 and C511 T58, placed so the defining set stays closed under q = -1;
+    T48's m+1 blocks are its tails.  Each branch gives the run lo..hi and the
+    tails in b-steps from 0, before the request's shift t."""
+    fam, n, delta, m = req.family, req.n, req.delta, req.m
     if fam in ("T48", "P49", "P410"):
-        main = [t + e * b for e in range((m - 1) * delta + 2)]
-        tails = [t + ((m + u) * delta + 1) * b for u in range(m + 1)]
-        return main + tails
-    if fam == "C52":
+        lo, hi, tails = 0, (m - 1) * delta + 1, [(m + u) * delta + 1 for u in range(m + 1)]
+    elif fam in ("C56", "C511"):
+        # a run of m centred on n/2 with a tail at n, or on -1/2 with a tail at (n-1)/2
+        lo, tail = ((n - m + 1) // 2, n) if fam == "C56" else (-(m // 2), (n - 1) // 2)
+        hi, tails = lo + m - 1, [tail]
+    elif fam in ("C42", "C52", "C59"):
+        r, i, ell = req.r, req.i, req.ell
         g = r + delta - 1
         nu = n // g
-        if req.case == 1:
-            main = [e * b for e in range(-(ell * g + i), ell * g + i + 1)]
-            tails = [u * g * b for u in range(ell + 1, nu - ell)]
-        elif req.case == 2:
+        if fam == "C42":
+            lo, hi = 0, ell * g + i
+            tails = [(ell + u) * g + req.j for u in range(1, nu - ell)]
+        elif (fam, req.case) in (("C52", 1), ("C59", 2)):
+            c = 0 if fam == "C52" else (n - 1) // 2
+            lo, hi = c - (ell * g + i), c + ell * g + i
+            tails = [c + u * g for u in range(ell + 1, nu - ell)]
+        elif (fam, req.case) == ("C52", 2):
             h = g // 2
-            w = (2 * ell + 1) * h + i
-            main = [e * b for e in range(-w, w + 1)]
-            tails = [(2 * u + 1) * h * b for u in range(ell + 1, nu - ell - 1)]
-        else:
-            lo = ((nu - 1) // 2 - ell) * g - i
-            hi = ((nu + 1) // 2 + ell) * g + i
-            main = [e * b for e in range(lo, hi + 1)]
-            tails = [u * g * b for u in range((nu + 1) // 2 + ell + 1, (3 * nu - 1) // 2 - ell)]
-        return main + tails
-    if fam == "C59":
-        g = r + delta - 1
-        nu = n // g
-        if req.case == 1:
-            lo = -((r + delta) // 2 + ell * g + i)
-            hi = (r + delta - 2) // 2 + ell * g + i
-            main = [e * b for e in range(lo, hi + 1)]
-            tails = [((r + delta - 2) // 2 + u * g) * b for u in range(ell + 1, nu - ell - 1)]
-        else:
-            c = (n - 1) // 2
-            main = [(c + e) * b for e in range(-(ell * g + i), ell * g + i + 1)]
-            tails = [(c + u * g) * b for u in range(ell + 1, nu - ell)]
-        return main + tails
-    if fam == "C56":
-        out = [0]
-        for u in range((n + 1) // 2, (n + m - 1) // 2 + 1):
-            out += [u * b, -u * b]
-        return out
-    if fam == "C511":
-        return [e * b for e in range(-m // 2, (m - 2) // 2 + 1)] + [(n - 1) // 2 * b]
-    raise AssertionError(fam)
+            lo, hi = -((2 * ell + 1) * h + i), (2 * ell + 1) * h + i
+            tails = [(2 * u + 1) * h for u in range(ell + 1, nu - ell - 1)]
+        elif fam == "C52":  # case 3
+            lo, hi = ((nu - 1) // 2 - ell) * g - i, ((nu + 1) // 2 + ell) * g + i
+            tails = [u * g for u in range((nu + 1) // 2 + ell + 1, (3 * nu - 1) // 2 - ell)]
+        else:  # C59 case 1
+            lo, hi = -((r + delta) // 2 + ell * g + i), (r + delta - 2) // 2 + ell * g + i
+            tails = [(r + delta - 2) // 2 + u * g for u in range(ell + 1, nu - ell - 1)]
+    else:
+        lo, hi, tails = 0, m - 1, req.tails
+    return req.t + lo * req.b, hi - lo + 1, tuple(e - lo for e in tails)
+
+
+def _anchor_exponents(req: ConstructionRequest) -> list[int]:
+    t, m, tails = _run_and_tails(req)
+    return [t + e * req.b for e in (*range(m), *tails)]
 
 
 def _paper_values(req: ConstructionRequest) -> tuple[int, int, Optional[int], Optional[int]]:
     """The family theorem's values on a request with `_with_defaults` applied:
     the dimension k, the distance d, the pinned anchor dual distance, and the
-    target block count ceil(k/r); None where the theorem fixes no value."""
+    target block count ceil(k/r); None where the theorem fixes no value.  A
+    run of m with s tails has k = n-m+1-(s+1)(delta-1), d = m+delta-1 and
+    s+1 target blocks; C44, C46, C56 and C511 fix no block count."""
     fam, n, delta, m = req.family, req.n, req.delta, req.m
-    if fam in ("T41", "T51", "T58"):
-        s = len(req.tails)
-        return n - m + 1 - (s + 1) * (delta - 1), m + delta - 1, None, s + 1
-    if fam in ("C44", "C46", "C56", "C511"):
-        return n - m - 2 * delta + 3, m + delta - 1, None, None
+    pinned = req.r + delta - 1 if fam in ("C42", "C52", "C59") else 2 * delta + 1 if fam == "P410" else None
     if fam in ("T48", "P49", "P410"):
-        pinned = 2 * delta + 1 if fam == "P410" else None
         return n - m * delta - (m + 1) * (delta - 1), (m + 1) * delta, pinned, m + 1
-    # C42, C52, C59: n splits into n/g blocks of g = r+delta-1 positions.  The
-    # anchor's main run takes w whole blocks and c*i further exponents (c = 2
-    # for the symmetric runs of C52 and C59); each taken block adds g to the
-    # distance and each further exponent adds one to it and costs a dimension,
-    # while every block left keeps r dimensions.  w is odd for C52 cases 2 and
-    # 3 and for C59 case 1.
-    g = req.r + delta - 1
-    if fam == "C42":
-        c, w = 1, req.ell
-    else:
-        c, w = 2, 2 * req.ell + ((fam == "C52") != (req.case == 1))
-    blocks = n // g - w
-    return blocks * req.r - c * req.i, delta + c * req.i + w * g, g, blocks
+    _, m, tails = _run_and_tails(req)
+    s = len(tails)
+    blocks = None if fam in ("C44", "C46", "C56", "C511") else s + 1
+    return n - m + 1 - (s + 1) * (delta - 1), m + delta - 1, pinned, blocks
 
 
 def _optimality(code: CyclicCode, req: ConstructionRequest, loc: dict, budget: int):

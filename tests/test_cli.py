@@ -357,6 +357,7 @@ def test_search_grid_point_with_negative_n_is_skipped(capsys, tmp_path):
     ({"family": "T41", "q": 19, "n": 18, "delta": 2, "m": 2, "tail": [[4, "6"]]}, "tail must be an integer"),
     ({"family": "C56", "q": 13, "n": 7, "m": 2, "delta": 2, "bogus": 1}, "unknown grid keys ['bogus']"),
     ({"family": "T41", "q": 19, "n": 18, "delta": 2, "m": 2, "tails": [4]}, "unknown grid keys ['tails']"),
+    ({"family": "T41"}, "missing grid keys ['q', 'n', 'delta']"),
 ])
 def test_search_refuses_malformed_block_before_any_build(capsys, tmp_path, monkeypatch, block, detail):
     def no_build(*args, **kwargs):
@@ -379,6 +380,22 @@ def test_search_tail_lists_expand_as_tail_sets(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "search", "--grid", str(grid))
     assert code == 0
     assert [ln.split(",")[5] for ln in out.splitlines()[1:]] == ["8", "5"]  # k falls by delta-1 per tail
+
+
+@pytest.mark.parametrize("command", ["construct", "search", "table"])
+def test_unwritable_output_exit1_without_traceback(capsys, tmp_path, command):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grids": [{"family": "C56", "q": 13, "n": 7, "m": 2, "delta": 2}]}))
+    rows = tmp_path / "rows.json"
+    rows.write_text("[]")
+    argv = {
+        "construct": ["construct", "--family", "C56", "--q", "13", "--n", "7", "--m", "2", "--delta", "2"],
+        "search": ["search", "--grid", str(grid)],
+        "table": ["table", str(rows)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "no_such_dir" / "out"))
+    assert code == 1 and out == ""
+    assert err.startswith("cannot write output: ") and "Traceback" not in err
 
 
 def test_table_renders_rows(capsys, tmp_path):

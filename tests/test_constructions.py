@@ -1,6 +1,10 @@
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
+from functools import cache
 from itertools import product
 from math import gcd
 from types import SimpleNamespace
@@ -8,14 +12,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cyclrc.bounds import singleton_like
+from cyclrc.bounds import singleton_like, units_mod
 from cyclrc.constructions import (
+    _FAMILIES,
     FAMILY_NAMES,
     ConstructionRequest,
     HypothesisViolated,
     _anchor_exponents,
     _paper_values,
+    _run_and_tails,
     _run_set,
+    _tail_clauses,
     _with_defaults,
     build,
     validate,
@@ -323,7 +330,65 @@ def test_t51_rejects_open_product_closure():
 # --- the family formulas, against the ladders they replaced -------------------
 # `_paper_values` replaced four per-family ladders (dimension, distance, pinned
 # anchor dual distance, target block count) and a fifth that recounted the
-# anchor list.  They are kept here, as they stood, as the reference.
+# anchor list; `_run_and_tails` replaced one anchor assembly per family.  They
+# are kept here, as they stood, as the reference.
+
+
+def _ref_anchor_exponents(req):
+    fam, n, b, t, delta = req.family, req.n, req.b, req.t, req.delta
+    r, i, ell, j, m = req.r, req.i, req.ell, req.j, req.m
+    if fam in ("T41", "T51", "T58"):
+        return [t + e * b for e in range(m)] + [t + e * b for e in req.tails]
+    if fam == "C42":
+        g = r + delta - 1
+        nu = n // g
+        main = [t + e * b for e in range(ell * g + i + 1)]
+        tails = [t + ((ell + u) * g + j) * b for u in range(1, nu - ell)]
+        return main + tails
+    if fam in ("C44", "C46"):
+        return [t + e * b for e in range(m)] + [t + req.tails[0] * b]
+    if fam in ("T48", "P49", "P410"):
+        main = [t + e * b for e in range((m - 1) * delta + 2)]
+        tails = [t + ((m + u) * delta + 1) * b for u in range(m + 1)]
+        return main + tails
+    if fam == "C52":
+        g = r + delta - 1
+        nu = n // g
+        if req.case == 1:
+            main = [e * b for e in range(-(ell * g + i), ell * g + i + 1)]
+            tails = [u * g * b for u in range(ell + 1, nu - ell)]
+        elif req.case == 2:
+            h = g // 2
+            w = (2 * ell + 1) * h + i
+            main = [e * b for e in range(-w, w + 1)]
+            tails = [(2 * u + 1) * h * b for u in range(ell + 1, nu - ell - 1)]
+        else:
+            lo = ((nu - 1) // 2 - ell) * g - i
+            hi = ((nu + 1) // 2 + ell) * g + i
+            main = [e * b for e in range(lo, hi + 1)]
+            tails = [u * g * b for u in range((nu + 1) // 2 + ell + 1, (3 * nu - 1) // 2 - ell)]
+        return main + tails
+    if fam == "C59":
+        g = r + delta - 1
+        nu = n // g
+        if req.case == 1:
+            lo = -((r + delta) // 2 + ell * g + i)
+            hi = (r + delta - 2) // 2 + ell * g + i
+            main = [e * b for e in range(lo, hi + 1)]
+            tails = [((r + delta - 2) // 2 + u * g) * b for u in range(ell + 1, nu - ell - 1)]
+        else:
+            c = (n - 1) // 2
+            main = [(c + e) * b for e in range(-(ell * g + i), ell * g + i + 1)]
+            tails = [(c + u * g) * b for u in range(ell + 1, nu - ell)]
+        return main + tails
+    if fam == "C56":
+        out = [0]
+        for u in range((n + 1) // 2, (n + m - 1) // 2 + 1):
+            out += [u * b, -u * b]
+        return out
+    if fam == "C511":
+        return [e * b for e in range(-m // 2, (m - 2) // 2 + 1)] + [(n - 1) // 2 * b]
+    raise AssertionError(fam)
 
 
 def _ref_anchor_size(req):
@@ -495,10 +560,11 @@ def _family_points(fam):
                     yield dict(base, delta=delta, m=m)
 
 
+@cache
 def _validated_requests(fam, cap=200):
     """Up to `cap` validated requests of `fam`, spread evenly over the enumeration."""
     reqs = [r for r in (ConstructionRequest(**d) for d in _family_points(fam)) if not validate(r)]
-    return [_with_defaults(r) for r in reqs[::max(1, len(reqs) // cap)]]
+    return tuple(_with_defaults(r) for r in reqs[::max(1, len(reqs) // cap)])
 
 
 def test_paper_values_match_the_reference_ladders():
@@ -511,3 +577,42 @@ def test_paper_values_match_the_reference_ladders():
             assert _paper_values(req) == want, req
             assert len(_anchor_exponents(req)) == _ref_anchor_size(req), req
             assert _run_set(RAW_CONTEXT, req) == _ref_run_exps(req), req
+
+
+def _shifted_requests(fam):
+    """The validated requests of `fam`, each with a step b drawn from the units
+    mod n and, where the family takes the shift, with t = 0, 1 and n-1."""
+    rng = random.Random(fam)
+    for req in _validated_requests(fam):
+        for t in (0, 1, req.n - 1) if _FAMILIES[fam].shifted else (0,):
+            yield replace(req, b=rng.choice(units_mod(req.n)), t=t)
+
+
+def test_anchor_assembly_matches_the_reference():
+    for fam in FAMILY_NAMES:
+        for req in _shifted_requests(fam):
+            got, want = (Counter(e % req.n for e in f(req)) for f in (_anchor_exponents, _ref_anchor_exponents))
+            assert got == want, req
+
+
+# each corollary's theorem; P49 and P410 are T48 at m = 1
+THEOREM_OF = {"C42": "T41", "C44": "T41", "C46": "T41", "C52": "T51", "C56": "T51", "C59": "T58", "C511": "T58",
+              "P49": "T48", "P410": "T48"}
+
+
+def test_every_corollary_is_a_request_of_its_theorem():
+    # the paper's inclusion claim: each corollary's anchor is a valid request
+    # of its theorem, with the theorem's dimension and distance
+    for fam, theorem in THEOREM_OF.items():
+        for req in _shifted_requests(fam):
+            t, m, tails = _run_and_tails(req)
+            if theorem == "T48":
+                thm = ConstructionRequest(family="T48", q=req.q, n=req.n, delta=req.delta, b=req.b, t=t, m=1)
+            else:
+                thm = ConstructionRequest(family=theorem, q=req.q, n=req.n, delta=req.delta, b=req.b, t=t, m=m,
+                                          tails=tails)
+                assert _tail_clauses(thm) == [], req
+            assert validate(thm) == [], req
+            thm = _with_defaults(thm)
+            assert _anchor_exponents(thm) == _anchor_exponents(req), req
+            assert _paper_values(thm)[:2] == _paper_values(req)[:2], req
