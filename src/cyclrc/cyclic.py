@@ -19,14 +19,17 @@ Minimum distances and minimum-weight words come from one dispatcher,
   an evaluation of a polynomial supported on the nonzero exponents, and any
   minimum-weight word, after a cyclic shift, vanishes on k-1 points that
   include 0 and whose evaluation rows have rank k-1; so the kernel vectors
-  of those (k-1)-subsets hit every word.  They are read off in pencils: one
-  elimination per prefix, 0 and k-3 more points, leaves a 2-dim kernel; its
-  member that vanishes at a last point t vanishes exactly at the common
-  zeros and where t's ratio of the two basis evaluations recurs, so one sort
-  of those ratios counts every last point at once,
+  of those (k-1)-subsets hit every word.  They are read off in pencils: a
+  lex-ordered prefix walk eliminates each prefix, 0 and k-3 more points,
+  once, one pivot step from its parent's rows, and leaves two evaluation
+  rows vanishing on it; their combination that vanishes at a last point t
+  vanishes exactly at the common zeros and where t's ratio of the two
+  evaluations recurs, so one sort of those ratios counts every last point
+  at once,
 * a support climb that tests parity-check columns for dependence, one weight
-  at a time from the lower bound up to the upper bound; a cyclic shift takes
-  every dependent set through coordinate 0, so only those supports are tried.
+  at a time from the lower bound up to the upper bound, on the same prefix
+  walk; a cyclic shift takes every dependent set through coordinate 0, so
+  only those supports are tried.
 
 One cost model ranks them: the enumerations by their whole cost, which must
 fit the budget, and the climb by its whole cost up to the upper bound, though
@@ -37,7 +40,6 @@ to a certified (lower, upper) sandwich, and `min_weight_word` raises.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -402,12 +404,43 @@ def _canonical_word(F: FieldSpec, words):
     """(support, word) with the lexicographically smallest support among the
     words and all their cyclic shifts, the word scaled to leading coefficient 1.
 
-    Each word contributes the first entry of its support's orbit.  The words
-    have minimum weight, so two with one support are proportional and the
-    scaled word does not depend on which word or shift reached it."""
-    (shift, sup), word = min(((support_orbit(np.flatnonzero(w), len(w))[0], w) for w in words),
-                             key=lambda e: e[0][1])
+    A shift that moves support point i to 0 lists the support as the partial
+    sums of its cyclic gap sequence read from i, so shifted supports compare
+    as those rotations do, and each word's lex-first shift starts at the
+    least rotation, found in O(w) by `_least_rotation`.  The words have
+    minimum weight, so two with one support are proportional and the scaled
+    word does not depend on which word or shift reached it."""
+    best = None
+    for w in words:
+        n, sup = len(w), np.flatnonzero(w)
+        j = _least_rotation(np.diff(sup, append=sup[0] + n).tolist())
+        shifted = tuple(np.roll((sup - sup[j]) % n, -j).tolist())
+        if best is None or shifted < best[0]:
+            best = shifted, w, -int(sup[j]) % n
+    sup, word, shift = best
     return sup, _normalize_word(F, np.roll(word, shift))
+
+
+def _least_rotation(seq: list[int]) -> int:
+    """Start of the lexicographically least rotation of seq, by Booth's
+    algorithm: one failure-function pass over seq + seq."""
+    s = seq + seq
+    fail = [-1] * len(s)
+    k = 0  # start of the least rotation so far
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # then i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def _settle(code: CyclicCode, lower: int, upper: int, budget: int, want_words: bool):
@@ -586,23 +619,26 @@ def exhaustive_min_weight(code: CyclicCode) -> int:
     return d
 
 
-def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 2048):
+def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 1024):
     """Exact distance of an ambient-field code via zero-set cores.
 
     Codewords are evaluations over the roots of unity of polynomials on the
     nonzero exponents; every word of weight <= n-k+1 vanishes on >= k-1
-    points, and some cyclic shift of it vanishes at 0, so sweeping all
+    points, and some cyclic shift of it vanishes at 0, so sweeping the
     (k-1)-subsets containing 0 visits every minimum-weight orbit.  Cores of
     rank k-1 suffice: were a minimum-weight word's zero rows of lower rank, a
     second kernel vector could cancel it at one more point, a lighter word.
 
-    The cores are read off in pencils.  A prefix P, {0} and k-3 more points,
-    of rank k-2 has a 2-dim kernel {K1, K2} with evaluations E1, E2 over all
-    points.  For each point t off the common zeros (E1 = E2 = 0) the core
-    P + {t} has rank k-1 and its word is E2[t]*E1 - E1[t]*E2, whose zeros are
-    the common zeros and the points of t's ratio E1:E2.  Every rank-(k-1)
-    core is its sorted prefix plus its largest point, so counting the ratio
-    classes of each prefix, one argsort per chunk, counts every such core.
+    The cores are read off in pencils.  `linalg.prefix_walk` over the
+    evaluation rows that vanish at 0 eliminates each prefix once: a prefix P,
+    {0} and k-3 more points, of rank k-2 leaves two evaluation rows E1, E2
+    spanning the words that vanish on P.  For each point t off their common
+    zeros (E1 = E2 = 0) the core P + {t} has rank k-1 and its word is
+    E2[t]*E1 - E1[t]*E2, whose zeros are the common zeros and the points of
+    t's ratio E1:E2.  Every rank-(k-1) core is its sorted prefix, whose
+    points are independent, plus a larger point, so counting the ratio
+    classes of each prefix that a larger point follows, one argsort per
+    batch of `chunk` prefixes, counts every such core.
     """
     F, ctx = code.field, code.ctx
     n, k = code.n, code.k
@@ -620,16 +656,12 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 204
     q1 = F.q - 1
     best_zero = k - 2
     best_words: list[np.ndarray] = []
-    it = itertools.combinations(range(1, n), k - 3)
-    while block := list(itertools.islice(it, chunk)):
-        prefixes = np.zeros((len(block), k - 2), dtype=np.int64)
-        prefixes[:, 1:] = np.array(block, dtype=np.int64).reshape(len(block), k - 3)
-        R, rk, piv, _ = linalg.gauss_jordan(F, V[prefixes])
-        full = rk == k - 2
-        if not full.any():
+    # the evaluation rows vanishing at point 0: V's row 0 is all ones, so the
+    # pivot step on it subtracts the first row of V.T from the others
+    at_zero = F.vsub(V.T[1:], V.T[0])
+    for P, E in linalg.prefix_walk(F, at_zero, k - 2, chunk):
+        if P.shape[1] < k - 3:
             continue
-        K = linalg.kernel_from_rref(F, R[full], piv[full])  # (B, 2, k)
-        E = linalg.mat_mul(F, K.reshape(-1, k), V.T).reshape(-1, 2, n)
         E1, E2 = E[:, 0], E[:, 1]
         z1, z2 = E1 == 0, E2 == 0
         common = z1 & z2

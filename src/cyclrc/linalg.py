@@ -1,28 +1,28 @@
 """Dense linear algebra over a FieldSpec.
 
-Every elimination runs through one batched Gauss-Jordan kernel,
-`gauss_jordan`: it reduces a (batch, rows, cols) stack to reduced row
-echelon form at numpy speed and reports each entry's rank, pivot columns
-and signed pivot product.  The other routines are views over it.  The
-single-matrix ones (`rref`, `rank`, `nullspace`) run a batch of one, and the
-batched ones (`batch_rank`, `batch_det`, `batch_nullvec`) read their answer
-off the reduced stack.  `kernel_from_rref` is the one kernel read-off: it
-turns a stack of RREFs of one rank into their kernel bases, for `nullspace`,
-`batch_nullvec` and the zero-core scan's prefix pencils.  All matrices are
-numpy int64 arrays of element indices.
+Two eliminations serve every routine.  `gauss_jordan` reduces a (batch,
+rows, cols) stack to reduced row echelon form at numpy speed and reports
+each entry's rank, pivot columns and signed pivot product.  The
+single-matrix routines (`rref`, `rank`, `nullspace`) run a batch of one, and
+the batched ones (`batch_rank`, `batch_det`, `batch_nullvec`) read their
+answer off the reduced stack.  `kernel_from_rref` is the one kernel
+read-off: it turns a stack of RREFs of one rank into their kernel bases, for
+`nullspace` and `batch_nullvec`.  All matrices are numpy int64 arrays of
+element indices.
 
-`first_dependent_columns` is the one column-dependence scan: it batches the
-t-subsets of a matrix's columns through `batch_rank`, and
-`column_scan_cost` is its work estimate.  The support climb of a cyclic code
-scans only the C(n-1, w-1) supports through coordinate 0, but the estimate
-still counts all C(n, w), and so do the strategy ranking and the budget
-refusals built on it, until the cost model is recalibrated (an open ROADMAP
-item).
+`prefix_walk` is the other: it walks the column subsets of a matrix
+depth-first in lex order and eliminates each prefix once, one pivot step
+from its parent's rows, so every subset that shares a prefix shares that
+work.  It serves the zero-core scan's pencils and `first_dependent_columns`,
+the one column-dependence scan, which reads a dependent column off a zero
+column of the walk's rows.  `column_scan_cost` is the scan's work estimate,
+one elimination per t-subset, kept as it was: the strategy ranking and the
+budget refusals built on it stay put until the cost model is recalibrated
+(an open ROADMAP item).
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import reduce
 from math import comb
 from typing import NamedTuple, Optional
@@ -168,24 +168,109 @@ def batch_nullvec(F: FieldSpec, mats) -> np.ndarray:
     return out
 
 
+# Largest parent-row block, in elements, that one batch of `prefix_walk`
+# children gathers; wide matrices get fewer children per batch.
+_BATCH_ELEMS = 1 << 18
+
+
+def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024):
+    """Depth-first walk, in lex order, over the column sets of A that are
+    independent and extend to `size` columns.
+
+    A node is such a set P, |P| < size, with rows R = Y A for a basis Y of
+    the y whose y A vanishes on P; column s of R is then zero exactly when
+    A's column s lies in the span of A's columns P.  The root is the empty
+    set with R = A.  Its child P + s, for s past P's last column with at
+    least size - |P| - 1 columns after s, pivots on the first row i with
+    R[i, s] != 0 and keeps the rows R[i, s] R[r] - R[r, s] R[i], r != i: no
+    division, and Y stays a basis.  A child whose column s is zero is
+    dependent and is not visited.
+
+    Yields (P, R) per batch of nodes: P (batch, |P|) columns and R (batch,
+    rows - |P|, cols).  A batch holds up to `chunk` children of one parent
+    batch, fewer where their parents' rows would pass _BATCH_ELEMS
+    elements, and comes before its children's batches, so batches come in
+    lex order of their first node.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    pending = [iter([(np.zeros((1, 0), dtype=np.int64), A[None])])]
+    while pending:
+        node = next(pending[-1], None)
+        if node is None:
+            pending.pop()
+            continue
+        yield node
+        if node[0].shape[1] + 1 < size:
+            pending.append(_children(F, *node, size, chunk))
+
+
+def _children(F: FieldSpec, P, R, size: int, chunk: int):
+    """The batches of independent children of one `prefix_walk` batch."""
+    nb, m, cols = R.shape
+    depth = P.shape[1]
+    first = P[:, -1] + 1 if depth else np.zeros(nb, dtype=np.int64)
+    counts = np.maximum(cols - size + depth + 1 - first, 0)
+    parent = np.repeat(np.arange(nb), counts)
+    col = np.arange(len(parent)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    step = max(1, min(chunk, _BATCH_ELEMS // max(1, m * cols)))
+    for lo in range(0, len(parent), step):
+        b, s = parent[lo:lo + step], col[lo:lo + step]
+        at = R[b, :, s]  # (batch, m): column s of each parent's rows
+        nz = at != 0
+        live = nz.any(axis=1)
+        b, s, at = b[live], s[live], at[live]
+        if not len(b):
+            continue
+        piv = nz[live].argmax(axis=1)
+        rest = np.arange(m - 1) + (np.arange(m - 1) >= piv[:, None])  # (batch, m - 1): rows r != piv
+        ib = np.arange(len(b))
+        lead = at[ib, piv]
+        kept = F.vsub(F.vmul(lead[:, None, None], R[b[:, None], rest]),
+                      F.vmul(at[ib[:, None], rest][:, :, None], R[b, piv][:, None, :]))
+        yield np.column_stack([P[b], s]), kept
+
+
 def column_scan_cost(cols: int, rows: int, t: int) -> int:
     """Work estimate of `first_dependent_columns`: one rows x t elimination
-    per t-subset of the columns.  The support climb's scan through coordinate
-    0 does C(cols-1, t-1) of them; it is still priced at C(cols, t) until the
-    cost model is recalibrated (an open ROADMAP item)."""
+    per t-subset of the columns.  The walk eliminates each prefix once, and
+    the support climb's scan through coordinate 0 walks C(cols-1, t-1)
+    subsets, but the estimate is deliberately unchanged, so no strategy
+    choice or budget refusal built on it moves until the cost model is
+    recalibrated (an open ROADMAP item)."""
     return comb(cols, t) * rows * t * min(t, rows)
 
 
-def first_dependent_columns(F: FieldSpec, M, t: int, chunk: int = 4096) -> Optional[tuple[int, ...]]:
-    """Lex-first t-subset of the columns of M that is linearly dependent, or None."""
+def first_dependent_columns(F: FieldSpec, M, t: int, chunk: int = 1024) -> Optional[tuple[int, ...]]:
+    """Lex-first t-subset of the columns of M that is linearly dependent, or None.
+
+    `prefix_walk` visits the independent prefixes.  A zero column s past a
+    prefix P's last column makes P + s dependent, and with it every t-set
+    through P + s, the first of which completes P + s by the columns right
+    after s.  A prefix's completion is the first t-set through it, and
+    completions never decrease along the walk's order of batches, so once a
+    batch's first prefix completes no earlier than the best set found, no
+    later batch holds an earlier one.
+    """
     M = np.asarray(M, dtype=np.int64)
     rows, cols = M.shape
+    if t == 0:
+        return None  # the empty set is independent
     if rows < t:
         return tuple(range(t)) if cols >= t else None  # rank never reaches t
-    it = itertools.combinations(range(cols), t)
-    while block := list(itertools.islice(it, chunk)):
-        combos = np.array(block, dtype=np.int64)
-        dep = np.flatnonzero(batch_rank(F, M[:, combos].transpose(1, 0, 2)) < t)
-        if len(dep):
-            return tuple(int(x) for x in combos[dep[0]])
-    return None
+
+    def completion(prefix, s):
+        return (*prefix.tolist(), *range(s, s + t - len(prefix)))
+
+    best = None
+    idx = np.arange(cols)
+    for P, R in prefix_walk(F, M, t, chunk):
+        depth = P.shape[1]
+        after = P[:, -1] + 1 if depth else np.zeros(len(P), dtype=np.int64)
+        if best is not None and completion(P[0], int(after[0])) >= best:
+            break
+        zero = ~R.any(axis=1) & (idx >= after[:, None]) & (idx <= cols - t + depth)
+        hit = np.flatnonzero(zero.any(axis=1))
+        if len(hit):
+            found = completion(P[hit[0]], int(zero[hit[0]].argmax()))
+            best = found if best is None else min(best, found)
+    return best

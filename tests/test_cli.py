@@ -279,18 +279,24 @@ def test_verify_budget_too_small_is_not_malformed(capsys, t41_n1023):
 
 def test_verify_eliminates_nothing_larger_than_the_parity_checks(monkeypatch, t41_n1023):
     # locality is read off h0's translate rows, as construct does, so no
-    # elimination verify runs has more rows than the n - k parity checks
+    # elimination verify runs, a Gauss-Jordan stack or a prefix walk's
+    # matrix, has more rows than the n - k parity checks
     cert = json.loads(t41_n1023.read_text(encoding="utf-8"))
-    shapes = []
+    rows = []
 
     def recording(F, mats, real=linalg.gauss_jordan):
-        shapes.append(np.shape(mats))
+        rows.append(np.shape(mats)[1])
         return real(F, mats)
 
+    def recording_walk(F, A, *args, real=linalg.prefix_walk):
+        rows.append(np.shape(A)[0])
+        return real(F, A, *args)
+
     monkeypatch.setattr(linalg, "gauss_jordan", recording)
+    monkeypatch.setattr(linalg, "prefix_walk", recording_walk)
     report = verify_certificate(cert)
     assert {status for _, status, _ in report} == {"agree"}
-    assert shapes and max(rows for _, rows, _ in shapes) <= cert["code"]["n"] - cert["code"]["k"] == 2
+    assert rows and max(rows) <= cert["code"]["n"] - cert["code"]["k"] == 2
 
 
 def test_verify_malformed_exit1(capsys, tmp_path):

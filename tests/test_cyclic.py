@@ -385,21 +385,27 @@ def test_dependent_support_matches_all_subsets_scan(q, n, exps, base):
 
 def test_support_scan_runs_through_coordinate_zero(monkeypatch):
     # the [18, 8, 11] Reed-Solomon code over GF(19): at weight 7 the scan finds
-    # nothing, so it eliminates every support it tries, the C(17, 6) supports
-    # through coordinate 0 and not all C(18, 7)
+    # nothing, so it decides every support it can reach, the C(17, 6) supports
+    # through coordinate 0 and not all C(18, 7): the walk runs on the 17
+    # columns past coordinate 0, and each 5-column prefix it reaches decides
+    # the 6-sets that add one later column
     ctx = cyc_context(19, 18)
     code = code_from_defining_set(ctx, ctx.exponent_set(range(1, 11)))
     assert code.n - code.k == 10
-    mats = []
-    batch_rank = linalg.batch_rank
+    shapes, decided = [], []
+    prefix_walk = linalg.prefix_walk
 
-    def counting_batch_rank(F, stack):
-        mats.append(len(stack))
-        return batch_rank(F, stack)
+    def counting_walk(F, A, size, chunk):
+        shapes.append((np.shape(A), size))
+        for P, R in prefix_walk(F, A, size, chunk):
+            if P.shape[1] == size - 1:
+                decided.append(int((np.shape(A)[1] - 1 - P[:, -1]).sum()))
+            yield P, R
 
-    monkeypatch.setattr(linalg, "batch_rank", counting_batch_rank)
+    monkeypatch.setattr(linalg, "prefix_walk", counting_walk)
     assert not has_weight_at_most(code, 7)
-    assert sum(mats) == comb(17, 6) == 12376
+    assert shapes == [((9, 17), 6)]
+    assert sum(decided) == comb(17, 6) == 12376
 
 
 def test_min_weight_word_properties():
@@ -573,8 +579,9 @@ def anchor_duals():
 @pytest.mark.parametrize("code", [*random_ambient_codes(1907, 3), *anchor_duals()],
                          ids=lambda c: f"{c.ctx.q}-{c.n}-k{c.k}-{'.'.join(map(str, c.defining.complement().exps))}")
 def test_zero_core_pencils_match_reference(code):
-    # one elimination per (k-2)-point prefix finds the distance and the words
-    # that the brute-force core enumeration finds, however the prefixes are chunked
+    # the prefix walk, one pivot step per (k-2)-point prefix, finds the
+    # distance and the words that the brute-force core enumeration finds,
+    # however its children are batched
     F, n, k = code.field, code.n, code.k
     V = code.ctx.root_powers(range(n), list(code.defining.complement().exps))
     best_zero, words = reference_zero_core_words(F, V, reference_zero_core_candidates(F, V, 4096))

@@ -1,6 +1,10 @@
-"""Property tests of the batched Gauss-Jordan kernel and its views."""
+"""Property tests of the batched Gauss-Jordan kernel and its views, and of
+the prefix walk under the column-dependence scan."""
+
+import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclrc import linalg
@@ -96,7 +100,7 @@ def test_nullspace_is_kernel_basis(case):
 @SETTINGS
 @given(stacks(ANY))
 def test_kernel_read_off_batched_rref_equals_nullspace(case):
-    # the zero-core scan's read-off: one kernel_from_rref per rank group
+    # the read-off under nullspace and batch_nullvec: one kernel_from_rref per rank group
     F, mats = case
     e = linalg.gauss_jordan(F, mats)
     for r in np.unique(e.rank):
@@ -128,3 +132,77 @@ def test_batch_det_matches_cofactor_expansion(case):
     dets = linalg.batch_det(F, mats)
     for M, d in zip(mats, dets):
         assert d == cofactor_det(F, M.tolist())
+
+
+def reference_first_dependent_columns(F, M, t, chunk=4096):
+    """The per-subset scan: every t-subset of the columns in lex order, one
+    batch_rank elimination each, up to the first batch with a dependent set."""
+    M = np.asarray(M, dtype=np.int64)
+    rows, cols = M.shape
+    if rows < t:
+        return tuple(range(t)) if cols >= t else None
+    it = itertools.combinations(range(cols), t)
+    while block := list(itertools.islice(it, chunk)):
+        combos = np.array(block, dtype=np.int64).reshape(len(block), t)
+        dep = np.flatnonzero(linalg.batch_rank(F, M[:, combos].transpose(1, 0, 2)) < t)
+        if len(dep):
+            return tuple(int(x) for x in combos[dep[0]])
+    return None
+
+
+# the four fields of the differential scan: binary, prime and two
+# odd-characteristic extensions
+SCAN_FIELDS = [field_create(2, 4), field_create(19, 1), field_create(5, 2), field_create(3, 3)]
+
+
+def scan_matrices(F, rng, count):
+    """Seeded matrices with zero columns, repeated columns, rank-deficient
+    rows and fewer rows than columns."""
+    for _ in range(count):
+        rows, cols = int(rng.integers(0, 7)), int(rng.integers(0, 10))
+        M = rng.integers(0, F.q, size=(rows, cols))
+        M[rng.random(M.shape) < rng.random() / 2] = 0
+        if cols and rng.random() < 0.4:
+            M[:, rng.integers(cols)] = 0
+        if cols >= 2 and rng.random() < 0.4:
+            M[:, rng.integers(cols)] = M[:, rng.integers(cols)]
+        if rows >= 3 and rng.random() < 0.4:
+            M[-1] = F.vadd(F.vmul(M[0], int(rng.integers(F.q))), M[1])
+        yield M
+
+
+@pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF({F.p}^{F.m})")
+def test_first_dependent_columns_matches_per_subset_scan(F):
+    rng = np.random.default_rng(1931 + F.q)
+    for M in scan_matrices(F, rng, 250):
+        rows, cols = M.shape
+        for t in sorted({0, 1, rows, cols, int(rng.integers(0, cols + 2))}):
+            want = reference_first_dependent_columns(F, M, t)
+            for chunk in (1, 3, None):
+                kw = {} if chunk is None else {"chunk": chunk}
+                assert linalg.first_dependent_columns(F, M, t, **kw) == want, (M.tolist(), t, chunk)
+
+
+@pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF({F.p}^{F.m})")
+def test_prefix_walk_visits_each_independent_prefix_once(F):
+    # in lex order of each batch's first prefix, with rows in A's row space
+    # that vanish on the prefix and keep full rank
+    rng = np.random.default_rng(1949 + F.q)
+    for A in scan_matrices(F, rng, 12):
+        rows, cols = A.shape
+        rank = len(linalg.rref(F, A)[1])
+        for size in range(1, cols + 1):
+            want = [P for j in range(size) for P in itertools.combinations(range(cols), j)
+                    if all(p <= cols - size + i for i, p in enumerate(P))
+                    and len(linalg.rref(F, A[:, list(P)])[1]) == j]
+            got, firsts = [], []
+            for P, R in linalg.prefix_walk(F, A, size, chunk=3):
+                assert R.shape == (len(P), rows - P.shape[1], cols)
+                firsts.append(tuple(P[0].tolist()))
+                for prefix, rows_p in zip(P.tolist(), R):
+                    got.append(tuple(prefix))
+                    assert not rows_p[:, prefix].any()
+                    assert len(linalg.rref(F, np.vstack([A, rows_p]))[1]) == rank
+                    assert len(linalg.rref(F, rows_p)[1]) == rank - len(prefix) or rank < rows
+            assert sorted(got) == sorted(want) and len(got) == len(set(got)), (A.tolist(), size)
+            assert firsts == sorted(firsts)
