@@ -89,6 +89,17 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_json(path: str):
+    """The JSON document at `path`.  Raises OSError, UnicodeDecodeError, or
+    JSONDecodeError, also for nesting too deep for the decoder."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep to decode", text, 0) from None
+
+
 def _result_row(cert: dict) -> dict:
     """The CSV row of a certificate's JSON document."""
     o = cert["optimality"]
@@ -156,8 +167,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.certificate, encoding="utf-8") as fh:
-            report = verify_certificate(json.load(fh), args.budget)
+        report = verify_certificate(_read_json(args.certificate), args.budget)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, MalformedCertificate) as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return 1
@@ -213,8 +223,7 @@ def _expand_grid(axes: list[tuple[str, list]]):
 
 def cmd_search(args) -> int:
     try:
-        with open(args.grid, encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = _read_json(args.grid)
         if not isinstance(config, dict) or not isinstance(config.get("grids"), list):
             raise ValueError('expected an object with a "grids" list')
         # every block is checked before the first build
@@ -255,8 +264,7 @@ def cmd_search(args) -> int:
 
 def cmd_table(args) -> int:
     try:
-        with open(args.results, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(args.results)
         # certificates and search rows, alone or in a list
         rows = [_result_row(item) if "optimality" in item else {key: item.get(key, "") for key in CSV_HEADER}
                 for item in ([data] if isinstance(data, dict) else data)]

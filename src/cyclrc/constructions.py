@@ -36,6 +36,7 @@ from .cyclic import (
     CyclicCode,
     DEFAULT_BUDGET,
     ExponentSet,
+    check_budget,
     cyc_context,
     code_from_defining_set,
     min_distance,
@@ -423,28 +424,30 @@ def _witness(req: ConstructionRequest) -> tuple[Optional[BettiSalaWitness], Opti
     return w, {"kind": "run_blocks", **asdict(w)}
 
 
-def _assemble(req: ConstructionRequest) -> tuple[ConstructionRequest, ExponentSet, ExponentSet]:
+def _assemble(req: ConstructionRequest,
+              budget: int = DEFAULT_BUDGET) -> tuple[ConstructionRequest, ExponentSet, ExponentSet]:
     """Validate a request; return it with defaults filled in, and its anchor
-    and run sets.  Raises HypothesisViolated."""
+    and run sets.  Raises HypothesisViolated, and then BudgetTooSmall for a
+    budget below n^2, before any context is built."""
     clauses = validate(req)
     if clauses:
         raise HypothesisViolated(clauses)
     req = _with_defaults(req)
-    ctx = cyc_context(req.q, req.n)
     exps = _anchor_exponents(req)
-    anchor = ctx.exponent_set(exps)
-    if len(anchor) != len(exps):
+    if len({e % req.n for e in exps}) != len(exps):
         raise HypothesisViolated(["anchor exponents collide mod n"])
     # mu is read only by C42, C52 and C59, whose validation requires r
     if req.mu is not None and _paper_values(req)[0] != req.mu * req.r:
         raise HypothesisViolated(["k = mu*r"])
-    return req, anchor, _run_set(ctx, req)
+    check_budget(req.n, budget)
+    ctx = cyc_context(req.q, req.n)
+    return req, ctx.exponent_set(exps), _run_set(ctx, req)
 
 
 def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult:
     """Build a family request end to end and certify it."""
     request = req
-    req, anchor, run = _assemble(req)
+    req, anchor, run = _assemble(req, budget)
     code = code_from_defining_set(anchor.ctx, product_set(anchor, run), base="subfield")
     loc = locality_from_product(anchor, run, code, budget)
     cert, broken = _certificate(request, req, code, loc, _optimality(code, req, loc, budget))
@@ -532,7 +535,7 @@ def _verify(cert: dict, budget: int) -> list[tuple[str, str, str]]:
     claimed_loc, claimed_opt = cert["locality"], cert["optimality"]
     try:
         request = ConstructionRequest.from_dict(claimed_opt["request"])
-        req, anchor, run = _assemble(request)
+        req, anchor, run = _assemble(request, budget)
     except HypothesisViolated as exc:
         return [("request", "disagree", f"hypothesis violated: {exc}")]
     code = code_from_defining_set(anchor.ctx, product_set(anchor, run), base="subfield")

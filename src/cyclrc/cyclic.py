@@ -66,6 +66,13 @@ class BudgetTooSmall(ValueError):
     """Contractual: the bound computation itself never exceeds any sane budget."""
 
 
+def check_budget(n: int, budget: int) -> None:
+    """Refuse a budget below n^2, which cannot cover a length-n code's O(n^2)
+    bound scan."""
+    if budget < n * n:
+        raise BudgetTooSmall(f"budget {budget} cannot cover the O(n^2) bound scan")
+
+
 class CombinatorialBudgetExceeded(RuntimeError):
     pass
 
@@ -351,8 +358,7 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
 def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, witness=None,
                  upper: Optional[int] = None) -> DistanceResult:
     n, k = code.n, code.k
-    if budget < n * n:
-        raise BudgetTooSmall(f"budget {budget} cannot cover the O(n^2) bound scan")
+    check_budget(n, budget)
     if k == 0:
         return DistanceResult(0, 0, None, "sandwich", undefined=True)
     bch_val, _w = bounds.bch_lower(code.defining)

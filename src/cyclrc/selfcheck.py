@@ -1,7 +1,8 @@
-"""Exhaustive small-length sweeps backing the structural identities.
+"""Exhaustive small-length sweep backing the structural identities.
 
-Over every union of cyclotomic cosets for a fixed list of (q, n) pairs, the
-sweeps confirm with exact oracles that
+One walk visits every union of cyclotomic cosets for a fixed list of (q, n)
+pairs, settles each set's distances once with exact oracles, and confirms
+that
 
 * the dual distance equals the distance of the complement-set code,
 * the base-field code and the ambient-field code with the same defining set
@@ -9,7 +10,7 @@ sweeps confirm with exact oracles that
 * the run bounds never exceed the true distance, and the subgroup-run dual
   criterion, whenever it fires, matches the oracle exactly.
 
-These identities carry the whole construction pipeline, so the sweeps run in
+These identities carry the whole construction pipeline, so the sweep runs in
 the packaged selftest as well as the test suite.
 """
 
@@ -54,45 +55,6 @@ def _exact(code, budget: int):
     return res.exact
 
 
-def run_dual_complement_sweep(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
-    out = []
-    for q, n in SWEEP_PAIRS:
-        ctx = cyc_context(q, n)
-        total = 0
-        for S in closed_sets(ctx):
-            code = code_from_defining_set(ctx, S)
-            d_dual = _exact(code.dual_code(), budget)
-            d_comp = _exact(code.complement_code(), budget)
-            if d_dual != d_comp:
-                out.append(CheckResult(
-                    f"dual_complement q={q} n={n}", f"set {list(S.exps)}", False,
-                    f"dual {d_dual} vs complement {d_comp}"))
-            total += 1
-        out.append(CheckResult(f"dual_complement q={q} n={n}",
-                               f"{total} defining sets agree", True))
-    return out
-
-
-def run_field_jump_sweep(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
-    out = []
-    for q, n in SWEEP_PAIRS:
-        ctx = cyc_context(q, n)
-        total = 0
-        for S in closed_sets(ctx):
-            sub = code_from_defining_set(ctx, S, base="subfield")
-            ext = code_from_defining_set(ctx, S, base="extension")
-            d_sub = _exact(sub, budget)
-            d_ext = _exact(ext, budget)
-            if d_sub != d_ext:
-                out.append(CheckResult(
-                    f"field_jump q={q} n={n}", f"set {list(S.exps)}", False,
-                    f"base field {d_sub} vs ambient {d_ext}"))
-            total += 1
-        out.append(CheckResult(f"field_jump q={q} n={n}",
-                               f"{total} defining sets agree", True))
-    return out
-
-
 def _enumerate_bs_witnesses(exps: frozenset, n: int):
     units = bounds.units_mod(n)
     for m, dw in ((1, 2), (1, 3), (2, 2)):
@@ -103,46 +65,7 @@ def _enumerate_bs_witnesses(exps: frozenset, n: int):
         yield from islice((w for w in witnesses if all(e in exps for e in w.exponents(n))), 1)
 
 
-def run_bound_soundness_sweep(budget: int = DEFAULT_BUDGET, rng_seed: int = 20240817) -> list[CheckResult]:
-    out = []
-    for q, n in SWEEP_PAIRS:
-        ctx = cyc_context(q, n)
-        total = fired = 0
-        for S in closed_sets(ctx):
-            if len(S) == n:
-                continue  # zero code has no distance to bound
-            code = code_from_defining_set(ctx, S)
-            d = _exact(code, budget)
-            lo, _ = bounds.bch_lower(S)
-            if lo > d:
-                out.append(CheckResult(f"bounds q={q} n={n}", f"run bound set {list(S.exps)}",
-                                       False, f"bound {lo} exceeds distance {d}"))
-            have = frozenset(S.exps)
-            for w in _enumerate_bs_witnesses(have, n):
-                bs = bounds.betti_sala_lower(S, w)
-                if bs > d:
-                    out.append(CheckResult(f"bounds q={q} n={n}",
-                                           f"blocks bound set {list(S.exps)}", False,
-                                           f"witness {w} gives {bs} above {d}"))
-                    break
-            # dual criterion against the oracle, over the ambient field
-            ext = code_from_defining_set(ctx, S, base="extension")
-            val = bounds.exact_dual_distance(S)
-            if val is not None:
-                fired += 1
-                oracle = _exact(ext.dual_code(), budget)
-                if oracle != val:
-                    out.append(CheckResult(f"bounds q={q} n={n}",
-                                           f"dual criterion set {list(S.exps)}", False,
-                                           f"criterion {val} vs oracle {oracle}"))
-            total += 1
-        out.append(CheckResult(f"bounds q={q} n={n}",
-                               f"{total} sets sound, dual criterion fired {fired}x", True))
-    out.extend(_random_subgroup_sets(budget, rng_seed))
-    return out
-
-
-def _random_subgroup_sets(budget: int, seed: int) -> list[CheckResult]:
+def _random_subgroup_sets(budget: int, seed: int = 20240817) -> list[CheckResult]:
     """Random coset-plus-noise sets with n <= 24 for the dual criterion."""
     rng = np.random.default_rng(seed)
     out = []
@@ -176,8 +99,49 @@ def _random_subgroup_sets(budget: int, seed: int) -> list[CheckResult]:
 
 
 def run_sweeps(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
-    out = []
-    out.extend(run_dual_complement_sweep(budget))
-    out.extend(run_field_jump_sweep(budget))
-    out.extend(run_bound_soundness_sweep(budget))
-    return out
+    """The walk over each pair's closed sets, then the random sets.  A set's
+    dual, complement, base-field, ambient-field and, when the criterion fires,
+    ambient dual distance are each settled once; the lines of the three
+    identities come out one identity after another."""
+    dual_complement, field_jump, sound = [], [], []
+    for q, n in SWEEP_PAIRS:
+        ctx = cyc_context(q, n)
+        pair = f"q={q} n={n}"
+        total = fired = 0
+        for S in closed_sets(ctx):
+            total += 1
+            code = code_from_defining_set(ctx, S)
+            ext = code_from_defining_set(ctx, S, base="extension")
+            d_dual, d_comp = _exact(code.dual_code(), budget), _exact(code.complement_code(), budget)
+            d, d_ext = _exact(code, budget), _exact(ext, budget)
+            if d_dual != d_comp:
+                dual_complement.append(CheckResult(f"dual_complement {pair}", f"set {list(S.exps)}", False,
+                                                   f"dual {d_dual} vs complement {d_comp}"))
+            if d != d_ext:
+                field_jump.append(CheckResult(f"field_jump {pair}", f"set {list(S.exps)}", False,
+                                              f"base field {d} vs ambient {d_ext}"))
+            if len(S) == n:
+                continue  # zero code has no distance to bound
+            lo, _ = bounds.bch_lower(S)
+            if lo > d:
+                sound.append(CheckResult(f"bounds {pair}", f"run bound set {list(S.exps)}", False,
+                                         f"bound {lo} exceeds distance {d}"))
+            for w in _enumerate_bs_witnesses(frozenset(S.exps), n):
+                bs = bounds.betti_sala_lower(S, w)
+                if bs > d:
+                    sound.append(CheckResult(f"bounds {pair}", f"blocks bound set {list(S.exps)}", False,
+                                             f"witness {w} gives {bs} above {d}"))
+                    break
+            # dual criterion against the oracle, over the ambient field
+            val = bounds.exact_dual_distance(S)
+            if val is not None:
+                fired += 1
+                oracle = _exact(ext.dual_code(), budget)
+                if oracle != val:
+                    sound.append(CheckResult(f"bounds {pair}", f"dual criterion set {list(S.exps)}", False,
+                                             f"criterion {val} vs oracle {oracle}"))
+        dual_complement.append(CheckResult(f"dual_complement {pair}", f"{total} defining sets agree", True))
+        field_jump.append(CheckResult(f"field_jump {pair}", f"{total} defining sets agree", True))
+        # the bounds skip the full set, the last of closed_sets
+        sound.append(CheckResult(f"bounds {pair}", f"{total - 1} sets sound, dual criterion fired {fired}x", True))
+    return dual_complement + field_jump + sound + _random_subgroup_sets(budget)

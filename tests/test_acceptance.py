@@ -12,17 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cyclrc import selfcheck
 from cyclrc.cli import main as cli_main
 from cyclrc.constructions import ConstructionRequest, build, validate
 from cyclrc.cyclic import CycContext, code_from_defining_set, cyc_context, cyclotomic_coset, product_set
 from cyclrc.field import field_create
 from cyclrc.golden import run_corpus
 from cyclrc.poly import Polynomial
-from cyclrc.selfcheck import (
-    run_bound_soundness_sweep,
-    run_dual_complement_sweep,
-    run_field_jump_sweep,
-)
 
 GRID = str(resources.files("cyclrc").joinpath("golden/search_nondividing.json"))
 
@@ -77,31 +73,64 @@ def test_criterion_2_nondividing_search(capsys):
                 f"{len(nondiv)} optimal codes with (r+delta-1) not dividing n")
 
 
-def test_criterion_3_dual_complement_sweep():
-    t0 = time.time()
-    results = run_dual_complement_sweep()
-    elapsed = time.time() - t0
-    fails = [r.line() for r in results if not r.ok]
-    ok = not fails and elapsed < 120
-    _report(3, "dual equals complement-set distance", ok,
-            f"{sum(1 for r in results if r.ok)} pair summaries in {elapsed:.1f}s"
-            + ("; " + "; ".join(fails) if fails else ""))
+@pytest.fixture(scope="module")
+def sweep_results():
+    # the walk's results, its time, and the number of distances it settled
+    calls = []
+
+    def counting(*args, real=selfcheck.min_distance, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selfcheck, "min_distance", counting)
+        t0 = time.time()
+        results = selfcheck.run_sweeps()
+        elapsed = time.time() - t0
+    return results, elapsed, len(calls)
 
 
-def test_criterion_4_field_jump_sweep():
-    t0 = time.time()
-    results = run_field_jump_sweep()
-    fails = [r.line() for r in results if not r.ok]
+def _sweep_fails(results, prefix):
+    """The failure lines among one identity's results, which hold a summary
+    for each sweep pair."""
+    entries = [r for r in results if r.entry.startswith(prefix)]
+    assert sum(r.ok for r in entries) >= len(selfcheck.SWEEP_PAIRS), f"no summary for each pair in {prefix}"
+    return [r.line() for r in entries if not r.ok]
+
+
+def test_criterion_3_dual_complement_sweep(sweep_results):
+    results, elapsed, _ = sweep_results
+    fails = _sweep_fails(results, "dual_complement")
+    _report(3, "dual equals complement-set distance", not fails and elapsed < 120,
+            f"whole walk in {elapsed:.1f}s" + ("; " + "; ".join(fails) if fails else ""))
+
+
+def test_criterion_4_field_jump_sweep(sweep_results):
+    results, elapsed, _ = sweep_results
+    fails = _sweep_fails(results, "field_jump")
     _report(4, "base field and ambient field share one distance", not fails,
-            f"{time.time()-t0:.1f}s" + ("; " + "; ".join(fails) if fails else ""))
+            f"whole walk in {elapsed:.1f}s" + ("; " + "; ".join(fails) if fails else ""))
 
 
-def test_criterion_5_bound_soundness_sweep():
-    t0 = time.time()
-    results = run_bound_soundness_sweep()
-    fails = [r.line() for r in results if not r.ok]
+def test_criterion_5_bound_soundness_sweep(sweep_results):
+    results, elapsed, _ = sweep_results
+    fails = _sweep_fails(results, ("bounds", "random_subgroup_sets"))
     _report(5, "bounds sound, dual criterion matches oracle", not fails,
-            f"{time.time()-t0:.1f}s" + ("; " + "; ".join(fails) if fails else ""))
+            f"whole walk in {elapsed:.1f}s" + ("; " + "; ".join(fails) if fails else ""))
+
+
+def test_sweep_output_is_the_recorded_selftest(sweep_results):
+    # `cyclrc selftest` prints these lines after the golden corpus's
+    results, _, _ = sweep_results
+    recorded = (Path(__file__).parent / "data" / "selftest_sweeps.txt").read_text(encoding="utf-8")
+    assert [r.line() for r in results] == recorded.splitlines()
+
+
+def test_sweep_settles_each_distance_once(sweep_results):
+    # four distances for each of the 680 closed sets, and one ambient dual
+    # for each of the 244 + 105 firings of the dual criterion
+    _, _, calls = sweep_results
+    assert calls == 4 * 680 + 244 + 105
 
 
 def test_criterion_6_locality_soundness(golden_results):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclrc import linalg
+from cyclrc import constructions, linalg
 from cyclrc.cli import main
 from cyclrc.constructions import verify_certificate
 
@@ -277,6 +277,28 @@ def test_verify_budget_too_small_is_not_malformed(capsys, t41_n1023):
     assert "Traceback" not in err
 
 
+# n^2 = 16383^2 is above the default budget of 1e8
+T48_N16383 = {"family": "T48", "q": 16384, "n": 16383, "delta": 2, "m": 1}
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_budget_below_n2_refused_before_any_context(capsys, tmp_path, monkeypatch, command):
+    # the refusal comes before the O(n^2) work of building the code
+    def no_context(q, n):
+        raise AssertionError(f"context built for q={q} n={n}")
+
+    monkeypatch.setattr(constructions, "cyc_context", no_context)
+    if command == "construct":
+        argv = [arg for key, value in T48_N16383.items() for arg in (f"--{key}", str(value))]
+    else:
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"locality": {}, "optimality": {"request": T48_N16383}}))
+        argv = [str(cert)]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("BudgetTooSmall: budget 100000000 cannot cover")
+
+
 def test_verify_eliminates_nothing_larger_than_the_parity_checks(monkeypatch, t41_n1023):
     # locality is read off h0's translate rows, as construct does, so no
     # elimination verify runs, a Gauss-Jordan stack or a prefix walk's
@@ -307,6 +329,20 @@ def test_verify_malformed_exit1(capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 1 and err.startswith("malformed certificate:")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["verify"], "malformed certificate: "),
+    (["search", "--grid"], "invalid grid config: "),
+    (["table"], "cannot read results: "),
+])
+def test_deeply_nested_json_exit1(capsys, tmp_path, argv, line):
+    # nesting deeper than the JSON decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(line) and "Traceback" not in err
 
 
 def test_search_headline_grid(capsys):
