@@ -11,8 +11,9 @@ Minimum distances and minimum-weight words come from one dispatcher,
 
 * message-space enumeration (dimension small), with no product in its loop:
   every multiple of every generator row is formed once, one block holds
-  every combination of the last rows, and each step adds an offset word,
-  kept by one subtraction and one addition per changed digit, to the block;
+  every combination of the last rows, and each step weighs the block plus
+  an offset word, kept by one subtraction and one addition per changed
+  digit, by comparing the block with the negated offset;
   the order of enumeration cannot change a certificate, because
   minimum-weight words with one support are proportional,
 * zero-core enumeration for codes over the ambient field: every codeword is
@@ -571,8 +572,11 @@ def _exhaustive_scan(code: CyclicCode, early_stop_at: Optional[int] = None, want
     of the last j rows, j the most rows whose q_b^j words fit in `chunk` (at
     least one row).  A mixed-radix counter steps the first k-j rows: each
     changed digit swaps its row's multiple in the offset word by one vsub and
-    one vadd, and each step adds the offset to the whole block.  The zero word
-    is the block's first row at the first step, the only one that skips it.
+    one vadd.  Each step weighs block + offset without forming it: a word's
+    weight is the number of coordinates where the block differs from
+    -offset, one comparison per element, and only the rows of minimum weight
+    are added to the offset.  The zero word is the block's first row at the
+    first step, which skips it by its index.
 
     The order of enumeration cannot change a certificate: two minimum-weight
     words with one support are proportional (else a combination of them
@@ -593,7 +597,6 @@ def _exhaustive_scan(code: CyclicCode, early_stop_at: Optional[int] = None, want
         block = F.vadd(mult[i][:, None], block[None, :]).reshape(-1, n)
     digits = [0] * (k - j)
     offset = np.zeros(n, dtype=np.int64)
-    cw = block[1:]
     best = n + 1
     best_words: list[np.ndarray] = []
     for step in range(qb ** (k - j)):
@@ -605,15 +608,15 @@ def _exhaustive_scan(code: CyclicCode, early_stop_at: Optional[int] = None, want
                 i += 1
             offset = F.vadd(F.vsub(offset, mult[i, digits[i]]), mult[i, digits[i] + 1])
             digits[i] += 1
-            cw = F.vadd(block, offset)
-        wts = np.count_nonzero(cw, axis=1)
+        wts = np.count_nonzero(block != F.vneg(offset), axis=1)
+        if not step:
+            wts[0] = n + 1  # the zero word
         mn = int(wts.min())
         if mn < best:
             best = mn
             best_words = []
         if want_words and mn == best:
-            for r in np.flatnonzero(wts == best):
-                best_words.append(_normalize_word(F, cw[r].copy()))
+            best_words.extend(_normalize_word(F, w) for w in F.vadd(block[wts == best], offset))
         if not want_words and early_stop_at is not None and best <= early_stop_at:
             return best, []
     return best, best_words
@@ -643,8 +646,11 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     E2[t]*E1 - E1[t]*E2, whose zeros are the common zeros and the points of
     t's ratio E1:E2.  Every rank-(k-1) core is its sorted prefix, whose
     points are independent, plus a larger point, so counting the ratio
-    classes of each prefix that a larger point follows, one argsort per
-    batch of `chunk` prefixes, counts every such core.
+    classes of each prefix that a larger point follows, one sort per batch
+    of `chunk` prefixes, counts every such core.  A point's class is the
+    field element E1/E2, or q where only E2 vanishes and q+1 at a common
+    zero (`_ratio_classes`); the word of a winning class is formed from its
+    first point.
     """
     F, ctx = code.field, code.ctx
     n, k = code.n, code.k
@@ -659,7 +665,7 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     if k <= 2:  # one core, {0} or nothing
         word = linalg.mat_mul(F, linalg.nullspace(F, V[: k - 1]), V.T)[0]
         return n - int((word == 0).sum()), ([_normalize_word(F, word[rev])] if want_words else [])
-    q1 = F.q - 1
+    q = F.q
     best_zero = k - 2
     best_words: list[np.ndarray] = []
     # the evaluation rows vanishing at point 0: V's row 0 is all ones, so the
@@ -669,24 +675,22 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
         if P.shape[1] < k - 3:
             continue
         E1, E2 = E[:, 0], E[:, 1]
-        z1, z2 = E1 == 0, E2 == 0
-        common = z1 & z2
-        # ratio class of each point: log E1 - log E2, else 0, infinity or common
-        cls = np.select([common, z1, z2], [q1 + 2, q1, q1 + 1], (F._log[E1] - F._log[E2]) % q1)
-        order = np.argsort(cls, axis=1)
-        srt = np.take_along_axis(cls, order, axis=1)
+        cls = _ratio_classes(F, E1, E2)
+        common = cls == q + 1
+        srt = np.sort(cls, axis=1)
         new = np.c_[np.ones(len(srt), dtype=bool), srt[:, 1:] != srt[:, :-1]]
         starts = np.flatnonzero(new)  # runs of one class, never across rows
-        rows = starts // n
+        rows, val = starts // n, srt.ravel()[starts]
         size = np.diff(np.r_[starts, srt.size])
-        zeros = np.where(srt.ravel()[starts] == q1 + 2, -1, common.sum(axis=1)[rows] + size)
+        zeros = np.where(val == q + 1, -1, common.sum(axis=1)[rows] + size)
         mz = int(zeros.max())
         if mz > best_zero:
             best_zero = mz
             best_words = []
         if want_words and mz == best_zero:
             hit = zeros == best_zero
-            b, t = rows[hit], order.ravel()[starts[hit]]
+            b = rows[hit]
+            t = (cls[b] == val[hit][:, None]).argmax(axis=1)  # the class's first point
             best_words.append(F.vsub(F.vmul(E2[b, t][:, None], E1[b]), F.vmul(E1[b, t][:, None], E2[b])))
     d = n - best_zero
     if not best_words:
@@ -698,3 +702,10 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     words = words[np.lexsort(words.T[::-1])]
     keep = np.r_[True, (words[1:] != words[:-1]).any(axis=1)]
     return d, list(words[keep])
+
+
+def _ratio_classes(F: FieldSpec, E1, E2):
+    """Projective class of E1:E2 at each point: the field element E1/E2,
+    or q where only E2 vanishes and q+1 where both do."""
+    z2 = E2 == 0
+    return np.where(z2, F.q + (z2 & (E1 == 0)), F.vdiv_nz(E1, E2))

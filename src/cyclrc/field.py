@@ -375,7 +375,9 @@ class FieldSpec:
         return self._expx[self._logx[a] + self._logx[b]]
 
     def vdiv_nz(self, a, b):
-        """a / b elementwise where every b is nonzero."""
+        """a / b elementwise where every b is nonzero.  A zero b reads as 1,
+        giving a: the zero-core scan divides whole rows and masks those
+        entries out afterwards, so this must stay an in-bounds gather."""
         return self._expx[self._logx[a] - self._log[b] + (self.q - 1)]
 
     def vpow_gen(self, e):

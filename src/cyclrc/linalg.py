@@ -13,9 +13,11 @@ element indices.
 `prefix_walk` is the other: it walks the column subsets of a matrix
 depth-first in lex order and eliminates each prefix once, one pivot step
 from its parent's rows, so every subset that shares a prefix shares that
-work.  It serves the zero-core scan's pencils and `first_dependent_columns`,
-the one column-dependence scan, which reads a dependent column off a zero
-column of the walk's rows.  `column_scan_cost` is the scan's work estimate,
+work.  Both fold the pivot's scalars in on the small side (one coefficient
+per row), so each element of a block costs one multiplication and one
+addition.  The walk serves the zero-core scan's pencils and
+`first_dependent_columns`, the one column-dependence scan, which reads a
+dependent column off a zero column of the walk's rows.  `column_scan_cost` is the scan's work estimate,
 one elimination per t-subset, kept as it was: the strategy ranking and the
 budget refusals built on it stay put until the cost model is recalibrated
 (an open ROADMAP item).
@@ -68,7 +70,7 @@ def gauss_jordan(F: FieldSpec, mats) -> Elimination:
         scales[bi, r0] = pivrow[:, 0]
         pivrow = F.vdiv_nz(pivrow, pivrow[:, :1])
         block = R[bi, :, c:]
-        R[bi, :, c:] = F.vsub(block, F.vmul(block[:, :, :1], pivrow[:, None, :]))
+        R[bi, :, c:] = F.vadd(block, F.vmul(F.vneg(block[:, :, :1]), pivrow[:, None, :]))
         R[bi, r0, c:] = pivrow  # the update zeroed it
         pivots[bi, r0] = c
         rank[bi] = r0 + 1
@@ -182,9 +184,9 @@ def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024):
     A's column s lies in the span of A's columns P.  The root is the empty
     set with R = A.  Its child P + s, for s past P's last column with at
     least size - |P| - 1 columns after s, pivots on the first row i with
-    R[i, s] != 0 and keeps the rows R[i, s] R[r] - R[r, s] R[i], r != i: no
-    division, and Y stays a basis.  A child whose column s is zero is
-    dependent and is not visited.
+    R[i, s] != 0 and keeps the rows R[r] + c_r R[i], r != i, with
+    c_r = -R[r, s] / R[i, s] formed once per row, so Y stays a basis.  A
+    child whose column s is zero is dependent and is not visited.
 
     Yields (P, R) per batch of nodes: P (batch, |P|) columns and R (batch,
     rows - |P|, cols).  A batch holds up to `chunk` children of one parent
@@ -224,9 +226,8 @@ def _children(F: FieldSpec, P, R, size: int, chunk: int):
         piv = nz[live].argmax(axis=1)
         rest = np.arange(m - 1) + (np.arange(m - 1) >= piv[:, None])  # (batch, m - 1): rows r != piv
         ib = np.arange(len(b))
-        lead = at[ib, piv]
-        kept = F.vsub(F.vmul(lead[:, None, None], R[b[:, None], rest]),
-                      F.vmul(at[ib[:, None], rest][:, :, None], R[b, piv][:, None, :]))
+        coef = F.vneg(F.vdiv_nz(at[ib[:, None], rest], at[ib, piv][:, None]))  # (batch, m - 1)
+        kept = F.vadd(R[b[:, None], rest], F.vmul(coef[:, :, None], R[b, piv][:, None, :]))
         yield np.column_stack([P[b], s]), kept
 
 

@@ -174,8 +174,9 @@ def test_certificate_determinism():
 
 
 def test_verify_budget_below_bound_scan_is_not_malformed():
-    # the locality record of this certificate checks at any budget, so the
-    # distance's O(n^2) bound scan is reached and refuses a budget below n^2
+    # the shared assembly refuses a budget below n^2 before any context is
+    # built, so neither the locality record nor the distance's O(n^2) bound
+    # scan is reached
     req = ConstructionRequest(family="C44", q=19, n=18, delta=2, t=1, m=5, tails=(8,))
     cert = build(req).certificate
     with pytest.raises(BudgetTooSmall):  # MalformedCertificate is no BudgetTooSmall

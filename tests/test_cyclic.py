@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclrc import cyclic as cy
 from cyclrc import linalg
-from cyclrc.field import FieldSpec
+from cyclrc.field import FieldSpec, field_create
 from cyclrc.cyclic import (
     BoundInversion,
     CombinatorialBudgetExceeded,
@@ -599,6 +599,68 @@ def test_n33_anchor_dual_settles_by_zero_core():
     dual = code_from_defining_set(ctx, ctx.exponent_set([0, 14, 15, 16, 17, 18, 19]), base="extension").dual_code()
     res = min_distance(dual)
     assert (dual.k, res.exact, res.method) == (7, 23, "zero_core")
+
+
+def reference_ratio_classes(F, E1, E2):
+    """The log-difference classes: log E1 - log E2 mod q-1, else separate
+    classes for E1 = 0, E2 = 0 and a common zero."""
+    q1 = F.q - 1
+    z1, z2 = E1 == 0, E2 == 0
+    common = z1 & z2
+    return np.select([common, z1, z2], [q1 + 2, q1, q1 + 1], (F._log[E1] - F._log[E2]) % q1)
+
+
+# binary, prime and odd-extension fields; GF(3^7) has no addition table
+RATIO_FIELDS = [(2, 1), (2, 4), (2, 10), (19, 1), (5, 2), (3, 3), (3, 7)]
+
+
+@pytest.mark.parametrize("p,m", RATIO_FIELDS, ids=lambda v: str(v))
+def test_ratio_classes_partition_points_as_the_log_classes(p, m):
+    # every zero pattern: E1 only, E2 only, both and neither
+    F = field_create(p, m)
+    rng = np.random.default_rng(2113 + F.q)
+    pairs = np.array(list(itertools.product(range(min(F.q, 32)), repeat=2))).T
+    blocks = [pairs[:, None, :]]
+    for _ in range(20):
+        vals = rng.integers(1, F.q, size=3)  # few values, so ratios recur
+        E = vals[rng.integers(0, 3, size=(2, 5, 40))]
+        E[rng.random(E.shape) < 0.3] = 0
+        E[:, :, :4] = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])[:, None, :] * vals[0]  # each pattern once
+        blocks.append(E)
+    for E1, E2 in blocks:
+        got, want = cy._ratio_classes(F, E1, E2), reference_ratio_classes(F, E1, E2)
+        assert np.array_equal(got == F.q + 1, want == F.q + 1)  # the common zeros
+        same = lambda c: c[:, :, None] == c[:, None, :]
+        assert np.array_equal(same(got), same(want))
+
+
+def test_scan_kernel_elements_stay_at_their_bounds(monkeypatch):
+    # output elements of each field kernel, a deterministic measure of the
+    # work, over one zero-core scan of the n33 anchor dual and one
+    # enumeration of a GF(25) [24, 5] code.  The loops that formed two
+    # products per element of the walk's rows and added the offset to every
+    # word made 5.44M vmul elements in the scan and 234M vadd elements in
+    # the enumeration
+    counts = {}
+    for name in ("vadd", "vsub", "vneg", "vmul", "vdiv_nz"):
+        def counted(F, *args, _kernel=getattr(FieldSpec, name), _name=name):
+            out = _kernel(F, *args)
+            counts[_name] = counts.get(_name, 0) + np.size(out)
+            return out
+        monkeypatch.setattr(FieldSpec, name, counted)
+    bounds = {
+        "zero_core": {"vadd": 2542848, "vsub": 180946, "vneg": 76875, "vmul": 2903810, "vdiv_nz": 1295400},
+        "exhaustive": {"vadd": 425983, "vsub": 15847, "vneg": 30848, "vmul": 5620, "vdiv_nz": 2762},
+    }
+    ctx = cyc_context(32, 33)
+    dual = code_from_defining_set(ctx, ctx.exponent_set([0, 14, 15, 16, 17, 18, 19]), base="extension").dual_code()
+    assert cy._zero_core_scan(dual, want_words=True)[0] == 23
+    assert all(counts[k] <= bounds["zero_core"][k] for k in counts), counts
+    counts.clear()
+    ctx = cyc_context(25, 24)
+    code = code_from_defining_set(ctx, ctx.exponent_set([0, 1, 5, 11, 12]), base="extension").dual_code()
+    assert code.k == 5 and cy._exhaustive_scan(code, want_words=True)[0] == 12
+    assert all(counts[k] <= bounds["exhaustive"][k] for k in counts), counts
 
 
 def test_zero_core_words_do_not_import_numpy_ma():

@@ -206,3 +206,53 @@ def test_prefix_walk_visits_each_independent_prefix_once(F):
                     assert len(linalg.rref(F, rows_p)[1]) == rank - len(prefix) or rank < rows
             assert sorted(got) == sorted(want) and len(got) == len(set(got)), (A.tolist(), size)
             assert firsts == sorted(firsts)
+
+
+def reference_children(F, P, R, size, chunk):
+    """The division-free pivot step: child rows lead*R[r] - R[r, s]*R[piv]."""
+    nb, m, cols = R.shape
+    depth = P.shape[1]
+    first = P[:, -1] + 1 if depth else np.zeros(nb, dtype=np.int64)
+    counts = np.maximum(cols - size + depth + 1 - first, 0)
+    parent = np.repeat(np.arange(nb), counts)
+    col = np.arange(len(parent)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    step = max(1, min(chunk, linalg._BATCH_ELEMS // max(1, m * cols)))
+    for lo in range(0, len(parent), step):
+        b, s = parent[lo:lo + step], col[lo:lo + step]
+        at = R[b, :, s]
+        nz = at != 0
+        live = nz.any(axis=1)
+        b, s, at = b[live], s[live], at[live]
+        if not len(b):
+            continue
+        piv = nz[live].argmax(axis=1)
+        rest = np.arange(m - 1) + (np.arange(m - 1) >= piv[:, None])
+        ib = np.arange(len(b))
+        lead = at[ib, piv]
+        kept = F.vsub(F.vmul(lead[:, None, None], R[b[:, None], rest]),
+                      F.vmul(at[ib[:, None], rest][:, :, None], R[b, piv][:, None, :]))
+        yield np.column_stack([P[b], s]), kept
+
+
+@pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF({F.p}^{F.m})")
+def test_prefix_walk_rows_are_the_division_free_rows_scaled(F, monkeypatch):
+    # the normalised pivot step visits the same batches in the same order as
+    # the division-free one, and each node's rows are the reference rows
+    # times one nonzero scalar, so zero columns and row ratios agree
+    rng = np.random.default_rng(1973 + F.q)
+    for A in scan_matrices(F, rng, 40):
+        for size in range(1, A.shape[1] + 1):
+            for chunk in (1, 3, 1024):
+                got = list(linalg.prefix_walk(F, A, size, chunk))
+                with monkeypatch.context() as mp:
+                    mp.setattr(linalg, "_children", reference_children)
+                    want = list(linalg.prefix_walk(F, A, size, chunk))
+                assert len(got) == len(want), (A.tolist(), size, chunk)
+                for (P, R), (P_ref, R_ref) in zip(got, want):
+                    assert np.array_equal(P, P_ref) and R.shape == R_ref.shape
+                    for node, ref in zip(R.reshape(len(R), -1), R_ref.reshape(len(R), -1)):
+                        assert np.array_equal(node != 0, ref != 0)
+                        if ref.any():
+                            j = int(np.flatnonzero(ref)[0])
+                            scale = F.vdiv_nz(node[j], ref[j])
+                            assert scale != 0 and np.array_equal(F.vmul(ref, scale), node)
