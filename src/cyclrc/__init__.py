@@ -46,7 +46,7 @@ from .locality import (
     locality_from_product,
     verify_locality_exhaustive,
 )
-from .poly import Polynomial, product_from_roots, reciprocal
+from .poly import Polynomial, product_from_roots
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "primitive_nth_root",
     "product_from_roots",
     "product_set",
-    "reciprocal",
     "singleton_like",
     "validate",
     "verify_locality_exhaustive",

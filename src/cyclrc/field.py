@@ -216,8 +216,8 @@ class FieldSpec:
     q <= 1024 that law fills the q x q table `_add_table` once, and addition
     is a single gather from it.  Negation gathers from `_neg_table`.  The
     kernels (`vadd`, `vsub`, `vneg`, `vmul`, `vdiv_nz`, `vpow_gen`) take
-    numpy index arrays or plain ints alike; the scalar ops `neg`, `inv` and
-    `pow` call one of them on one element and return an int.
+    numpy index arrays or plain ints alike; the scalar ops `inv` and `pow`
+    call one of them on one element and return an int.
 
     Attributes
     ----------
@@ -323,9 +323,6 @@ class FieldSpec:
             self._add_table = self._zech_add(x[:, None], x[None, :])
 
     # -- scalar ops: one element through a vector kernel ------------------
-
-    def neg(self, a: int) -> int:
-        return int(self.vneg(a))
 
     def inv(self, a: int) -> int:
         if a == 0:

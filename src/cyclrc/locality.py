@@ -8,9 +8,11 @@ delta-1 erasures.  Certificates carry the dual word and every repair group.
 
 `rederive_locality` is the one list of locality checks: the product route
 runs it on the word it found and raises on the first failure, `verify` on a
-certificate's word.  `locality_record` is the one assembly of the record
-from that word; `compare` holds a claimed record against the re-derived
-one, types included.
+certificate's word.  Its dual-word checks read orthogonality off each
+code's generator polynomial (`CyclicCode.is_orthogonal`), so neither route
+forms a k x n generator matrix.  `locality_record` is the one assembly of
+the record from that word; `compare` holds a claimed record against the
+re-derived one, types included.
 
 The definition-level verifier is the independent oracle: it knows nothing of
 the construction and simply checks punctured distances of candidate groups
@@ -327,8 +329,10 @@ def rederive_locality(code: CyclicCode, anchor: ExponentSet, run: ExponentSet, h
     times a root power is nonzero), they make the code punctured to S
     tolerate d_run-1 erasures, and a cyclic shift maps the code to itself,
     which covers every group.  (1) and (2) imply (4), and (5) holds as the
-    columns are scaled columns of the run code's parity checks.  The anchor
-    dual distance is not recomputed."""
+    columns are scaled columns of the run code's parity checks.  (2) and
+    (4) correlate the words with the generator polynomial of the anchor
+    code and of the code, in O(n * |A|) and O(|run| * n * (n-k)) work.  The
+    anchor dual distance is not recomputed."""
     ctx, F, n = code.ctx, code.field, code.n
     missing = sorted(set(product_set(anchor, run).exps) - set(code.defining.exps))
     found = [("product set", "disagree" if missing else "agree", f"anchor x run exponents {missing} outside the "
@@ -347,14 +351,13 @@ def rederive_locality(code: CyclicCode, anchor: ExponentSet, run: ExponentSet, h
         return stop("locality evidence", "disagree", "h0_word is zero")
     d_run = run_code_distance(run, budget)  # the run code is MDS: its sandwich closes at once
     record = locality_record(anchor, run, h0_word, dual_exact, d_run)
-    anchor_code = code_from_defining_set(ctx, anchor, base="extension")
-    if linalg.mat_mul(F, anchor_code.generator_matrix(), [[x] for x in h0_word]).any():
+    if not code_from_defining_set(ctx, anchor, base="extension").is_orthogonal([h0_word]):
         return stop("locality evidence", "disagree", "h0_word is not orthogonal to the anchor code", record)
     if record["dA_perp"] < d_run:
         return stop("locality r and delta", "disagree", f"h0 weight {record['dA_perp']} below the run distance",
                     record)
     rows = F.vmul(ctx.root_powers(run.exps, range(n)), np.array([h0_word], dtype=np.int64))
-    if linalg.mat_mul(F, code.generator_matrix(), rows.T).any():
+    if not code.is_orthogonal(rows):
         return found + [("punctured distances", "disagree", "a translate row of h0 leaves the dual code")], record
     cost = linalg.column_scan_cost(record["dA_perp"], len(rows), d_run - 1)
     if cost > budget:

@@ -21,10 +21,6 @@ class DuplicateRoot(ValueError):
     pass
 
 
-class DegreeExceedsK(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Polynomial:
     spec: FieldSpec
@@ -40,14 +36,6 @@ class Polynomial:
     def zero(spec: FieldSpec) -> "Polynomial":
         return Polynomial(spec, ())
 
-    @staticmethod
-    def x_pow_minus_one(spec: FieldSpec, n: int) -> "Polynomial":
-        """x^n - 1."""
-        cs = [0] * (n + 1)
-        cs[0] = spec.neg(1)
-        cs[n] = 1
-        return Polynomial(spec, tuple(cs))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -55,9 +43,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def _check(self, other: "Polynomial") -> None:
         if other.spec is not self.spec:
@@ -96,9 +81,6 @@ class Polynomial:
                 out[i : i + width] = F.vadd(out[i : i + width], rows[i])
         return Polynomial.make(F, out)
 
-    def scale(self, c: int) -> "Polynomial":
-        return Polynomial.make(self.spec, self.spec.vmul(self._array(), c))
-
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         self._check(other)
         F = self.spec
@@ -118,11 +100,6 @@ class Polynomial:
                 quo[top - db] = c
                 rem[top - db : top] = F.vsub(rem[top - db : top], F.vmul(c, low))
         return Polynomial.make(F, F.vmul(quo, lead_inv)), Polynomial.make(F, rem[:db])
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero() or self.is_monic():
-            return self
-        return self.scale(self.spec.inv(self.coeffs[-1]))
 
     def pretty(self, var: str = "x") -> str:
         """Human-readable high-to-low rendering, e.g. x^3 + 2*x + 1."""
@@ -152,11 +129,3 @@ def product_from_roots(spec: FieldSpec, roots) -> Polynomial:
     for d, r in enumerate(idx, start=1):
         h[1 : d + 1] = spec.vsub(h[1 : d + 1], spec.vmul(r, h[:d]))
     return Polynomial(spec, tuple(h[::-1].tolist()))
-
-
-def reciprocal(h: Polynomial, k: int) -> Polynomial:
-    """Coefficient reversal over index range 0..k."""
-    if h.degree > k:
-        raise DegreeExceedsK(f"deg {h.degree} exceeds reversal range {k}")
-    cs = list(h.coeffs) + [0] * (k + 1 - len(h.coeffs))
-    return Polynomial.make(h.spec, cs[::-1])

@@ -12,6 +12,7 @@ import pytest
 from cyclrc import constructions, linalg
 from cyclrc.cli import main
 from cyclrc.constructions import verify_certificate
+from cyclrc.cyclic import CyclicCode
 
 GRID = str(resources.files("cyclrc").joinpath("golden/search_nondividing.json"))
 
@@ -161,7 +162,8 @@ def _tamper_groups(cert):
     (_tamper_schema, "schema"),
     (_tamper_modulus, "field"),
     (_tamper_word, "locality evidence"),
-    (_tamper_word_and_support, "locality evidence"),
+    pytest.param(_tamper_word_and_support, "locality evidence: h0_word is not orthogonal to the anchor code",
+                 id="_tamper_word_and_support-locality evidence"),
     (_tamper_groups, "locality evidence"),
 ])
 def test_verify_checks_schema_field_and_evidence(capsys, tmp_path, tamper, line):
@@ -319,6 +321,34 @@ def test_verify_eliminates_nothing_larger_than_the_parity_checks(monkeypatch, t4
     report = verify_certificate(cert)
     assert {status for _, status, _ in report} == {"agree"}
     assert rows and max(rows) <= cert["code"]["n"] - cert["code"]["k"] == 2
+
+
+def test_construct_and_verify_form_no_generator_matrix(capsys, monkeypatch, tmp_path, t41_n1023):
+    # orthogonality to a cyclic code is read off its generator polynomial, so
+    # neither construct nor verify forms a k x n generator matrix, and no
+    # product has an operand with more rows than max(n - k, |A|)
+    cert_path = tmp_path / "t48.json"
+    gen_calls, operand_rows = [], []
+
+    def recording_gen(code, real=CyclicCode.generator_matrix):
+        gen_calls.append(code)
+        return real(code)
+
+    def recording_mul(F, A, B, real=linalg.mat_mul):
+        operand_rows.extend((np.shape(A)[0], np.shape(B)[0]))
+        return real(F, A, B)
+
+    monkeypatch.setattr(CyclicCode, "generator_matrix", recording_gen)
+    monkeypatch.setattr(linalg, "mat_mul", recording_mul)
+    for argv, path in [(["construct", *T48_N2047, "--format", "json", "-o", str(cert_path)], cert_path),
+                       (["verify", str(cert_path)], cert_path), (["verify", str(t41_n1023)], t41_n1023)]:
+        operand_rows.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 2) and "Traceback" not in err
+        cert = json.loads(path.read_text(encoding="utf-8"))
+        bound = max(cert["code"]["n"] - cert["code"]["k"], len(cert["locality"]["evidence"]["anchor_exponents"]))
+        assert not gen_calls, argv
+        assert max(operand_rows, default=0) <= bound, argv
 
 
 def test_verify_malformed_exit1(capsys, tmp_path):

@@ -137,6 +137,49 @@ def test_dual_code_structure():
     assert full.dual_code().k == 0
 
 
+# (q, n) with ambient fields GF(2^4), GF(19), GF(5^2) and GF(3^3)
+ORTHOGONALITY_CONTEXTS = [(4, 5), (19, 18), (5, 24), (3, 13)]
+
+
+@pytest.mark.parametrize("q,n", ORTHOGONALITY_CONTEXTS)
+def test_is_orthogonal_matches_dense_product(q, n):
+    # the correlation with g against the dense G * rows^T reference, on base
+    # and ambient codes from the zero code to the full space, for random rows
+    # and for rows of the dual and combinations of them
+    ctx = cyc_context(q, n)
+    F = ctx.field
+    rng = np.random.default_rng(q * n)
+    cosets = [c.exps for c in all_cyclotomic_cosets(ctx)]
+    sets = [(), tuple(range(n))]
+    sets += [sum((c for c in cosets if rng.random() < 0.5), ()) for _ in range(4)]
+    sets += [tuple(np.flatnonzero(rng.random(n) < rng.random()).tolist()) for _ in range(4)]
+    verdicts = []
+    for exps in sets:
+        for base in ("subfield", "extension"):
+            if base == "subfield" and not is_q_closed(ctx.exponent_set(exps)):
+                continue
+            code = code_from_defining_set(ctx, ctx.exponent_set(exps), base=base)
+            H = code.dual_code().generator_matrix()
+            combos = linalg.mat_mul(F, rng.integers(0, F.q, (3, len(H))), H) if len(H) else np.zeros((3, n), int)
+            perturbed = F.vadd(combos, np.eye(3, n, dtype=np.int64))
+            for rows in (rng.integers(0, F.q, (3, n)), H, combos, perturbed):
+                for batch in [rows, *([row] for row in rows)]:
+                    batch = np.asarray(batch, dtype=np.int64).reshape(-1, n)
+                    want = not linalg.mat_mul(F, code.generator_matrix(), batch.T).any()
+                    assert code.is_orthogonal(batch) == want, (exps, base, batch)
+                    verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def test_dual_code_refuses_a_code_that_is_not_the_dual():
+    # a wrong code cached under the dual's key fails the orthogonality check
+    ctx = cy.CycContext(8, 7)
+    code = code_from_defining_set(ctx, ctx.exponent_set([3, 4, 5]))
+    ctx._code_cache[(code.defining.complement().negate().exps, "subfield")] = code
+    with pytest.raises(cy.CoefficientLeak, match="not orthogonal"):
+        code.dual_code()
+
+
 def test_complement_code():
     ctx = cyc_context(8, 7)
     code = code_from_defining_set(ctx, ctx.exponent_set([3, 4, 5]))

@@ -48,7 +48,7 @@ def cofactor_det(F, M) -> int:
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in M[1:]]
         term = int(F.vmul(int(M[0][j]), cofactor_det(F, minor)))
-        det = int(F.vadd(det, F.neg(term) if j % 2 else term))
+        det = int(F.vadd(det, F.vneg(term) if j % 2 else term))
     return det
 
 

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from cyclrc.field import DivisionByZero, field_create
-from cyclrc.poly import DegreeExceedsK, DuplicateRoot, Polynomial, product_from_roots, reciprocal
+from cyclrc.poly import DuplicateRoot, Polynomial, product_from_roots
+
+
+def x_pow_minus_one(F, n):
+    return Polynomial.make(F, [int(F.vneg(1))] + [0] * (n - 1) + [1])
 
 
 def rand_poly(F, rng, max_deg=9):
@@ -46,7 +50,7 @@ def test_divmod_by_zero():
 
 def test_divmod_known_value():
     F2 = field_create(2, 1)
-    a = Polynomial.x_pow_minus_one(F2, 7)
+    a = x_pow_minus_one(F2, 7)
     b = Polynomial.make(F2, [1, 1, 0, 1])  # x^3 + x + 1
     q, r = divmod(a, b)
     assert r.is_zero() and q * b == a
@@ -57,7 +61,7 @@ def test_generator_divides_xn_minus_one():
 
     ctx = cyc_context(8, 7)
     code = code_from_defining_set(ctx, ctx.exponent_set([3, 4, 5]))
-    q, r = divmod(Polynomial.x_pow_minus_one(ctx.field, 7), code.gen)
+    q, r = divmod(x_pow_minus_one(ctx.field, 7), code.gen)
     assert r.is_zero()
 
 
@@ -72,14 +76,14 @@ def eval_at(poly, x):
 def test_product_from_roots():
     F = field_create(2, 5)
     assert product_from_roots(F, []) == Polynomial.make(F, [1])
-    assert product_from_roots(F, [1]) == Polynomial.make(F, [F.neg(1), 1])
+    assert product_from_roots(F, [1]) == Polynomial.make(F, [int(F.vneg(1)), 1])
     with pytest.raises(DuplicateRoot):
         product_from_roots(F, [3, 3])
     rng = np.random.default_rng(0)
     for _ in range(100):
         roots = list({int(x) for x in rng.integers(1, F.q, 6)})
         pr = product_from_roots(F, roots)
-        assert pr.is_monic() and pr.degree == len(roots)
+        assert pr.coeffs[-1] == 1 and pr.degree == len(roots)
         for r in roots:
             assert eval_at(pr, r) == 0
         # nonzero away from the roots (spot enumeration)
@@ -96,23 +100,6 @@ def test_product_from_closed_set_stays_in_subfield():
     pr = product_from_roots(ctx.field, ctx.root_powers([1], coset.exps)[0])
     for c in pr.coeffs:
         assert ctx.field.pow(c, 2) == c  # fixed by the Frobenius of GF(2)
-
-
-def test_reciprocal():
-    F = field_create(19, 1)
-    h = Polynomial.make(F, [3, 2, 1])
-    assert reciprocal(h, 2) == Polynomial.make(F, [1, 2, 3])
-    # palindromic fixed point
-    pal = Polynomial.make(F, [1, 5, 1])
-    assert reciprocal(pal, 2) == pal
-    # involution over a padded range
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        h = rand_poly(F, rng, 6)
-        k = h.degree + int(rng.integers(0, 3)) if not h.is_zero() else 3
-        assert reciprocal(reciprocal(h, k), k) == h
-    with pytest.raises(DegreeExceedsK):
-        reciprocal(Polynomial.make(F, [1, 1, 1, 1]), 2)
 
 
 def test_pretty_matches_bracket_style():
@@ -161,7 +148,7 @@ def reference_divmod(a, b):
 def reference_product_from_roots(F, roots):
     out = Polynomial.make(F, [1])
     for r in roots:
-        out = reference_mul(out, Polynomial.make(F, [F.neg(r), 1]))
+        out = reference_mul(out, Polynomial.make(F, [int(F.vneg(r)), 1]))
     return out
 
 
@@ -179,9 +166,7 @@ def test_kernel_arithmetic_matches_scalar_reference(p, m):
             # divisors of higher degree than the dividend, and non-monic ones
             if not b.is_zero():
                 assert divmod(a, b) == reference_divmod(a, b)
-        assert -a == Polynomial.make(F, [F.neg(x) for x in a.coeffs])
-        c = int(rng.integers(0, F.q))
-        assert a.scale(c) == Polynomial.make(F, [int(F.vmul(x, c)) for x in a.coeffs])
+        assert -a == Polynomial.make(F, [int(F.vneg(x)) for x in a.coeffs])
     for size in (0, 1, 2, 17, 33):
         roots = rng.choice(F.q, size=min(size, F.q), replace=False)
         assert product_from_roots(F, roots) == reference_product_from_roots(F, roots.tolist())
