@@ -69,35 +69,71 @@ def units_mod(n: int) -> list[int]:
 def bch_lower(S: "ExponentSet") -> tuple[int, BchWitness]:
     """Best consecutive-run lower bound over all unit steps and offsets.
 
-    Ties resolve to the smallest step, then the smallest starting exponent,
-    so repeated runs return identical witnesses.  One membership table per
-    block of steps: entry (b, i) tells whether i*b is in the set, for i up
-    to 2n, so the two passes see every run of a proper subset in full.  The
-    run ending at i is i minus the last gap at or before i, capped at n for
-    the full set; the first longest run of the first step that reaches the
-    longest length is the witness.
+    Ties resolve to the smallest step b, then to the run that starts first
+    among the positions b^-1*s mod n of the set's exponents s; the witness
+    starts at u = start*b, so it need not be the run with the smallest u.
+    The longest run of S in step b is the longest run of b^-1*S in step 1,
+    read off the smaller side: a set of at most n/2 exponents sorts its
+    positions and reads them twice (P, P + n) for the longest chain of
+    consecutive values; a larger set sorts its complement's positions and
+    takes the largest cyclic gap.  The pair is memoised on the context by
+    exponents, so each set is scanned once.
     """
-    n = S.ctx.n
-    if not S.exps:
+    memo = S.ctx._bch_cache
+    if S.exps not in memo:
+        memo[S.exps] = _longest_run(S.ctx.n, S.exps)
+    return memo[S.exps]
+
+
+def _longest_run(n: int, exps: tuple[int, ...]) -> tuple[int, BchWitness]:
+    steps = units_mod(n)
+    if not exps or not steps:  # n = 1 has no unit step below n
         return 1, BchWitness(0, 1, 0)
-    inset = np.zeros(n, dtype=bool)
-    inset[list(S.exps)] = True
-    steps = np.array(units_mod(n), dtype=np.int64)
-    idx = np.arange(2 * n)
-    chunk = max(1, (1 << 20) // (2 * n))  # about 2^20 table entries per block
+    small = 2 * len(exps) <= n
+    side = np.array(exps if small else sorted(set(range(n)).difference(exps)), dtype=np.int64)
+    if not side.size:  # the full set is one run of n in step 1
+        return n + 1, BchWitness(0, 1, n)
+    inv = np.array([pow(b, -1, n) for b in steps], dtype=np.int64)
+    chunk = max(1, (1 << 20) // (2 * side.size))  # about 2^20 entries per block
     best = (0, 1, 0)  # (length, b, u)
     for lo in range(0, len(steps), chunk):
-        b = steps[lo : lo + chunk]
-        gap = np.where(inset[b[:, None] * idx % n], -1, idx)
-        run = np.minimum(idx - np.maximum.accumulate(gap, axis=1), n)
-        end = run.argmax(axis=1)
-        length = run.max(axis=1)
+        P = np.sort(inv[lo : lo + chunk, None] * side % n, axis=1)
+        length, start = (_longest_chains if small else _largest_gaps)(P, n)
         j = int(length.argmax())
         if length[j] > best[0]:
-            start = (int(end[j]) - int(length[j]) + 1) % n
-            best = (int(length[j]), int(b[j]), start * int(b[j]) % n)
+            b = steps[lo + j]
+            best = (int(length[j]), b, int(start[j]) * b % n)
     length, b, u = best
     return length + 1, BchWitness(u, b, length)
+
+
+def _longest_chains(P: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of sorted positions (fewer than n), the first longest chain
+    of cyclically consecutive values as (length, start).  Reading the row
+    twice keeps a chain through n-1 -> 0 whole; its truncated tail at the
+    front is shorter, so the first longest chain has the smallest start."""
+    Q = np.concatenate([P, P + n], axis=1)
+    idx = np.arange(Q.shape[1])
+    head = np.zeros(Q.shape, dtype=bool)
+    head[:, 0] = True
+    head[:, 1:] = Q[:, 1:] - Q[:, :-1] != 1
+    run = np.maximum.accumulate(np.where(head, idx, 0), axis=1)
+    np.subtract(idx + 1, run, out=run)  # chain length ending at each entry
+    rows = np.arange(len(Q))
+    end = run.argmax(axis=1)
+    length = run[rows, end]
+    return length, Q[rows, end - length + 1] % n
+
+
+def _largest_gaps(P: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the complement's sorted positions, the largest cyclic gap
+    as (length, start), the smallest start on ties: the run after P[i]
+    starts at P[i] + 1 and ends before the next position, cyclically."""
+    gap = np.diff(np.concatenate([P, P[:, :1] + n], axis=1), axis=1) - 1
+    start = (P + 1) % n
+    i = (gap * n - start).argmax(axis=1)
+    rows = np.arange(len(P))
+    return gap[rows, i], start[rows, i]
 
 
 def betti_sala_lower(S: "ExponentSet", w: BettiSalaWitness) -> int:

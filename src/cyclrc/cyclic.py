@@ -107,9 +107,11 @@ class CycContext:
         self.alpha = primitive_nth_root(self.field, n)
         self._alpha_log = int(self.field._log[self.alpha])
         self.base_elements = self.field.subfield_elements(q)
-        # per-context caches: codes by (exponents, base), exact run-code
-        # distances by exponents, anchor dual words by (exponents, budget)
+        # per-context caches: codes by (exponents, base), run bounds and
+        # exact run-code distances by exponents, anchor dual words by
+        # (exponents, budget)
         self._code_cache: dict = {}
+        self._bch_cache: dict = {}
         self._run_dist_cache: dict = {}
         self._dual_word_cache: dict = {}
 

@@ -1,3 +1,6 @@
+import tracemalloc
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from cyclrc.bounds import (
     subgroup_coset_in,
     units_mod,
 )
-from cyclrc.cyclic import all_cyclotomic_cosets, code_from_defining_set, cyc_context, min_distance
+from cyclrc.cyclic import CycContext, all_cyclotomic_cosets, code_from_defining_set, cyc_context, min_distance
 
 
 def test_bch_empty_set():
@@ -115,6 +118,98 @@ def test_bch_lower_matches_loop_reference():
     sets.append(ctx.exponent_set(range(1023)))
     for S in sets:
         assert bch_lower(S) == reference_bch_lower(S), (S.ctx.q, S.ctx.n, S.exps)
+
+
+def table_scan_bch_lower(S):
+    """The membership-table scan bch_lower ran before the sorted scan: entry
+    (b, i) of one table per block of steps tells whether i*b is in the set,
+    for i up to 2n; the first longest run of the first step that reaches
+    the longest length is the witness."""
+    n = S.ctx.n
+    if not S.exps:
+        return 1, BchWitness(0, 1, 0)
+    inset = np.zeros(n, dtype=bool)
+    inset[list(S.exps)] = True
+    steps = np.array(units_mod(n), dtype=np.int64)
+    idx = np.arange(2 * n)
+    chunk = max(1, (1 << 20) // (2 * n))
+    best = (0, 1, 0)  # (length, b, u)
+    for lo in range(0, len(steps), chunk):
+        b = steps[lo : lo + chunk]
+        gap = np.where(inset[b[:, None] * idx % n], -1, idx)
+        run = np.minimum(idx - np.maximum.accumulate(gap, axis=1), n)
+        end = run.argmax(axis=1)
+        length = run.max(axis=1)
+        j = int(length.argmax())
+        if length[j] > best[0]:
+            start = (int(end[j]) - int(length[j]) + 1) % n
+            best = (int(length[j]), int(b[j]), start * int(b[j]) % n)
+    length, b, u = best
+    return length + 1, BchWitness(u, b, length)
+
+
+def test_bch_lower_matches_table_scan():
+    # random sets of every size 0..n, so the empty set, the full set and
+    # both sides of |S| = n/2; then small and co-small sets at large n
+    rng = np.random.default_rng(23)
+    sets = []
+    for n in (1, 2, 3, 7, 8, 13, 15, 18, 24, 33, 65):
+        ctx = CycContext(next(q for q in (2, 3, 5) if gcd(q, n) == 1), n)
+        for size in range(n + 1):
+            sets += [ctx.exponent_set(rng.choice(n, size=size, replace=False)) for _ in range(4)]
+    ctx = CycContext(2, 1023)
+    for size in (1, 2, 5):
+        S = ctx.exponent_set(rng.choice(1023, size=size, replace=False))
+        sets += [S, S.complement()]
+    # at n = 8191 a side of more than 64 exponents splits the steps into
+    # blocks, so the complement of 100 exponents ties across blocks
+    ctx = CycContext(8192, 8191)
+    sets.append(ctx.exponent_set(rng.choice(8191, size=4, replace=False)))
+    sets.append(ctx.exponent_set(rng.choice(8191, size=100, replace=False)).complement())
+    for S in sets:
+        assert bch_lower(S) == table_scan_bch_lower(S), (S.ctx.n, S.exps)
+
+
+def test_bch_witness_tie_break_is_by_position():
+    # b = 2 has runs {6, 8} and {1, 3}; their positions 2^-1*S = 8*S mod 15
+    # are {3, 4} and {8, 9}, so the witness starts at u = 3*2 = 6, not 1
+    ctx = cyc_context(2, 15)
+    assert bch_lower(ctx.exponent_set([1, 3, 6, 8])) == (3, BchWitness(u=6, b=2, length=2))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bch_lower_memory_follows_the_smaller_side():
+    # the table scan peaked at 32 MiB on each of these sets
+    ctx = CycContext(8192, 8191)
+    S = ctx.exponent_set([1, 2, 3, 5])
+    half = ctx.exponent_set(np.random.default_rng(8191).choice(8191, size=8191 // 2, replace=False))
+    for T, limit in ((S, 4), (S.complement(), 4), (half, 48)):
+        assert _traced_peak(lambda: bch_lower(T)) < limit << 20, len(T)
+
+
+def test_bch_lower_memo_does_not_depend_on_history():
+    rng = np.random.default_rng(5)
+    for q, n in ((2, 15), (19, 18), (32, 33), (2, 65)):
+        sets = [cyc_context(q, n).exponent_set(rng.choice(n, size=s, replace=False)) for s in range(n + 1)]
+        warm = [bch_lower(S) for S in sets]
+        fresh = CycContext(q, n)
+        assert [bch_lower(fresh.exponent_set(S.exps)) for S in sets] == warm
+        assert all(bch_lower(S) is pair for S, pair in zip(sets, warm))  # memoised
+        forward, backward = CycContext(q, n), CycContext(q, n)
+        for S in sets:
+            A, B = forward.exponent_set(S.exps), backward.exponent_set(S.exps)
+            complement_first = bch_lower(A.complement()), bch_lower(A)
+            set_first = bch_lower(B), bch_lower(B.complement())
+            assert complement_first == set_first[::-1]
+            assert set_first[0] == bch_lower(S)
 
 
 def test_betti_sala_bound_and_errors():
