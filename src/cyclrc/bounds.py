@@ -77,23 +77,27 @@ def bch_lower(S: "ExponentSet") -> tuple[int, BchWitness]:
     positions and reads them twice (P, P + n) for the longest chain of
     consecutive values; a larger set sorts its complement's positions and
     takes the largest cyclic gap.  The pair is memoised on the context by
-    exponents, so each set is scanned once.
+    exponents, so each set is scanned once, and so are the unit steps and
+    their inverses, which depend on n alone.
     """
-    memo = S.ctx._bch_cache
+    ctx = S.ctx
+    memo = ctx._bch_cache
     if S.exps not in memo:
-        memo[S.exps] = _longest_run(S.ctx.n, S.exps)
+        if ctx._unit_steps is None:
+            steps = units_mod(ctx.n)
+            ctx._unit_steps = steps, np.array([pow(b, -1, ctx.n) for b in steps], dtype=np.int64)
+        memo[S.exps] = _longest_run(ctx.n, S.exps, *ctx._unit_steps)
     return memo[S.exps]
 
 
-def _longest_run(n: int, exps: tuple[int, ...]) -> tuple[int, BchWitness]:
-    steps = units_mod(n)
+def _longest_run(n: int, exps: tuple[int, ...], steps: list[int], inv: np.ndarray) -> tuple[int, BchWitness]:
+    """The run bound and its witness over the unit steps and their inverses."""
     if not exps or not steps:  # n = 1 has no unit step below n
         return 1, BchWitness(0, 1, 0)
     small = 2 * len(exps) <= n
     side = np.array(exps if small else sorted(set(range(n)).difference(exps)), dtype=np.int64)
     if not side.size:  # the full set is one run of n in step 1
         return n + 1, BchWitness(0, 1, n)
-    inv = np.array([pow(b, -1, n) for b in steps], dtype=np.int64)
     chunk = max(1, (1 << 20) // (2 * side.size))  # about 2^20 entries per block
     best = (0, 1, 0)  # (length, b, u)
     for lo in range(0, len(steps), chunk):

@@ -32,6 +32,11 @@ Minimum distances and minimum-weight words come from one dispatcher,
   walk; a cyclic shift takes every dependent set through coordinate 0, so
   only those supports are tried.
 
+Both scans over the walk start from the smallest gap: z points mod n have
+two cyclically consecutive ones at most n // z apart, and the shift that
+moves the first of them to 0 puts the next point at or below n // z, so the
+walk's first point past 0 stays within that bound.
+
 One cost model ranks them: the enumerations by their whole cost, which must
 fit the budget, and the climb by its whole cost up to the upper bound, though
 it is admitted when its first step fits.  The climb is cut where the budget
@@ -106,12 +111,15 @@ class CycContext:
         self.field = field_create(p, m * self.d)
         self.alpha = primitive_nth_root(self.field, n)
         self._alpha_log = int(self.field._log[self.alpha])
-        self.base_elements = self.field.subfield_elements(q)
+        # which ambient elements lie in GF(q), for the generator check
+        self.in_base = np.zeros(self.field.q, dtype=bool)
+        self.in_base[self.field.subfield_elements(q)] = True
         # per-context caches: codes by (exponents, base), run bounds and
         # exact run-code distances by exponents, anchor dual words by
-        # (exponents, budget)
+        # (exponents, budget), and the run bound's unit steps and inverses
         self._code_cache: dict = {}
         self._bch_cache: dict = {}
+        self._unit_steps: Optional[tuple[list[int], np.ndarray]] = None
         self._run_dist_cache: dict = {}
         self._dual_word_cache: dict = {}
 
@@ -351,12 +359,11 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
     gen = product_from_roots(ctx.field, ctx.root_powers([1], S.exps)[0])
     base_q = ctx.q if base == "subfield" else ctx.field.q
     if base == "subfield":
-        # a look-up table over the index range: isin's default sorting path
-        # imports numpy.ma on first use, about 15 ms in a fresh process
-        leaks = np.flatnonzero(~np.isin(gen.coeffs, ctx.base_elements, kind="table"))
-        if leaks.size:
+        # one gather of the context's mask, where np.isin took ten times as long
+        inside = ctx.in_base[np.array(gen.coeffs, dtype=np.int64)]
+        if not inside.all():
             raise CoefficientLeak(
-                f"generator coefficient {gen.coeffs[leaks[0]]} escapes GF({ctx.q}) despite closed defining set"
+                f"generator coefficient {gen.coeffs[inside.argmin()]} escapes GF({ctx.q}) despite closed defining set"
             )
     code = CyclicCode(ctx, S, base_q, gen)
     ctx._code_cache[(S.exps, base)] = code
@@ -502,8 +509,8 @@ def has_weight_at_most(code: CyclicCode, w: int, budget: int = DEFAULT_BUDGET) -
 
     Decided by scanning size-w supports for dependent parity-check columns:
     any lighter word's support extends to such a dependent set.  The code is
-    cyclic, so a shift of any dependent set contains coordinate 0, and only
-    the C(n-1, w-1) supports through 0 are scanned.
+    cyclic, so only supports through coordinate 0 whose second point is at
+    most n // w are scanned (`_dependent_support`).
     """
     n, k = code.n, code.k
     if w < 0 or w > n:
@@ -519,13 +526,23 @@ def _dependent_support(code: CyclicCode, w: int, budget: float):
     """One step of the support climb: the lex-first size-w support of
     dependent parity-check columns, or None; raises if the scan exceeds budget.
 
-    Only supports through coordinate 0 are scanned.  Dependent column sets
-    are closed under cyclic shifts (a shifted word's support is the shifted
-    support), so every dependent w-set has a shift through 0, and the sets
-    through 0 come first in lex order.  The rows of H are shifts of the dual
+    Only supports through coordinate 0 whose second point is at most n // w
+    are scanned.  Dependent column sets are closed under cyclic shifts (a
+    shifted word's support is the shifted support), and the sets through 0
+    come first in lex order.  The rows of H are shifts of the dual
     generator, so column 0 of H is h(0) e_0 with h(0) != 0, and {0} + T is
-    dependent exactly when the columns T of H[1:] are.  The budget check
-    still prices all C(n, w) supports, as `column_scan_cost` does.
+    dependent exactly when the columns T of H[1:] are.
+
+    The cut loses nothing the climb reads.  If some word has weight below
+    w, a shift of its support holds 0, and adding 1 and more points makes a
+    dependent w-set through {0, 1}, which the cut scan reaches; so None
+    still means no word of weight at most w.  At the first dependent weight
+    w = d, the dependent w-sets are the minimum-weight supports; the w gaps
+    of one sum to n, so a shift starts its smallest gap, at most n // d, at
+    0, and the lex-first support through 0, whose second point is the least
+    of all of them, lies in the cut.  The budget check still prices all
+    C(n, w) supports on purpose, as `column_scan_cost` does, so the
+    strategy ranking and the climb's budget stay as they were.
     """
     cost = linalg.column_scan_cost(code.n, code.n - code.k, w)
     if cost > budget:
@@ -537,7 +554,7 @@ def _dependent_support(code: CyclicCode, w: int, budget: float):
         return tuple(range(w))
     if H[0, 0] == 0 or H[1:, 0].any():
         raise InvariantViolated("parity-check column 0 is not a multiple of e_0")
-    rest = linalg.first_dependent_columns(code.field, H[1:, 1:], w - 1)
+    rest = linalg.first_dependent_columns(code.field, H[1:, 1:], w - 1, lead=code.n // w)
     return None if rest is None else (0, *(c + 1 for c in rest))
 
 
@@ -662,6 +679,24 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     field element E1/E2, or q where only E2 vanishes and q+1 at a common
     zero (`_ratio_classes`); the word of a winning class is formed from its
     first point.
+
+    The walk starts from the smallest gap.  The points whose column of the
+    rows vanishing at 0 is zero are zeros of every word that vanishes at 0;
+    they form a subgroup H, the multiples of m = n/|H|, and every codeword
+    takes one value on each coset of H.  So a word with z zeros vanishes on
+    z/|H| residues mod m, two cyclically consecutive ones of which lie at
+    most m*|H|/z = n/z apart.  A minimum-weight word has at least two residues, as for
+    k >= 3 some word vanishes at 0, on H and at a point off H, on 2|H|
+    points.  Its shift that moves the first residue of a smallest gap to 0
+    vanishes at 0 and next at g <= n // z, off H, so g's column is nonzero;
+    the lex-first basis of its zeros past 0 then starts at g, and that
+    basis's first k-3 points are a prefix the walk reaches and counts the
+    word at.  As z >= k-1, the root keeps the points up to n // (k-1), and
+    the walk stops at the first batch that starts past n // best_zero: no
+    later batch starts a word with best_zero zeros or more.  The words found
+    reach every minimum-weight orbit, so the shifts that move one of their
+    zeros to coordinate 0 are all the minimum-weight words that vanish
+    there, and those are returned, normalised, sorted and distinct.
     """
     F, ctx = code.field, code.ctx
     n, k = code.n, code.k
@@ -682,7 +717,9 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     # the evaluation rows vanishing at point 0: V's row 0 is all ones, so the
     # pivot step on it subtracts the first row of V.T from the others
     at_zero = F.vsub(V.T[1:], V.T[0])
-    for P, E in linalg.prefix_walk(F, at_zero, k - 2, chunk):
+    for P, E in linalg.prefix_walk(F, at_zero, k - 2, chunk, n // (k - 1) + 1):
+        if P.shape[1] and P[0, 0] > n // best_zero:
+            break
         if P.shape[1] < k - 3:
             continue
         E1, E2 = E[:, 0], E[:, 1]
@@ -706,13 +743,18 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     d = n - best_zero
     if not best_words:
         return d, []
-    words = np.concatenate(best_words)[:, rev]
+    words = _distinct_words(F, np.concatenate(best_words)[:, rev])
+    w, z = np.nonzero(words == 0)  # each word shifted by each of its zeros to 0
+    return d, list(_distinct_words(F, words[w[:, None], (z[:, None] + np.arange(n)) % n]))
+
+
+def _distinct_words(F: FieldSpec, words):
+    """The distinct rows of `words` scaled to leading coefficient 1, sorted;
+    np.unique would import numpy.ma, ~16 ms in a fresh process."""
     lead = words[np.arange(len(words)), (words != 0).argmax(axis=1)]
     words = F.vdiv_nz(words, lead[:, None])
-    # sorted distinct rows; np.unique would import numpy.ma, ~16 ms in a fresh process
     words = words[np.lexsort(words.T[::-1])]
-    keep = np.r_[True, (words[1:] != words[:-1]).any(axis=1)]
-    return d, list(words[keep])
+    return words[np.r_[True, (words[1:] != words[:-1]).any(axis=1)]]
 
 
 def _ratio_classes(F: FieldSpec, E1, E2):

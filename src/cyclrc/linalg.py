@@ -17,8 +17,10 @@ work.  Both fold the pivot's scalars in on the small side (one coefficient
 per row), so each element of a block costs one multiplication and one
 addition.  The walk serves the zero-core scan's pencils and
 `first_dependent_columns`, the one column-dependence scan, which reads a
-dependent column off a zero column of the walk's rows.  `column_scan_cost` is the scan's work estimate,
-one elimination per t-subset, kept as it was: the strategy ranking and the
+dependent column off a zero column of the walk's rows.  Both take a
+`lead`, the bound on the first column, which the cyclic scans set by the
+smallest cyclic gap.  `column_scan_cost` is the scan's work estimate, one
+elimination per t-subset, kept as it was: the strategy ranking and the
 budget refusals built on it stay put until the cost model is recalibrated
 (an open ROADMAP item).
 """
@@ -175,9 +177,10 @@ def batch_nullvec(F: FieldSpec, mats) -> np.ndarray:
 _BATCH_ELEMS = 1 << 18
 
 
-def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024):
+def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024, lead: Optional[int] = None):
     """Depth-first walk, in lex order, over the column sets of A that are
-    independent and extend to `size` columns.
+    independent, extend to `size` columns and, but for the empty set, start
+    below column `lead` (default: any column).
 
     A node is such a set P, |P| < size, with rows R = Y A for a basis Y of
     the y whose y A vanishes on P; column s of R is then zero exactly when
@@ -192,9 +195,11 @@ def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024):
     rows - |P|, cols).  A batch holds up to `chunk` children of one parent
     batch, fewer where their parents' rows would pass _BATCH_ELEMS
     elements, and comes before its children's batches, so batches come in
-    lex order of their first node.
+    lex order of their first node.  `lead` cuts only the root's children to
+    the columns s < lead; every deeper step is unchanged.
     """
     A = np.asarray(A, dtype=np.int64)
+    cols = A.shape[1]
     pending = [iter([(np.zeros((1, 0), dtype=np.int64), A[None])])]
     while pending:
         node = next(pending[-1], None)
@@ -202,16 +207,19 @@ def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024):
             pending.pop()
             continue
         yield node
-        if node[0].shape[1] + 1 < size:
-            pending.append(_children(F, *node, size, chunk))
+        depth = node[0].shape[1]
+        if depth + 1 < size:
+            stop = cols if depth or lead is None else lead
+            pending.append(_children(F, *node, size, chunk, stop))
 
 
-def _children(F: FieldSpec, P, R, size: int, chunk: int):
-    """The batches of independent children of one `prefix_walk` batch."""
+def _children(F: FieldSpec, P, R, size: int, chunk: int, stop: int):
+    """The batches of independent children of one `prefix_walk` batch whose
+    new column lies below `stop`."""
     nb, m, cols = R.shape
     depth = P.shape[1]
     first = P[:, -1] + 1 if depth else np.zeros(nb, dtype=np.int64)
-    counts = np.maximum(cols - size + depth + 1 - first, 0)
+    counts = np.maximum(min(cols - size + depth + 1, stop) - first, 0)
     parent = np.repeat(np.arange(nb), counts)
     col = np.arange(len(parent)) + np.repeat(first - np.cumsum(counts) + counts, counts)
     step = max(1, min(chunk, _BATCH_ELEMS // max(1, m * cols)))
@@ -234,15 +242,18 @@ def _children(F: FieldSpec, P, R, size: int, chunk: int):
 def column_scan_cost(cols: int, rows: int, t: int) -> int:
     """Work estimate of `first_dependent_columns`: one rows x t elimination
     per t-subset of the columns.  The walk eliminates each prefix once, and
-    the support climb's scan through coordinate 0 walks C(cols-1, t-1)
-    subsets, but the estimate is deliberately unchanged, so no strategy
-    choice or budget refusal built on it moves until the cost model is
-    recalibrated (an open ROADMAP item)."""
+    the support climb's scan through coordinate 0, cut to a second point at
+    most cols // t, walks fewer than C(cols-1, t-1) subsets, but the
+    estimate still prices C(cols, t) on purpose, so no strategy choice or
+    budget refusal built on it moves until the cost model is recalibrated
+    (an open ROADMAP item)."""
     return comb(cols, t) * rows * t * min(t, rows)
 
 
-def first_dependent_columns(F: FieldSpec, M, t: int, chunk: int = 1024) -> Optional[tuple[int, ...]]:
-    """Lex-first t-subset of the columns of M that is linearly dependent, or None.
+def first_dependent_columns(F: FieldSpec, M, t: int, chunk: int = 1024,
+                            lead: Optional[int] = None) -> Optional[tuple[int, ...]]:
+    """Lex-first t-subset of the columns of M that is linearly dependent and
+    starts below column `lead` (default: any column), or None.
 
     `prefix_walk` visits the independent prefixes.  A zero column s past a
     prefix P's last column makes P + s dependent, and with it every t-set
@@ -250,7 +261,9 @@ def first_dependent_columns(F: FieldSpec, M, t: int, chunk: int = 1024) -> Optio
     after s.  A prefix's completion is the first t-set through it, and
     completions never decrease along the walk's order of batches, so once a
     batch's first prefix completes no earlier than the best set found, no
-    later batch holds an earlier one.
+    later batch holds an earlier one.  A set that starts below `lead` is
+    a zero column of the root below `lead`, or lies under a root child the
+    walk keeps, so the cut walk finds the lex-first of those sets.
     """
     M = np.asarray(M, dtype=np.int64)
     rows, cols = M.shape
@@ -264,12 +277,13 @@ def first_dependent_columns(F: FieldSpec, M, t: int, chunk: int = 1024) -> Optio
 
     best = None
     idx = np.arange(cols)
-    for P, R in prefix_walk(F, M, t, chunk):
+    for P, R in prefix_walk(F, M, t, chunk, lead):
         depth = P.shape[1]
         after = P[:, -1] + 1 if depth else np.zeros(len(P), dtype=np.int64)
         if best is not None and completion(P[0], int(after[0])) >= best:
             break
-        zero = ~R.any(axis=1) & (idx >= after[:, None]) & (idx <= cols - t + depth)
+        last = cols - t + depth if depth or lead is None else min(cols - t, lead - 1)
+        zero = ~R.any(axis=1) & (idx >= after[:, None]) & (idx <= last)
         hit = np.flatnonzero(zero.any(axis=1))
         if len(hit):
             found = completion(P[hit[0]], int(zero[hit[0]].argmax()))

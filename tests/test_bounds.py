@@ -4,6 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from cyclrc import bounds
 from cyclrc.bounds import (
     BadParams,
     BchWitness,
@@ -210,6 +211,20 @@ def test_bch_lower_memo_does_not_depend_on_history():
             set_first = bch_lower(B), bch_lower(B.complement())
             assert complement_first == set_first[::-1]
             assert set_first[0] == bch_lower(S)
+
+
+def test_bch_lower_builds_the_unit_steps_once_per_context(monkeypatch):
+    # the steps and their inverses depend on n alone, so a context builds
+    # them for its first set and reuses them for every later one
+    calls = []
+    monkeypatch.setattr(bounds, "units_mod", lambda n, real=bounds.units_mod: calls.append(n) or real(n))
+    ctx = CycContext(8192, 8191)
+    sets = [ctx.exponent_set([1, 2, 3, 5]), ctx.exponent_set([7, 9]), ctx.exponent_set([1, 2, 3, 5]).complement()]
+    for S in sets:
+        bch_lower(S)
+    assert calls == [8191]
+    steps, inv = ctx._unit_steps
+    assert steps == units_mod(8191) and (inv * np.array(steps) % 8191 == 1).all()
 
 
 def test_betti_sala_bound_and_errors():

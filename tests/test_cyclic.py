@@ -403,16 +403,19 @@ SUPPORT_CODES = [
 ]
 
 
+def support_code(q, n, exps, base):
+    ctx = cyc_context(q, n)
+    if base == "dual":
+        return code_from_defining_set(ctx, ctx.exponent_set(exps), base="extension").dual_code()
+    return code_from_defining_set(ctx, ctx.exponent_set(exps), base=base)
+
+
 @pytest.mark.parametrize("q,n,exps,base", SUPPORT_CODES,
                          ids=[f"{q}-{n}-{base}-{len(list(e))}" for q, n, e, base in SUPPORT_CODES])
 def test_dependent_support_matches_all_subsets_scan(q, n, exps, base):
     # the scan through coordinate 0 returns the all-subsets scan's support at
     # every weight up to n-k+1, where w-1 exceeds the rows of H[1:, 1:]
-    ctx = cyc_context(q, n)
-    if base == "dual":
-        code = code_from_defining_set(ctx, ctx.exponent_set(exps), base="extension").dual_code()
-    else:
-        code = code_from_defining_set(ctx, ctx.exponent_set(exps), base=base)
+    code = support_code(q, n, exps, base)
     r = n - code.k
     outcomes = set()
     for w in range(1, r + 2):
@@ -428,27 +431,30 @@ def test_dependent_support_matches_all_subsets_scan(q, n, exps, base):
 
 def test_support_scan_runs_through_coordinate_zero(monkeypatch):
     # the [18, 8, 11] Reed-Solomon code over GF(19): at weight 7 the scan finds
-    # nothing, so it decides every support it can reach, the C(17, 6) supports
-    # through coordinate 0 and not all C(18, 7): the walk runs on the 17
-    # columns past coordinate 0, and each 5-column prefix it reaches decides
-    # the 6-sets that add one later column
+    # nothing, so it decides every support it can reach.  Those run through
+    # coordinate 0 with a second point of at most 18 // 7 = 2, as a shift
+    # starts a smallest gap at 0: the C(16, 5) 7-sets through {0, 1} and the
+    # C(15, 5) through {0, 2} but not 1, not all C(17, 6) through 0 nor all
+    # C(18, 7).  The walk runs on the 17 columns past coordinate 0, its root
+    # keeps columns 0 and 1, and each 5-column prefix it reaches decides the
+    # 6-sets that add one later column
     ctx = cyc_context(19, 18)
     code = code_from_defining_set(ctx, ctx.exponent_set(range(1, 11)))
     assert code.n - code.k == 10
     shapes, decided = [], []
     prefix_walk = linalg.prefix_walk
 
-    def counting_walk(F, A, size, chunk):
-        shapes.append((np.shape(A), size))
-        for P, R in prefix_walk(F, A, size, chunk):
+    def counting_walk(F, A, size, chunk, lead):
+        shapes.append((np.shape(A), size, lead))
+        for P, R in prefix_walk(F, A, size, chunk, lead):
             if P.shape[1] == size - 1:
                 decided.append(int((np.shape(A)[1] - 1 - P[:, -1]).sum()))
             yield P, R
 
     monkeypatch.setattr(linalg, "prefix_walk", counting_walk)
     assert not has_weight_at_most(code, 7)
-    assert shapes == [((9, 17), 6)]
-    assert sum(decided) == comb(17, 6) == 12376
+    assert shapes == [((9, 17), 6, 2)]
+    assert sum(decided) == comb(16, 5) + comb(15, 5) == 7371
 
 
 def test_min_weight_word_properties():
@@ -635,6 +641,121 @@ def test_zero_core_pencils_match_reference(code):
         assert [tuple(int(x) for x in w) for w in got] == sorted(words), (chunk, k)
 
 
+def reference_zero_core_scan(code, want_words=False, chunk=1024):
+    """The zero-core scan without the smallest-gap cut: every prefix through
+    0 is walked, and the words are those counted, normalised and distinct."""
+    F, n, k = code.field, code.n, code.k
+    V = code.ctx.root_powers(range(n), list(code.defining.complement().exps))
+    rev = (-np.arange(n)) % n
+    best_zero, best_words = k - 2, []
+    for P, E in linalg.prefix_walk(F, F.vsub(V.T[1:], V.T[0]), k - 2, chunk):
+        if P.shape[1] < k - 3:
+            continue
+        E1, E2 = E[:, 0], E[:, 1]
+        cls = cy._ratio_classes(F, E1, E2)
+        common = cls == F.q + 1
+        srt = np.sort(cls, axis=1)
+        starts = np.flatnonzero(np.c_[np.ones(len(srt), dtype=bool), srt[:, 1:] != srt[:, :-1]])
+        rows, val = starts // n, srt.ravel()[starts]
+        size = np.diff(np.r_[starts, srt.size])
+        zeros = np.where(val == F.q + 1, -1, common.sum(axis=1)[rows] + size)
+        mz = int(zeros.max())
+        if mz > best_zero:
+            best_zero, best_words = mz, []
+        if want_words and mz == best_zero:
+            hit = zeros == best_zero
+            b = rows[hit]
+            t = (cls[b] == val[hit][:, None]).argmax(axis=1)
+            best_words.append(F.vsub(F.vmul(E2[b, t][:, None], E1[b]), F.vmul(E1[b, t][:, None], E2[b])))
+    if not best_words:
+        return n - best_zero, []
+    return n - best_zero, list(cy._distinct_words(F, np.concatenate(best_words)[:, rev]))
+
+
+def ambient_code(q, n, nonzeros):
+    ctx = cyc_context(q, n)
+    return code_from_defining_set(ctx, ctx.exponent_set(nonzeros).complement(), base="extension")
+
+
+# ambient codes with forced zeros: every word that vanishes at 0 also
+# vanishes on the subgroup of points t with t*N = 0 mod n for all nonzero
+# exponents N, here {0, 6, 12, 18}, {0, 8, 16} and {0, 9}
+FORCED_ZERO_CODES = [(25, 24, [0, 4, 8, 16, 20]), (25, 24, [0, 3, 9, 15, 21]), (19, 18, [0, 2, 4, 8, 10, 14])]
+
+
+@pytest.mark.parametrize("q,n,nonzeros", FORCED_ZERO_CODES)
+def test_forced_zero_codes_have_their_subgroup(q, n, nonzeros):
+    code = ambient_code(q, n, nonzeros)
+    V = code.ctx.root_powers(range(n), list(code.defining.complement().exps))
+    forced = np.flatnonzero(~code.field.vsub(V.T[1:], V.T[0]).any(axis=0))
+    assert len(forced) > 1 and n % len(forced) == 0
+    assert forced.tolist() == list(range(0, n, n // len(forced)))
+
+
+# the walk serves k >= 3; below that the scan reads its one core directly
+@pytest.mark.parametrize(
+    "code", [c for c in random_ambient_codes(2311, 4) if c.k >= 3]
+    + [*anchor_duals(), *(ambient_code(*c) for c in FORCED_ZERO_CODES)],
+    ids=lambda c: f"{c.ctx.q}-{c.n}-k{c.k}-{'.'.join(map(str, c.defining.complement().exps))}")
+def test_zero_core_scan_matches_the_unrestricted_walk(code):
+    # the smallest-gap cut and the shifted words give the unrestricted
+    # walk's distance and exactly its word list, however the walk batches
+    for chunk in (1, 3, None):
+        kw = {} if chunk is None else {"chunk": chunk}
+        want = reference_zero_core_scan(code, want_words=True, **kw)
+        got = cy._zero_core_scan(code, want_words=True, **kw)
+        assert got[0] == want[0], (chunk, code.defining.exps)
+        assert [w.tolist() for w in got[1]] == [w.tolist() for w in want[1]], (chunk, code.defining.exps)
+        assert cy._zero_core_scan(code, **kw) == (want[0], [])
+
+
+# the anchors of DEGENERATE_ANCHORS over GF(q^2), whose duals the zero-core
+# tests scan, have only five parity checks
+CUT_SUPPORT_CODES = [support_code(*c) for c in SUPPORT_CODES] + [
+    *random_ambient_codes(2333, 1), *(support_code(q, n, a, "extension") for q, n, a in DEGENERATE_ANCHORS)]
+
+
+@pytest.mark.parametrize("code", CUT_SUPPORT_CODES, ids=lambda c: f"{c.ctx.q}-{c.n}-k{c.k}-{len(c.defining)}")
+def test_dependent_support_cut_matches_the_unrestricted_walk(code):
+    # the scan cut to a second point of at most n // w returns the support
+    # of the scan over every support through 0, and the same verdict, at
+    # every weight up to two past the first dependent one, however the walk
+    # batches
+    F, n, r = code.field, code.n, code.n - code.k
+    H = code.parity_check_matrix()
+    hits = 0
+    for w in range(2, r + 2):
+        full = linalg.first_dependent_columns(F, H[1:, 1:], w - 1)
+        want = None if full is None else (0, *(c + 1 for c in full))
+        assert cy._dependent_support(code, w, float("inf")) == want, w
+        assert has_weight_at_most(code, w, float("inf")) == (want is not None), w
+        for chunk in (1, 3):
+            assert linalg.first_dependent_columns(F, H[1:, 1:], w - 1, chunk, lead=n // w) == full, (w, chunk)
+        hits += want is not None
+        if hits == 3:
+            break
+    assert hits or r == 0
+
+
+def test_n33_zero_core_walk_starts_from_the_smallest_gap(monkeypatch):
+    # the n33 anchor dual's scan walked 35,960 prefixes through 0; cut to a
+    # first point of at most 33 // 6 and stopped once a batch starts past
+    # 33 // 10, it walks 14,353
+    ctx = cyc_context(32, 33)
+    dual = code_from_defining_set(ctx, ctx.exponent_set([0, 14, 15, 16, 17, 18, 19]), base="extension").dual_code()
+    nodes = []
+    prefix_walk = linalg.prefix_walk
+
+    def counting_walk(*args):
+        for P, R in prefix_walk(*args):
+            nodes.append(len(P))
+            yield P, R
+
+    monkeypatch.setattr(linalg, "prefix_walk", counting_walk)
+    assert cy._zero_core_scan(dual, want_words=True)[0] == 23
+    assert sum(nodes) <= 15000
+
+
 def test_n33_anchor_dual_settles_by_zero_core():
     # the C56 anchor {0, +-17, +-18, +-19} at n = 33 over GF(32): its [33, 7]
     # dual lives over GF(2^10), where the zero-core scan is the cheapest oracle
@@ -683,7 +804,8 @@ def test_scan_kernel_elements_stay_at_their_bounds(monkeypatch):
     # enumeration of a GF(25) [24, 5] code.  The loops that formed two
     # products per element of the walk's rows and added the offset to every
     # word made 5.44M vmul elements in the scan and 234M vadd elements in
-    # the enumeration
+    # the enumeration, and the scan's walk over every prefix through 0,
+    # before it started from the smallest gap, 2.90M
     counts = {}
     for name in ("vadd", "vsub", "vneg", "vmul", "vdiv_nz"):
         def counted(F, *args, _kernel=getattr(FieldSpec, name), _name=name):
@@ -692,7 +814,7 @@ def test_scan_kernel_elements_stay_at_their_bounds(monkeypatch):
             return out
         monkeypatch.setattr(FieldSpec, name, counted)
     bounds = {
-        "zero_core": {"vadd": 2542848, "vsub": 180946, "vneg": 76875, "vmul": 2903810, "vdiv_nz": 1295400},
+        "zero_core": {"vadd": 1025000, "vsub": 68500, "vneg": 31200, "vmul": 1160000, "vdiv_nz": 492000},
         "exhaustive": {"vadd": 425983, "vsub": 15847, "vneg": 30848, "vmul": 5620, "vdiv_nz": 2762},
     }
     ctx = cyc_context(32, 33)
@@ -704,6 +826,19 @@ def test_scan_kernel_elements_stay_at_their_bounds(monkeypatch):
     code = code_from_defining_set(ctx, ctx.exponent_set([0, 1, 5, 11, 12]), base="extension").dual_code()
     assert code.k == 5 and cy._exhaustive_scan(code, want_words=True)[0] == 12
     assert all(counts[k] <= bounds["exhaustive"][k] for k in counts), counts
+
+
+def test_generator_check_reads_the_base_field_mask():
+    # the context's mask marks exactly GF(q) inside the ambient field, and a
+    # generator coefficient outside it is a named leak
+    for q, n in [(2, 15), (4, 5), (19, 18), (5, 12), (3, 13), (32, 33)]:
+        ctx = cy.CycContext(q, n)
+        assert np.flatnonzero(ctx.in_base).tolist() == ctx.field.subfield_elements(q).tolist()
+    ctx = cy.CycContext(2, 15)
+    ctx.in_base[1] = False
+    with pytest.raises(cy.CoefficientLeak, match="coefficient 1 escapes GF\\(2\\)"):
+        code_from_defining_set(ctx, ctx.exponent_set([1, 2, 4, 8]))
+    assert code_from_defining_set(ctx, ctx.exponent_set([1, 2, 4, 8]), base="extension").k == 11
 
 
 def test_zero_core_words_do_not_import_numpy_ma():

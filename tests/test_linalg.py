@@ -208,12 +208,49 @@ def test_prefix_walk_visits_each_independent_prefix_once(F):
             assert firsts == sorted(firsts)
 
 
-def reference_children(F, P, R, size, chunk):
+@pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF({F.p}^{F.m})")
+def test_prefix_walk_lead_keeps_the_unrestricted_walk_below_it(F):
+    # a walk cut at `lead` visits exactly the unrestricted walk's nodes that
+    # start below `lead`, with the same rows, still in lex order of batches
+    rng = np.random.default_rng(2027 + F.q)
+    for A in scan_matrices(F, rng, 15):
+        cols = A.shape[1]
+        for size in range(1, cols + 1):
+            full = {tuple(p): r for P, R in linalg.prefix_walk(F, A, size)
+                    for p, r in zip(P.tolist(), R)}
+            for lead in range(cols + 1):
+                for chunk in (1, 3, 1024):
+                    got, firsts = {}, []
+                    for P, R in linalg.prefix_walk(F, A, size, chunk, lead):
+                        firsts.append(tuple(P[0].tolist()))
+                        got.update((tuple(p), r) for p, r in zip(P.tolist(), R))
+                    assert set(got) == {p for p in full if not p or p[0] < lead}, (A.tolist(), size, lead)
+                    assert all(np.array_equal(got[p], full[p]) for p in got)
+                    assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF({F.p}^{F.m})")
+def test_first_dependent_columns_lead_matches_the_filtered_scan(F):
+    # the lex-first dependent t-set among those that start below `lead`
+    rng = np.random.default_rng(2053 + F.q)
+    for M in scan_matrices(F, rng, 60):
+        rows, cols = M.shape
+        for t in sorted({1, rows, cols, int(rng.integers(1, cols + 2))}):
+            dependent = [c for c in itertools.combinations(range(cols), t)
+                         if len(linalg.rref(F, M[:, list(c)])[1]) < t]
+            for lead in range(1, cols + 1):
+                want = next((c for c in dependent if c[0] < lead), None)
+                for chunk in (1, 3, 1024):
+                    got = linalg.first_dependent_columns(F, M, t, chunk, lead=lead)
+                    assert got == want, (M.tolist(), t, lead, chunk)
+
+
+def reference_children(F, P, R, size, chunk, stop):
     """The division-free pivot step: child rows lead*R[r] - R[r, s]*R[piv]."""
     nb, m, cols = R.shape
     depth = P.shape[1]
     first = P[:, -1] + 1 if depth else np.zeros(nb, dtype=np.int64)
-    counts = np.maximum(cols - size + depth + 1 - first, 0)
+    counts = np.maximum(min(cols - size + depth + 1, stop) - first, 0)
     parent = np.repeat(np.arange(nb), counts)
     col = np.arange(len(parent)) + np.repeat(first - np.cumsum(counts) + counts, counts)
     step = max(1, min(chunk, linalg._BATCH_ELEMS // max(1, m * cols)))
