@@ -32,9 +32,8 @@ from .constructions import (
     build,
     verify_certificate,
 )
-from .cyclic import DEFAULT_BUDGET, BudgetTooSmall
+from .cyclic import DEFAULT_BUDGET, BudgetExceededInconclusive, BudgetTooSmall
 from .field import SIZE_CAP, FieldError
-from .locality import BudgetExceededInconclusive
 
 CSV_HEADER = ["family", "q", "n", "r", "delta", "k", "d", "optimal", "divides"]
 MIN_BUDGET = 10**6
@@ -216,8 +215,6 @@ def _expand_grid(axes: list[tuple[str, list]]):
         tail = d.pop("tail", None)
         if tail is not None:
             d["tails"] = (tail,) if not isinstance(tail, list) else tuple(tail)
-        d.setdefault("b", 1)
-        d.setdefault("t", 0)
         yield d
 
 

@@ -32,7 +32,6 @@ from . import bounds
 from .bounds import BettiSalaWitness
 from .cyclic import (
     BudgetTooSmall,
-    CycContext,
     CyclicCode,
     DEFAULT_BUDGET,
     ExponentSet,
@@ -201,7 +200,9 @@ def _block_count(req: ConstructionRequest, v: list[str]) -> Optional[int]:
 
 
 def validate(req: ConstructionRequest) -> list[str]:
-    """Named hypothesis violations; empty list means buildable."""
+    """Named hypothesis violations; empty list means buildable.  Once every
+    other clause holds, anchor x run must be closed under multiplication by
+    q mod n, checked on integers, so no context is built."""
     fam = req.family
     if fam not in _FAMILIES:
         return [f"unknown family {fam!r}"]
@@ -295,6 +296,11 @@ def validate(req: ConstructionRequest) -> list[str]:
             v.append("m even, m >= 2")
         if m is not None and not 2 <= delta <= (n - m + 1) // 2:
             v.append("2 <= delta <= (n-m+1)/2")
+    if not v:
+        # the code's defining set, once the fields that fix it hold
+        product = {(a + e) % n for a in _anchor_exponents(req) for e in _run_exponents(req)}
+        if any(e * req.q % n not in product for e in product):
+            v.append("anchor x run closed under multiplication by q mod n")
     return v
 
 
@@ -302,8 +308,8 @@ def validate(req: ConstructionRequest) -> list[str]:
 # Exponent-set assembly per family, on requests with `_with_defaults` applied.
 
 
-def _run_set(ctx: CycContext, req: ConstructionRequest) -> ExponentSet:
-    """The run set: delta-1 consecutive b-steps, from 0 when n | q-1.  When
+def _run_exponents(req: ConstructionRequest) -> list[int]:
+    """The run: delta-1 consecutive b-steps, from 0 when n | q-1.  When
     n | q+1 the defining set must be closed under q = -1, so the run is
     centred on 0 for even delta and on 1/2 for odd delta."""
     delta = req.delta
@@ -311,7 +317,7 @@ def _run_set(ctx: CycContext, req: ConstructionRequest) -> ExponentSet:
         steps = range(delta - 1)
     else:
         steps = range(-(delta - 3) // 2, (delta - 1) // 2 + 1)
-    return ctx.exponent_set([e * req.b for e in steps])
+    return [e * req.b for e in steps]
 
 
 def _run_and_tails(req: ConstructionRequest) -> tuple[int, int, tuple[int, ...]]:
@@ -441,7 +447,7 @@ def _assemble(req: ConstructionRequest,
         raise HypothesisViolated(["k = mu*r"])
     check_budget(req.n, budget)
     ctx = cyc_context(req.q, req.n)
-    return req, ctx.exponent_set(exps), _run_set(ctx, req)
+    return req, ctx.exponent_set(exps), ctx.exponent_set(_run_exponents(req))
 
 
 def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult:

@@ -79,8 +79,8 @@ def check_budget(n: int, budget: int) -> None:
         raise BudgetTooSmall(f"budget {budget} cannot cover the O(n^2) bound scan")
 
 
-class CombinatorialBudgetExceeded(RuntimeError):
-    pass
+class BudgetExceededInconclusive(RuntimeError):
+    """No exact oracle fits the work budget: the answer is inconclusive, not false."""
 
 
 class InvariantViolated(RuntimeError):
@@ -114,13 +114,12 @@ class CycContext:
         # which ambient elements lie in GF(q), for the generator check
         self.in_base = np.zeros(self.field.q, dtype=bool)
         self.in_base[self.field.subfield_elements(q)] = True
-        # per-context caches: codes by (exponents, base), run bounds and
-        # exact run-code distances by exponents, anchor dual words by
-        # (exponents, budget), and the run bound's unit steps and inverses
+        # per-context caches: codes by (exponents, base), run bounds by
+        # exponents, anchor dual words by (exponents, budget), and the run
+        # bound's unit steps and inverses
         self._code_cache: dict = {}
         self._bch_cache: dict = {}
         self._unit_steps: Optional[tuple[list[int], np.ndarray]] = None
-        self._run_dist_cache: dict = {}
         self._dual_word_cache: dict = {}
 
     def root_powers(self, exps, mults) -> np.ndarray:
@@ -418,7 +417,7 @@ def min_weight_word(code: CyclicCode, budget: int = DEFAULT_BUDGET):
     bch_val, _ = bounds.bch_lower(code.defining)
     d, words, _, _ = _settle(code, bch_val, n - k + 1, budget, want_words=True)
     if d is None:
-        raise CombinatorialBudgetExceeded(
+        raise BudgetExceededInconclusive(
             f"no exact minimum-weight strategy fits budget {budget} for [{n},{k}]"
         )
     sup, word = _canonical_word(code.field, words)
@@ -546,7 +545,7 @@ def _dependent_support(code: CyclicCode, w: int, budget: float):
     """
     cost = linalg.column_scan_cost(code.n, code.n - code.k, w)
     if cost > budget:
-        raise CombinatorialBudgetExceeded(
+        raise BudgetExceededInconclusive(
             f"support scan at weight {w} needs ~{cost:.2e} ops, budget {budget:.2e}"
         )
     H = code.parity_check_matrix()
@@ -566,7 +565,7 @@ def _support_climb(code: CyclicCode, lower: int, upper: int, budget: int):
     for w in range(lower, upper + 1):
         try:
             sup = _dependent_support(code, w, budget)
-        except CombinatorialBudgetExceeded:
+        except BudgetExceededInconclusive:
             return None, None, w
         budget -= linalg.column_scan_cost(n, n - k, w)
         if sup is not None:

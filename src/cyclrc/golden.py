@@ -19,7 +19,7 @@ from typing import Optional
 
 from .constructions import ConstructionRequest, build, verify_certificate
 from .cyclic import (
-    CombinatorialBudgetExceeded,
+    BudgetExceededInconclusive,
     DEFAULT_BUDGET,
     code_from_defining_set,
     cyc_context,
@@ -94,7 +94,7 @@ def crosscheck_distance(code, d: int, budget: int) -> Optional[str]:
         if d <= n - k and not has_weight_at_most(code, d, budget):
             raise AssertionError(f"support scan found no weight-{d} word")
         return "support_scan"
-    except CombinatorialBudgetExceeded:
+    except BudgetExceededInconclusive:
         return None
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import bounds, linalg
 from .cyclic import (
-    CombinatorialBudgetExceeded,
+    BudgetExceededInconclusive,
     CyclicCode,
     DEFAULT_BUDGET,
     ExponentSet,
@@ -53,10 +53,6 @@ class DistanceOrderingViolated(ValueError):
 
 
 class IndependenceCheckFailed(RuntimeError):
-    pass
-
-
-class BudgetExceededInconclusive(RuntimeError):
     pass
 
 
@@ -104,7 +100,7 @@ def anchor_dual_word(anchor: ExponentSet, budget: int = DEFAULT_BUDGET):
         dual = code_from_defining_set(ctx, anchor, base="extension").dual_code()
         try:
             word = min_weight_word(dual, budget)[1]
-        except CombinatorialBudgetExceeded:
+        except BudgetExceededInconclusive:
             if not cosets:
                 raise BudgetExceededInconclusive(
                     f"no affordable dual-distance oracle and no subgroup witness for n={n}"
@@ -116,15 +112,12 @@ def anchor_dual_word(anchor: ExponentSet, budget: int = DEFAULT_BUDGET):
 
 
 def run_code_distance(run: ExponentSet, budget: int = DEFAULT_BUDGET) -> int:
-    ctx = run.ctx
-    # only exact distances are stored, and they do not depend on the budget
-    if run.exps not in ctx._run_dist_cache:
-        cb = code_from_defining_set(ctx, run, base="extension")
-        res = min_distance(cb, budget)
-        if res.exact is None:
-            raise BudgetExceededInconclusive("run-code distance not settled within budget")
-        ctx._run_dist_cache[run.exps] = res.exact
-    return ctx._run_dist_cache[run.exps]
+    """The exact distance of the run's ambient code, settled within `budget`
+    on every call, so the answer depends on the budget alone."""
+    res = min_distance(code_from_defining_set(run.ctx, run, base="extension"), budget)
+    if res.exact is None:
+        raise BudgetExceededInconclusive("run-code distance not settled within budget")
+    return res.exact
 
 
 def locality_from_product(
@@ -165,10 +158,8 @@ def locality_record(anchor: ExponentSet, run: ExponentSet, word, dual_exact: boo
     says that w(h0) is that distance, else the anchor dual's run bound."""
     support = [i for i, x in enumerate(word) if x]
     w, n = len(support), anchor.ctx.n
-    lower = w
-    if not dual_exact:
-        anchor_code = code_from_defining_set(anchor.ctx, anchor, base="extension")
-        lower = min(bounds.bch_lower(anchor_code.dual_code().defining)[0], w)
+    # the anchor dual's defining set is -(Z_n minus A), so no code is built
+    lower = w if dual_exact else min(bounds.bch_lower(anchor.complement().negate())[0], w)
     groups = [list(g) for _, g in support_orbit(support, n)]
     return {"r": w - d_run + 1, "delta": d_run, "dA_perp": w, "dB": d_run, "groups": groups, "evidence": {
         "h0_support": support, "h0_word": [int(x) for x in word], "independence_checked": True,
@@ -322,7 +313,8 @@ def rederive_locality(code: CyclicCode, anchor: ExponentSet, run: ExponentSet, h
     order, and the record `locality_record` derives from h0_word and
     dual_exact, or None where they admit none: (1) anchor x run lies in the
     defining set; (2) h0 is a nonzero vector, a dual word of the anchor
-    code; (3) w(h0) >= d_run, the run code distance; (4) the translates
+    code; (3) w(h0) >= d_run, the run code distance (inconclusive, with the
+    checks after it, when the budget leaves d_run open); (4) the translates
     alpha^(j*e) * h0_j (e in run) are dual words of the code; (5) any
     d_run-1 of their columns on the support S of h0 are independent.
     Passing rows are a proof in themselves: supported on S (a nonzero entry
@@ -349,7 +341,10 @@ def rederive_locality(code: CyclicCode, anchor: ExponentSet, run: ExponentSet, h
         return stop("locality evidence", "disagree", f"h0_word is not a vector of length {n} over GF({F.q})")
     if not any(h0_word):
         return stop("locality evidence", "disagree", "h0_word is zero")
-    d_run = run_code_distance(run, budget)  # the run code is MDS: its sandwich closes at once
+    try:
+        d_run = run_code_distance(run, budget)  # a family's run code is MDS: its sandwich closes at once
+    except BudgetExceededInconclusive as exc:
+        return stop("locality r and delta", "inconclusive", str(exc))
     record = locality_record(anchor, run, h0_word, dual_exact, d_run)
     if not code_from_defining_set(ctx, anchor, base="extension").is_orthogonal([h0_word]):
         return stop("locality evidence", "disagree", "h0_word is not orthogonal to the anchor code", record)

@@ -225,10 +225,7 @@ def test_criterion_8_property_battery():
         ConstructionRequest(family="C52", q=23, n=24, delta=4, r=3, i=1, ell=0, case=2),
     ):
         first = json.dumps(build(req).certificate, sort_keys=True)
-        ctx = cyc_context(req.q, req.n)
-        ctx._dual_word_cache.clear()
-        ctx._run_dist_cache.clear()
-        ctx._code_cache.clear()
+        cyc_context.cache_clear()
         second = json.dumps(build(req).certificate, sort_keys=True)
         assert first == second
         cases += 1

@@ -422,6 +422,40 @@ def test_search_grid_point_with_negative_n_is_skipped(capsys, tmp_path):
     assert "skipped 1 grid points" in err
 
 
+# a T51 request whose fields validate but whose anchor x run is not closed
+# under multiplication by q = 4 mod 5
+T51_OPEN = {"family": "T51", "q": 4, "n": 5, "delta": 2, "m": 1, "tail": 2}
+
+
+def test_construct_open_product_closure_exit1(capsys):
+    argv = [f"--{key}={value}" for key, value in T51_OPEN.items()]
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert (code, out) == (1, "")
+    assert err == "hypothesis violated: anchor x run closed under multiplication by q mod n\n"
+
+
+def test_search_skips_open_product_closure_and_builds_the_rest(capsys, tmp_path):
+    grid = tmp_path / "closure.json"
+    grid.write_text(json.dumps({"grids": [T51_OPEN, {"family": "T48", "q": 31, "n": 30, "delta": 2, "m": 2}]}))
+    code, out, err = run_cli(capsys, "search", "--grid", str(grid))
+    assert code == 0
+    assert out.splitlines() == ["family,q,n,r,delta,k,d,optimal,divides", "T48,31,30,20,2,23,6,False,False"]
+    assert err == "skipped 1 grid points with violated hypotheses\n"
+
+
+def test_verify_open_product_closure_request_disagrees(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    assert main(["construct", "--family", "C56", "--q", "13", "--n", "7", "--m", "2", "--delta", "2",
+                 "--format", "json", "-o", str(cert_path)]) in (0, 2)
+    cert = json.loads(cert_path.read_text())
+    cert["optimality"]["request"] = {"family": "T51", "q": 4, "n": 5, "delta": 2, "m": 1, "tails": [2], "b": 1,
+                                     "t": 0}
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", str(cert_path))
+    assert (code, err) == (1, "")
+    assert out == "disagree     request: hypothesis violated: anchor x run closed under multiplication by q mod n\n"
+
+
 @pytest.mark.parametrize("block,detail", [
     ({"q": 19, "n": 18, "delta": 2, "m": 2}, "without a string family"),
     ({"family": "C56", "q": 13, "n": 7, "m": 2, "delta": "x"}, "delta must be an integer"),

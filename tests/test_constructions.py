@@ -7,7 +7,6 @@ from dataclasses import replace
 from functools import cache
 from itertools import product
 from math import gcd
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from cyclrc.constructions import (
     _anchor_exponents,
     _paper_values,
     _run_and_tails,
-    _run_set,
+    _run_exponents,
     _tail_clauses,
     _with_defaults,
     build,
@@ -34,7 +33,7 @@ from cyclrc.cyclic import BudgetTooSmall, cyc_context, product_set
 def _ab_exponents(req):
     ctx = cyc_context(req.q, req.n)
     anchor = ctx.exponent_set(_anchor_exponents(req))
-    return set(product_set(anchor, _run_set(ctx, req)).exps)
+    return set(product_set(anchor, ctx.exponent_set(_run_exponents(req))).exps)
 
 
 def test_validate_clean_requests():
@@ -320,11 +319,11 @@ def test_t58_generic_route_matches_specialization():
 
 
 def test_t51_rejects_open_product_closure():
-    # an asymmetric tail makes the product set escape closure under q
-    from cyclrc.cyclic import NotQClosed
-
+    # an asymmetric tail makes the product set escape closure under q, a
+    # clause `validate` names, so the request is refused before any build
     req = ConstructionRequest(family="T51", q=23, n=24, delta=4, t=0, b=1, m=6, tails=(9,))
-    with pytest.raises(NotQClosed):
+    assert validate(req) == ["anchor x run closed under multiplication by q mod n"]
+    with pytest.raises(HypothesisViolated, match="closed under multiplication by q"):
         build(req)
 
 
@@ -510,19 +509,15 @@ def _ref_run_exps(req):
     return [e * b for e in range(lo, (delta - 1) // 2 + 1)]
 
 
-# `_run_set` asks its context only for the exponent set of a list; this one
-# hands the list back, so the exponents compare before reduction mod n
-RAW_CONTEXT = SimpleNamespace(exponent_set=list)
-
-
 PRIME_POWERS = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53,
                 59, 61, 64, 67, 71, 73, 79, 81, 83, 89, 97, 101, 103, 107, 109, 113, 121, 125, 127, 128)
 Q_MINUS_1 = ("T41", "C42", "C44", "C46", "T48", "P49", "P410")
 
 
 def _family_points(fam):
-    """Candidate request fields of one family on every admissible (q, n).
-    The compared values do not depend on b or t, which stay at 1 and small."""
+    """Candidate request fields of one family on every admissible (q, n),
+    and for T51 and T58 their corollaries' theorem requests.  The compared
+    values do not depend on b or t."""
     side = -1 if fam in Q_MINUS_1 else 1
     for q in PRIME_POWERS:
         for n in range(3, q + side + 1):
@@ -559,6 +554,13 @@ def _family_points(fam):
             else:
                 for delta, m in product(range(2, 8), range(2, 9, 2)):
                     yield dict(base, delta=delta, m=m)
+    if fam in ("T51", "T58"):
+        # few points above keep anchor x run closed under q = -1, which
+        # validation requires; each corollary's theorem request does
+        for corollary in ("C52", "C56") if fam == "T51" else ("C59", "C511"):
+            for req in _validated_requests(corollary):
+                t, m, tails = _run_and_tails(req)
+                yield dict(family=fam, q=req.q, n=req.n, delta=req.delta, t=t, m=m, tails=tails)
 
 
 @cache
@@ -577,7 +579,7 @@ def test_paper_values_match_the_reference_ladders():
                     _ref_claimed_dual_distance(req), _ref_block_target(req))
             assert _paper_values(req) == want, req
             assert len(_anchor_exponents(req)) == _ref_anchor_size(req), req
-            assert _run_set(RAW_CONTEXT, req) == _ref_run_exps(req), req
+            assert _run_exponents(req) == _ref_run_exps(req), req
 
 
 def _shifted_requests(fam):

@@ -13,7 +13,7 @@ from cyclrc import linalg
 from cyclrc.field import FieldSpec, field_create
 from cyclrc.cyclic import (
     BoundInversion,
-    CombinatorialBudgetExceeded,
+    BudgetExceededInconclusive,
     DistanceResult,
     NotQClosed,
     all_cyclotomic_cosets,
@@ -355,7 +355,7 @@ def test_has_weight_at_most_examples():
     assert has_weight_at_most(code, 14, budget=10**6)
     # a mid-range weight on a high-codimension code does blow the budget
     wide = code_from_defining_set(ctx, product_set(ctx.exponent_set([0, 1, 2, 4, 8, 16]), B))
-    with pytest.raises(CombinatorialBudgetExceeded):
+    with pytest.raises(BudgetExceededInconclusive):
         has_weight_at_most(wide, 14, budget=10**6)
 
 
@@ -425,7 +425,7 @@ def test_dependent_support_matches_all_subsets_scan(q, n, exps, base):
     assert outcomes == ({False} if r == 0 else {True, False})
     # the budget check prices all C(n, w) supports, as column_scan_cost does
     w = min(2, r + 1)
-    with pytest.raises(CombinatorialBudgetExceeded):
+    with pytest.raises(BudgetExceededInconclusive):
         cy._dependent_support(code, w, linalg.column_scan_cost(n, r, w) - 1)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclrc import linalg
+from cyclrc.constructions import ConstructionRequest, build
 from cyclrc.cyclic import all_cyclotomic_cosets, code_from_defining_set, cyc_context, min_distance, product_set
 from cyclrc.locality import (
     BudgetExceededInconclusive,
@@ -14,6 +15,7 @@ from cyclrc.locality import (
     locality_from_product,
     punctured_distance_at_least,
     rederive_locality,
+    run_code_distance,
     verify_locality_exhaustive,
 )
 from cyclrc.selfcheck import closed_sets
@@ -313,17 +315,39 @@ def test_translate_row_check_implies_the_punctured_distance(q, n):
 
 
 def test_independence_scan_priced_against_the_budget():
-    # the scan on h0's 15 coordinates costs C(15, 2) * 5 * 2 * 2 = 2100 ops:
-    # a budget above n^2 = 961 but below that leaves the claim open
-    ctx = cyc_context(2, 31)
-    anchor = ctx.exponent_set([0, 1, 2, 4, 8, 16])
-    run = ctx.exponent_set([5, 9, 10, 18, 20])
-    code = code_from_defining_set(ctx, product_set(anchor, run))
-    cert = locality_from_product(anchor, run, code)
-    assert linalg.column_scan_cost(cert["dA_perp"], len(run), cert["delta"] - 1) == 2100
-    lines = {claim: status for claim, status, _ in check_locality_record(code, cert, 2000)}
+    # C44 q=19 n=18: the scan on h0's 10 coordinates costs C(10, 3) * 3 * 3 * 3
+    # = 3240 ops, and the run code closes at its sandwich, so a budget above
+    # n^2 = 324 but below that leaves only the punctured distances open
+    res = build(ConstructionRequest(family="C44", q=19, n=18, delta=4, t=1, m=5, tails=(8,)))
+    code, cert = res.code, res.certificate["locality"]
+    anchor, run = (code.ctx.exponent_set(cert["evidence"][key]) for key in ("anchor_exponents", "run_exponents"))
+    assert linalg.column_scan_cost(cert["dA_perp"], len(run), cert["delta"] - 1) == 3240
+    lines = {claim: status for claim, status, _ in check_locality_record(code, cert, 3239)}
     assert lines.pop("punctured distances") == "inconclusive"
     assert set(lines.values()) == {"agree"}
     assert record_holds(code, cert)
     with pytest.raises(BudgetExceededInconclusive, match="independence scan"):
-        locality_from_product(anchor, run, code, 2000)
+        locality_from_product(anchor, run, code, 3239)
+
+
+def test_run_distance_at_a_budget_does_not_depend_on_history():
+    # README's product route: budget 2000 leaves the run code's distance
+    # open, in a fresh context and after a default-budget call settled it
+    def route():
+        ctx = cyc_context(2, 31)
+        anchor, run = ctx.exponent_set([0, 1, 2, 4, 8, 16]), ctx.exponent_set([5, 9, 10, 18, 20])
+        return anchor, run, code_from_defining_set(ctx, product_set(anchor, run))
+
+    cert = locality_from_product(*route())
+    reports = []
+    for warm in (False, True):
+        cyc_context.cache_clear()
+        anchor, run, code = route()
+        if warm:
+            assert run_code_distance(run) == cert["delta"]
+        reports.append(check_locality_record(code, cert, 2000))
+        with pytest.raises(BudgetExceededInconclusive, match="run-code distance not settled"):
+            locality_from_product(anchor, run, code, 2000)
+    assert reports[0] == reports[1]
+    lines = {claim: (status, detail) for claim, status, detail in reports[0]}
+    assert lines["locality r and delta"] == ("inconclusive", "run-code distance not settled within budget")
