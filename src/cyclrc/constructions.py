@@ -31,6 +31,7 @@ from typing import NamedTuple, Optional
 from . import bounds
 from .bounds import BettiSalaWitness
 from .cyclic import (
+    BudgetExceededInconclusive,
     BudgetTooSmall,
     CyclicCode,
     DEFAULT_BUDGET,
@@ -200,9 +201,11 @@ def _block_count(req: ConstructionRequest, v: list[str]) -> Optional[int]:
 
 
 def validate(req: ConstructionRequest) -> list[str]:
-    """Named hypothesis violations; empty list means buildable.  Once every
-    other clause holds, anchor x run must be closed under multiplication by
-    q mod n, checked on integers, so no context is built."""
+    """Named hypothesis violations; empty list means buildable.  Once the
+    fields hold, the anchor exponents must be distinct mod n and k = mu*r
+    where mu is set; once every other clause holds, anchor x run must be
+    closed under multiplication by q mod n.  All are checked on integers,
+    so no context is built."""
     fam = req.family
     if fam not in _FAMILIES:
         return [f"unknown family {fam!r}"]
@@ -296,9 +299,17 @@ def validate(req: ConstructionRequest) -> list[str]:
             v.append("m even, m >= 2")
         if m is not None and not 2 <= delta <= (n - m + 1) // 2:
             v.append("2 <= delta <= (n-m+1)/2")
+    if v:
+        return v
+    # the clauses on the exponents, once the fields that fix them hold
+    exps = _anchor_exponents(req)
+    if len({e % n for e in exps}) != len(exps):
+        v.append("anchor exponents collide mod n")
+    # mu is read only by C42, C52 and C59, whose validation requires r
+    if req.mu is not None and _paper_values(req)[0] != req.mu * req.r:
+        v.append("k = mu*r")
     if not v:
-        # the code's defining set, once the fields that fix it hold
-        product = {(a + e) % n for a in _anchor_exponents(req) for e in _run_exponents(req)}
+        product = {(a + e) % n for a in exps for e in _run_exponents(req)}
         if any(e * req.q % n not in product for e in product):
             v.append("anchor x run closed under multiplication by q mod n")
     return v
@@ -439,26 +450,25 @@ def _assemble(req: ConstructionRequest,
     if clauses:
         raise HypothesisViolated(clauses)
     req = _with_defaults(req)
-    exps = _anchor_exponents(req)
-    if len({e % req.n for e in exps}) != len(exps):
-        raise HypothesisViolated(["anchor exponents collide mod n"])
-    # mu is read only by C42, C52 and C59, whose validation requires r
-    if req.mu is not None and _paper_values(req)[0] != req.mu * req.r:
-        raise HypothesisViolated(["k = mu*r"])
     check_budget(req.n, budget)
     ctx = cyc_context(req.q, req.n)
-    return req, ctx.exponent_set(exps), ctx.exponent_set(_run_exponents(req))
+    return req, ctx.exponent_set(_anchor_exponents(req)), ctx.exponent_set(_run_exponents(req))
 
 
 def build(req: ConstructionRequest, budget: int = DEFAULT_BUDGET) -> BuildResult:
-    """Build a family request end to end and certify it."""
+    """Build a family request end to end and certify it.  Raises
+    ConstructionInternalError on a formula an oracle disagrees with, and
+    BudgetExceededInconclusive when the findings are only inconclusive."""
     request = req
     req, anchor, run = _assemble(req, budget)
     code = code_from_defining_set(anchor.ctx, product_set(anchor, run), base="subfield")
     loc = locality_from_product(anchor, run, code, budget)
     cert, broken = _certificate(request, req, code, loc, _optimality(code, req, loc, budget))
-    if broken:
-        raise ConstructionInternalError(broken[0][2])
+    disagree = [detail for _, status, detail in broken if status == "disagree"]
+    if disagree:
+        raise ConstructionInternalError(disagree[0])
+    if broken:  # only inconclusive findings: the budget left a claim open
+        raise BudgetExceededInconclusive(broken[0][2])
     return BuildResult(code, cert)
 
 

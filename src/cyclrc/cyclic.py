@@ -9,13 +9,15 @@ base field when the code is declared over it.
 Minimum distances and minimum-weight words come from one dispatcher,
 `_settle`, which runs the exact strategies in order of estimated cost:
 
-* message-space enumeration (dimension small), with no product in its loop:
-  every multiple of every generator row is formed once, one block holds
-  every combination of the last rows, and each step weighs the block plus
-  an offset word, kept by one subtraction and one addition per changed
-  digit, by comparing the block with the negated offset;
-  the order of enumeration cannot change a certificate, because
-  minimum-weight words with one support are proportional,
+* message-space enumeration (dimension small), one message per scalar
+  class, those whose leading nonzero digit is 1, so (q_b^k-1)/(q_b-1)
+  lines, with no product in its loop: every multiple of every generator row
+  is formed once, one block holds every combination of the last rows, and
+  each step weighs the block plus an offset word, kept by one subtraction
+  and one addition per changed digit, by comparing the block with the
+  negated offset; neither the skipped multiples nor the order of
+  enumeration can change a certificate, because minimum-weight words with
+  one support are proportional,
 * zero-core enumeration for codes over the ambient field: every codeword is
   an evaluation of a polynomial supported on the nonzero exponents, and any
   minimum-weight word, after a cyclic shift, vanishes on k-1 points that
@@ -477,6 +479,9 @@ def _settle(code: CyclicCode, lower: int, upper: int, budget: int, want_words: b
     minimum-weight words if `want_words`, method, lower bound reached).
     """
     n, k = code.n, code.k
+    # the enumeration weighs (q_b^k-1)/(q_b-1) lines, but is still priced at
+    # q_b^k * n on purpose, so the ranking and every certificate stay as they
+    # were until the cost model is refitted
     try:
         exhaustive = float(code.base_q**k) * n
     except OverflowError:
@@ -592,22 +597,30 @@ def _normalize_word(F: FieldSpec, word: np.ndarray) -> np.ndarray:
 
 def _exhaustive_scan(code: CyclicCode, early_stop_at: Optional[int] = None, want_words: bool = False,
                      chunk: int = 1 << 15):
-    """Enumerate the message space; returns (min weight, words of that weight).
+    """Enumerate the message space, one message per scalar class; returns
+    (min weight, words of that weight).
 
-    The loop forms no product.  Every multiple of every generator row is
-    formed once, as a (k, q_b, n) table.  One block holds every combination
-    of the last j rows, j the most rows whose q_b^j words fit in `chunk` (at
-    least one row).  A mixed-radix counter steps the first k-j rows: each
-    changed digit swaps its row's multiple in the offset word by one vsub and
-    one vadd.  Each step weighs block + offset without forming it: a word's
-    weight is the number of coordinates where the block differs from
-    -offset, one comparison per element, and only the rows of minimum weight
-    are added to the offset.  The zero word is the block's first row at the
-    first step, which skips it by its index.
+    A word and its q_b - 1 nonzero multiples have one weight and one
+    normalised form, so only the messages whose leading nonzero digit is 1
+    are weighed: (q_b^k - 1)/(q_b - 1) lines, not q_b^k.  The loop forms no
+    product.  Every multiple of every generator row is formed once, as a
+    (k, q_b, n) table; index 1 is the field's one, so mult[i, 1] is row i.
+    One block holds every combination of the last j rows, j the most rows
+    whose q_b^j words fit in `chunk` (at least one row).  A mixed-radix
+    counter steps the first k-j rows through the states whose top nonzero
+    digit is 1: the top digit carries at 1, the others at q_b - 1, and each
+    changed digit swaps its row's multiple in the offset word by one vsub
+    and one vadd.  Each such state weighs the whole block; the zero state
+    weighs only the block lines [q_b^e, 2 q_b^e) for e < j, those whose top
+    nonzero digit is 1, which leaves out the zero word.  Each step weighs
+    block + offset without forming it: a word's weight is the number of
+    coordinates where the block differs from -offset, one comparison per
+    element, and only the rows of minimum weight are added to the offset.
 
-    The order of enumeration cannot change a certificate: two minimum-weight
-    words with one support are proportional (else a combination of them
-    would be lighter), so `_canonical_word` picks the same word from any order.
+    Neither the skipped multiples nor the order of enumeration can change a
+    certificate: two minimum-weight words with one support are proportional
+    (else a combination of them would be lighter), so `_canonical_word`
+    picks the same word from any of them, in any order.
     """
     F = code.field
     n, k = code.n, code.k
@@ -623,27 +636,30 @@ def _exhaustive_scan(code: CyclicCode, early_stop_at: Optional[int] = None, want
     for i in range(k - 2, k - j - 1, -1):
         block = F.vadd(mult[i][:, None], block[None, :]).reshape(-1, n)
     digits = [0] * (k - j)
+    top = -1  # the top nonzero digit, held at 1
     offset = np.zeros(n, dtype=np.int64)
     best = n + 1
     best_words: list[np.ndarray] = []
-    for step in range(qb ** (k - j)):
+    # the zero offset weighs the block lines whose top nonzero digit is 1
+    lines = np.concatenate([np.arange(qb**e, 2 * qb**e) for e in range(j)])
+    for step in range(1 + (qb ** (k - j) - 1) // (qb - 1)):
         if step:
             i = 0
-            while digits[i] == qb - 1:  # carry: the row's multiple drops out
-                offset = F.vsub(offset, mult[i, -1])
+            while digits[i] == (1 if i == top else qb - 1):  # carry: the row's multiple drops out
+                offset = F.vsub(offset, mult[i, digits[i]])
                 digits[i] = 0
                 i += 1
             offset = F.vadd(F.vsub(offset, mult[i, digits[i]]), mult[i, digits[i] + 1])
             digits[i] += 1
-        wts = np.count_nonzero(block != F.vneg(offset), axis=1)
-        if not step:
-            wts[0] = n + 1  # the zero word
+            top = max(top, i)
+        rows = block if step else block[lines]
+        wts = np.count_nonzero(rows != F.vneg(offset), axis=1)
         mn = int(wts.min())
         if mn < best:
             best = mn
             best_words = []
         if want_words and mn == best:
-            best_words.extend(_normalize_word(F, w) for w in F.vadd(block[wts == best], offset))
+            best_words.extend(_normalize_word(F, w) for w in F.vadd(rows[wts == best], offset))
         if not want_words and early_stop_at is not None and best <= early_stop_at:
             return best, []
     return best, best_words

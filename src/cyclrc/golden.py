@@ -83,6 +83,8 @@ def crosscheck_distance(code, d: int, budget: int) -> Optional[str]:
     """
     n, k = code.n, code.k
     qb = code.base_q
+    # priced at q_b^k * n, as `_settle` prices it, though the enumeration
+    # weighs one message per scalar class
     if qb**k * n <= min(budget, 10**8):
         got = exhaustive_min_weight(code)
         if got != d:

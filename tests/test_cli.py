@@ -250,6 +250,17 @@ def test_construct_budget_too_small_exit1(capsys):
     assert "Traceback" not in err
 
 
+def test_construct_open_optimality_is_a_budget_error_exit1(capsys):
+    # the anchor dual of this C46 request is open at the default budget, so
+    # the statement's optimality is only inconclusive: a budget error, not
+    # an internal one
+    code, out, err = run_cli(capsys, "construct", "--family", "C46", "--q", "107", "--n", "106",
+                             "--delta", "2", "--t", "1", "--m", "4", "--tail", "61")
+    assert (code, out) == (1, "")
+    assert err == ("BudgetExceededInconclusive: single-root-tail family not certified optimal "
+                   "at distance None (expected 5 or 6)\n")
+
+
 def test_search_budget_too_small_reported_per_point(capsys, tmp_path):
     grid = tmp_path / "large.json"
     grid.write_text(json.dumps({"grids": [{"family": "T48", "q": 2048, "n": 2047, "delta": 2, "m": 1}]}))

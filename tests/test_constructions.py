@@ -78,9 +78,11 @@ def test_validate_named_clauses(req, clause):
 
 
 def test_build_refuses_k_other_than_mu_r():
-    # validation passes; the dimension k = 7*3 is not mu*r = 15
+    # the fields hold, but the dimension k = 7*3 is not mu*r = 15: validate
+    # names the clause, so an empty list still means buildable
     req = ConstructionRequest(family="C42", q=29, n=28, delta=2, r=3, mu=5)
-    assert validate(req) == []
+    assert validate(req) == ["k = mu*r"]
+    assert validate(replace(req, mu=7)) == []
     with pytest.raises(HypothesisViolated, match=r"k = mu\*r"):
         build(req)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclrc import cyclic as cy
 from cyclrc import linalg
+from cyclrc.constructions import ConstructionRequest, build
 from cyclrc.field import FieldSpec, field_create
 from cyclrc.cyclic import (
     BoundInversion,
@@ -302,7 +303,9 @@ SCAN_CODES = [
 @pytest.mark.parametrize("q,n,base,reps", SCAN_CODES)
 def test_exhaustive_scan_matches_product_reference(q, n, base, reps):
     # offsets plus one block against the product-based loop: the same d, the
-    # same minimum-weight words, and the same early stop, however the block is cut
+    # same minimum-weight words, and the same early stop, however the block is
+    # cut.  The scan weighs one message per scalar class, so it lists each
+    # normalised word once, where the reference lists it q_b - 1 times
     ctx = cyc_context(q, n)
     nonzeros = [e for r in reps for e in cyclotomic_coset(r, ctx).exps]
     code = code_from_defining_set(ctx, ctx.exponent_set(nonzeros).complement(), base=base)
@@ -314,7 +317,7 @@ def test_exhaustive_scan_matches_product_reference(q, n, base, reps):
         want_d, want = reference_exhaustive_scan(code, want_words=True, chunk=chunk)
         d, words = cy._exhaustive_scan(code, want_words=True, chunk=chunk)
         assert d == want_d
-        assert sorted(tuple(int(x) for x in w) for w in words) == sorted(tuple(int(x) for x in w) for w in want)
+        assert sorted(tuple(int(x) for x in w) for w in words) == sorted({tuple(int(x) for x in w) for w in want})
         assert words
     # the early stop at a lower bound that the scan reaches returns it, no words
     for stop in (want_d, cy.bounds.bch_lower(code.defining)[0]):
@@ -324,8 +327,9 @@ def test_exhaustive_scan_matches_product_reference(q, n, base, reps):
 
 def test_exhaustive_scan_stops_at_the_lower_bound(monkeypatch):
     # the binary Hamming [15, 11, 3] code at chunk 16: one block of the last
-    # four rows (three vadd sums) and 2^7 offset steps.  Every row has weight
-    # 3, so the first block meets the lower bound 3 and the scan stops there
+    # four rows (three vadd sums) and 2^7 offset steps, one vadd each after
+    # the zero offset.  Every row has weight 3, so the first block meets the
+    # lower bound 3 and the scan stops there
     ctx = cyc_context(2, 15)
     code = code_from_defining_set(ctx, cyclotomic_coset(1, ctx))
     assert code.k == 11 and len(code.gen.coeffs) - code.gen.coeffs.count(0) == 3
@@ -341,7 +345,25 @@ def test_exhaustive_scan_stops_at_the_lower_bound(monkeypatch):
     assert len(calls) == 3
     calls.clear()
     assert cy._exhaustive_scan(code, chunk=16) == (3, [])
-    assert len(calls) > 2**7
+    assert len(calls) == 3 + 2**7 - 1
+
+
+def test_exhaustive_scan_weighs_one_message_per_scalar_class(monkeypatch):
+    # golden's n24_case1 code, [24, 4, 18] over GF(23): the messages whose
+    # leading nonzero digit is 1, (23^4 - 1)/22 = 12,720 lines, not 23^4
+    code = build(ConstructionRequest(family="C52", q=23, n=24, delta=4, r=3, i=1, ell=1, case=1)).code
+    assert (code.n, code.k, code.base_q) == (24, 4, 23)
+    lines = []
+    count_nonzero = np.count_nonzero
+
+    def counting(a, axis=None):
+        if axis == 1:
+            lines.append(a.shape[0])
+        return count_nonzero(a, axis=axis)
+
+    monkeypatch.setattr(np, "count_nonzero", counting)
+    assert cy._exhaustive_scan(code) == (18, [])
+    assert sum(lines) == (23**4 - 1) // 22 == 12720
 
 
 def test_has_weight_at_most_examples():
