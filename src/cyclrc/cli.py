@@ -9,6 +9,7 @@ own.  `search` expands a parameter grid deterministically into one row per
 constructed code.  Exit codes follow the scripting contract: `construct`
 0 optimal, 2 not optimal; `verify` 0 every claim agrees, 2 some claim
 inconclusive within the budget; 1 errors, disagreements and malformed input.
+An invocation builds only its own subcommand's parser.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ NAMED_ERRORS = (FieldError, BudgetExceededInconclusive, BudgetTooSmall, Construc
 GRID_KEYS = tuple("tail" if f.name == "tails" else f.name for f in fields(ConstructionRequest))
 # the request fields without a default, which every grid block must name
 REQUIRED_GRID_KEYS = tuple(f.name for f in fields(ConstructionRequest) if f.default is MISSING)
+# the subcommands, in the order of the full parser's usage line
+COMMANDS = ("construct", "verify", "search", "table", "selftest")
 
 
 def _budget(value: str) -> int:
@@ -292,60 +295,73 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with only `command`'s
+    when it names one.  The usage line lists every subcommand either way."""
+    if command not in COMMANDS:
+        command = None
     ap = argparse.ArgumentParser(
         prog="cyclrc",
         description="Construct and certify cyclic locally repairable codes from structured zero sets.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    # argparse names the subcommand argument by its metavar in error text, so
+    # the full parser keeps the default, its list of choices
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    c = sub.add_parser("construct", help="build one family request and emit its certificate")
-    c.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    c.add_argument("--q", required=True, type=_field_size, help="field size, 125 or 5^3")
-    c.add_argument("--n", required=True, type=int)
-    c.add_argument("--delta", required=True, type=int)
-    c.add_argument("--r", type=int)
-    c.add_argument("--b", type=int, default=1)
-    c.add_argument("--t", type=int, default=0)
-    c.add_argument("--m", type=int)
-    c.add_argument("--tail", type=int, action="append", help="tail exponent (repeatable)")
-    c.add_argument("--i", type=int)
-    c.add_argument("--ell", type=int)
-    c.add_argument("--j", type=int)
-    c.add_argument("--case", type=int)
-    c.add_argument("--mu", type=int)
-    c.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    c.add_argument("--format", choices=("json", "csv", "pretty"))
-    c.add_argument("--output", "-o")
-    c.set_defaults(func=cmd_construct)
+    if command in (None, "construct"):
+        c = sub.add_parser("construct", help="build one family request and emit its certificate")
+        c.add_argument("--family", required=True, choices=FAMILY_NAMES)
+        c.add_argument("--q", required=True, type=_field_size, help="field size, 125 or 5^3")
+        c.add_argument("--n", required=True, type=int)
+        c.add_argument("--delta", required=True, type=int)
+        c.add_argument("--r", type=int)
+        c.add_argument("--b", type=int, default=1)
+        c.add_argument("--t", type=int, default=0)
+        c.add_argument("--m", type=int)
+        c.add_argument("--tail", type=int, action="append", help="tail exponent (repeatable)")
+        c.add_argument("--i", type=int)
+        c.add_argument("--ell", type=int)
+        c.add_argument("--j", type=int)
+        c.add_argument("--case", type=int)
+        c.add_argument("--mu", type=int)
+        c.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+        c.add_argument("--format", choices=("json", "csv", "pretty"))
+        c.add_argument("--output", "-o")
+        c.set_defaults(func=cmd_construct)
 
-    v = sub.add_parser("verify", help="re-derive every claim in a certificate")
-    v.add_argument("certificate")
-    v.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    v.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        v = sub.add_parser("verify", help="re-derive every claim in a certificate")
+        v.add_argument("certificate")
+        v.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+        v.set_defaults(func=cmd_verify)
 
-    s = sub.add_parser("search", help="expand a parameter grid into one row per constructed code")
-    s.add_argument("--grid", required=True, help="JSON grid config")
-    s.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    s.add_argument("--format", choices=("json", "csv"))
-    s.add_argument("--output", "-o")
-    s.set_defaults(func=cmd_search)
+    if command in (None, "search"):
+        s = sub.add_parser("search", help="expand a parameter grid into one row per constructed code")
+        s.add_argument("--grid", required=True, help="JSON grid config")
+        s.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+        s.add_argument("--format", choices=("json", "csv"))
+        s.add_argument("--output", "-o")
+        s.set_defaults(func=cmd_search)
 
-    t = sub.add_parser("table", help="render search rows or certificates as an aligned table")
-    t.add_argument("results")
-    t.add_argument("--output", "-o")
-    t.set_defaults(func=cmd_table)
+    if command in (None, "table"):
+        t = sub.add_parser("table", help="render search rows or certificates as an aligned table")
+        t.add_argument("results")
+        t.add_argument("--output", "-o")
+        t.set_defaults(func=cmd_table)
 
-    st = sub.add_parser("selftest", help="golden corpus plus the structural sweeps")
-    st.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    st.add_argument("--golden-only", action="store_true")
-    st.set_defaults(func=cmd_selftest)
+    if command in (None, "selftest"):
+        st = sub.add_parser("selftest", help="golden corpus plus the structural sweeps")
+        st.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+        st.add_argument("--golden-only", action="store_true")
+        st.set_defaults(func=cmd_selftest)
     return ap
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; the scripting contract reserves 2
         # for constructed-but-not-optimal, so parse failures become 1

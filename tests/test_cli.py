@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclrc import constructions, linalg
+from cyclrc import cli, constructions, linalg
 from cyclrc.cli import main
 from cyclrc.constructions import verify_certificate
 from cyclrc.cyclic import CyclicCode
@@ -751,3 +752,72 @@ def test_verify_rejects_every_perturbed_leaf(capsys, tmp_path, name):
         if code == 0:
             passed.append(f"{'.'.join(map(str, leaf))} = {value!r}")
     assert not passed, f"verify accepted perturbed certificates: {passed}"
+
+
+USAGE = "usage: cyclrc [-h] {construct,verify,search,table,selftest} ..."
+# argv that end in help, a usage error or a handler's error, each with its exit
+# and a piece of its output; each prints and exits the same whether `main`
+# builds one subcommand's parser or all five
+PARSER_CASES = [
+    (["--help"], 0, USAGE),
+    (["-h"], 0, USAGE),
+    *(([command, "-h"], 0, f"usage: cyclrc {command} [-h]") for command in cli.COMMANDS),
+    ([], 1, "cyclrc: error: the following arguments are required: command\n"),
+    (["bogus"], 1, "cyclrc: error: argument command: invalid choice: 'bogus'"),
+    (["verify", "a", "b"], 1, f"{USAGE}\ncyclrc: error: unrecognized arguments: b\n"),
+    (["verify", "missing.json"], 1, "malformed certificate: "),
+    (["construct", "--family", "C42"], 1, "error: the following arguments are required: --q, --n, --delta"),
+    ([*C42_ARGV, "--budget", "1e3"], 1, "error: argument --budget: budget must be finite"),
+    ([*C42_ARGV[:4], "5^0", *C42_ARGV[5:]], 1, "error: argument --q: 5^0: need p >= 2"),
+]
+
+
+@pytest.mark.parametrize("argv,exit,piece", [
+    pytest.param(*case, id=" ".join(case[0]) or "(empty)") for case in PARSER_CASES
+])
+def test_one_subcommand_parser_prints_as_the_full_parser(capsys, monkeypatch, argv, exit, piece):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    own = run_cli(capsys, *argv)
+    assert own[0] == exit and piece in own[1] + own[2]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run_cli(capsys, *argv) == own
+
+
+def test_verify_adds_only_its_own_parser(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cert.json"
+    assert run_cli(capsys, *C42_ARGV, "--format", "json", "-o", str(path))[0] == 0
+    added = []
+    real = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+    assert added == ["verify"]
+    added.clear()
+    assert run_cli(capsys, "bogus")[0] == 1
+    assert added == list(cli.COMMANDS)
+
+
+def test_main_calls_the_handlers_as_module_attributes(capsys, monkeypatch):
+    # a tracer that wraps cmd_construct or cmd_verify in the module sees the call
+    calls = []
+    monkeypatch.setattr(cli, "cmd_construct", lambda args: calls.append(("construct", args.family)) or 0)
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(("verify", args.certificate)) or 2)
+    assert run_cli(capsys, *C42_ARGV) == (0, "", "")
+    assert run_cli(capsys, "verify", "cert.json") == (2, "", "")
+    assert calls == [("construct", "C42"), ("verify", "cert.json")]
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cert.json"
+    assert run_cli(capsys, *C42_ARGV, "--format", "json", "-o", str(path))[0] == 0
+    expected = run_cli(capsys, "verify", str(path))
+    monkeypatch.setattr(sys, "argv", ["cyclrc", "verify", str(path)])
+    code = main()
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == expected
+    assert code == 0 and "agree" in out.out
