@@ -6,10 +6,10 @@ digit).  Construction has one GF(p)[x] product: it finds the reducing
 polynomial and the generator, and gives the map "multiply by g" from which
 numpy builds the antilog table by doubling.  Multiplication runs on log/antilog
 tables.  Addition is XOR in characteristic 2, a sum mod p in prime fields and,
-in odd extensions, the Zech-logarithm law a + b = a * (1 + b/a), which fills a
-q x q table for vector addition when q <= 1024.  So everything vectorizes over
-numpy index arrays, and there is one arithmetic: the scalar ops are the
-vector kernels applied to one element.  Two calls with the same (p, m) always
+in odd extensions, the Zech-logarithm law a + b = a * (1 + b/a), or, when
+q <= 1024, a gather from the q x q table of digitwise sums mod p.  So
+everything vectorizes over numpy index arrays, and there is one arithmetic:
+the scalar ops are the vector kernels applied to one element.  Two calls with the same (p, m) always
 produce identical arithmetic: the reducing polynomial is the first monic
 irreducible in index order and the generator is the smallest index of full
 multiplicative order.
@@ -213,8 +213,9 @@ class FieldSpec:
     Characteristic 2 adds by XOR and prime fields by a sum mod p.  Odd
     extensions add by a + b = a * (1 + b/a): one gather from the Zech table
     `_zech`, indexed by log b - log a + 2(q-1), then one from `_expx`.  When
-    q <= 1024 that law fills the q x q table `_add_table` once, and addition
-    is a single gather from it.  Negation gathers from `_neg_table`.  The
+    q <= 1024 the q x q table `_add_table` of digitwise sums mod p is built
+    once, and addition is a single gather from it.  Negation gathers from
+    `_neg_table`.  The
     kernels (`vadd`, `vsub`, `vneg`, `vmul`, `vdiv_nz`, `vpow_gen`) take
     numpy index arrays or plain ints alike; the scalar ops `inv` and `pow`
     call one of them on one element and return an int.
@@ -318,9 +319,16 @@ class FieldSpec:
         self._zech = zech
         self._neg_table = self._expx[logx + n1 // 2]  # -1 = g^((q-1)/2)
         if q <= 1024:
-            # full addition table: vector addition is one look-up
-            x = np.arange(q)
-            self._add_table = self._zech_add(x[:, None], x[None, :])
+            # full addition table: vector addition is one look-up.  Indices
+            # add digitwise mod p, so the table grows one digit at a time:
+            # the sum of a*p^j + a' and b*p^j + b' (a', b' < p^j) is
+            # digits[a, b]*p^j plus the low-digit table's entry at (a', b').
+            digits = (np.arange(p)[:, None] + np.arange(p)) % p
+            table = digits
+            for j in range(1, self.m):
+                low = p**j
+                table = ((low * digits)[:, None, :, None] + table[None, :, None, :]).reshape(low * p, low * p)
+            self._add_table = table
 
     # -- scalar ops: one element through a vector kernel ------------------
 

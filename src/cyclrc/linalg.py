@@ -15,11 +15,15 @@ depth-first in lex order and eliminates each prefix once, one pivot step
 from its parent's rows, so every subset that shares a prefix shares that
 work.  Both fold the pivot's scalars in on the small side (one coefficient
 per row), so each element of a block costs one multiplication and one
-addition.  The walk serves the zero-core scan's pencils and
-`first_dependent_columns`, the one column-dependence scan, which reads a
-dependent column off a zero column of the walk's rows.  Both take a
-`lead`, the bound on the first column, which the cyclic scans set by the
-smallest cyclic gap.  `column_scan_cost` is the scan's work estimate, one
+addition.  The walk serves the zero-core scan and
+`first_dependent_columns`, the one column-dependence scan, and both read
+their last level off pencils instead of eliminating it: the zero-core scan
+classes the points of each two-row node by the ratio of its rows, and the
+column scan classes the columns of each (t-2)-column prefix's rows by their
+projective point, so a dependent t-set through the prefix is a pair of
+parallel columns or one with a zero column.  Both take a `lead`, the bound
+on the first column, which the cyclic scans set by the smallest cyclic
+gap.  `column_scan_cost` is the scan's work estimate, one
 elimination per t-subset, kept as it was: the strategy ranking and the
 budget refusals built on it stay put until the cost model is recalibrated
 (an open ROADMAP item).
@@ -177,12 +181,14 @@ def batch_nullvec(F: FieldSpec, mats) -> np.ndarray:
 _BATCH_ELEMS = 1 << 18
 
 
-def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024, lead: Optional[int] = None):
+def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024, lead: Optional[int] = None,
+                deepest: Optional[int] = None):
     """Depth-first walk, in lex order, over the column sets of A that are
-    independent, extend to `size` columns and, but for the empty set, start
-    below column `lead` (default: any column).
+    independent, extend to `size` columns, hold at most `deepest` columns
+    (default: size - 1) and, but for the empty set, start below column
+    `lead` (default: any column).
 
-    A node is such a set P, |P| < size, with rows R = Y A for a basis Y of
+    A node is such a set P with rows R = Y A for a basis Y of
     the y whose y A vanishes on P; column s of R is then zero exactly when
     A's column s lies in the span of A's columns P.  The root is the empty
     set with R = A.  Its child P + s, for s past P's last column with at
@@ -196,10 +202,13 @@ def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024, lead: Optional[in
     batch, fewer where their parents' rows would pass _BATCH_ELEMS
     elements, and comes before its children's batches, so batches come in
     lex order of their first node.  `lead` cuts only the root's children to
-    the columns s < lead; every deeper step is unchanged.
+    the columns s < lead; every deeper step is unchanged.  The column scan
+    stops at `deepest` = size - 2, where it reads the last level off
+    pencils, so no node it is given lacks the columns to complete a set.
     """
     A = np.asarray(A, dtype=np.int64)
     cols = A.shape[1]
+    deepest = size - 1 if deepest is None else deepest
     pending = [iter([(np.zeros((1, 0), dtype=np.int64), A[None])])]
     while pending:
         node = next(pending[-1], None)
@@ -208,7 +217,7 @@ def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024, lead: Optional[in
             continue
         yield node
         depth = node[0].shape[1]
-        if depth + 1 < size:
+        if depth < deepest:
             stop = cols if depth or lead is None else lead
             pending.append(_children(F, *node, size, chunk, stop))
 
@@ -255,37 +264,118 @@ def first_dependent_columns(F: FieldSpec, M, t: int, chunk: int = 1024,
     """Lex-first t-subset of the columns of M that is linearly dependent and
     starts below column `lead` (default: any column), or None.
 
-    `prefix_walk` visits the independent prefixes.  A zero column s past a
-    prefix P's last column makes P + s dependent, and with it every t-set
-    through P + s, the first of which completes P + s by the columns right
-    after s.  A prefix's completion is the first t-set through it, and
-    completions never decrease along the walk's order of batches, so once a
-    batch's first prefix completes no earlier than the best set found, no
-    later batch holds an earlier one.  A set that starts below `lead` is
-    a zero column of the root below `lead`, or lies under a root child the
-    walk keeps, so the cut walk finds the lex-first of those sets.
+    `prefix_walk` visits the independent prefixes that extend to t columns
+    and hold at most t - 2 of them (the root alone when t <= 2).  A zero
+    column s past a prefix P's last column makes P + s dependent, and with
+    it every t-set through P + s, the first of which completes P + s by the
+    columns right after s.  The last level is read off pencils: at a node P
+    of t - 2 columns, Y v = 0 exactly when v lies in the span of M's columns
+    P, so P + s + u is dependent exactly when columns s and u of R = Y M
+    are, that is when they are parallel or one of them is zero.  The
+    lex-first such set through P is P + s + u for the least s past P's last
+    column that has a partner u > s, and its least partner: s + 1 when
+    column s is zero, else the next column of its class or the next zero
+    column, whichever comes first (`_column_partners`).
+
+    So a set no later than any dependent t-set Q is found.  Let Q[:j] be
+    Q's shortest dependent prefix.  If j < t - 1, or t = 1, the node Q[:j-1]
+    has the zero column Q[j-1] and finds the completion of Q[:j], no later
+    than Q.  Otherwise Q[:t-2] is independent, a pencil node whose columns
+    Q[t-2] and Q[t-1] are dependent, and it finds its least pair, no later
+    than Q.  Every set found is dependent, so the least is the lex-first.
+
+    A prefix's completion is the first t-set through it, and completions
+    never decrease along the walk's order of batches, so once a batch's
+    first prefix completes no earlier than the best set found, no later
+    batch holds an earlier one.  The nodes of one batch are distinct
+    prefixes of one length in lex order, so a set through an earlier node
+    comes first; a batch of pencils is classed in slices of growing size
+    and stops at the first slice with a pair (`_first_pair`).  A set that
+    starts below `lead` is a zero column of the root below `lead`, a root
+    pair whose first column is below `lead` (t = 2), or lies under a root
+    child the walk keeps, so the cut walk finds the lex-first of those sets.
     """
     M = np.asarray(M, dtype=np.int64)
     rows, cols = M.shape
-    if t == 0:
-        return None  # the empty set is independent
+    if t == 0 or cols < t:
+        return None  # the empty set is independent; no t-set exists
     if rows < t:
-        return tuple(range(t)) if cols >= t else None  # rank never reaches t
+        return tuple(range(t))  # rank never reaches t
 
     def completion(prefix, s):
         return (*prefix.tolist(), *range(s, s + t - len(prefix)))
 
     best = None
     idx = np.arange(cols)
-    for P, R in prefix_walk(F, M, t, chunk, lead):
+    for P, R in prefix_walk(F, M, t, chunk, lead, max(t - 2, 0)):
         depth = P.shape[1]
         after = P[:, -1] + 1 if depth else np.zeros(len(P), dtype=np.int64)
         if best is not None and completion(P[0], int(after[0])) >= best:
             break
         last = cols - t + depth if depth or lead is None else min(cols - t, lead - 1)
-        zero = ~R.any(axis=1) & (idx >= after[:, None]) & (idx <= last)
-        hit = np.flatnonzero(zero.any(axis=1))
-        if len(hit):
-            found = completion(P[hit[0]], int(zero[hit[0]].argmax()))
+        if depth == t - 2:
+            found = _first_pair(F, P, R, after, last, chunk)
+        else:
+            zero = ~R.any(axis=1) & (idx >= after[:, None]) & (idx <= last)
+            hit = np.flatnonzero(zero.any(axis=1))
+            found = completion(P[hit[0]], int(zero[hit[0]].argmax())) if len(hit) else None
+        if found is not None:
             best = found if best is None else min(best, found)
     return best
+
+
+def _first_pair(F: FieldSpec, P, R, after, last: int, chunk: int) -> Optional[tuple[int, ...]]:
+    """P[b] + (s, u) for the first pencil b of a batch that has a pair s < u
+    of dependent columns with after[b] <= s <= last, and its least such
+    pair; or None.  The pencils are classed in slices of doubling size, the
+    first of about chunk / cols, so a pair near the batch's start is found
+    without classing the rest."""
+    nb, _, cols = R.shape
+    idx = np.arange(cols)
+    lo, step = 0, max(1, chunk // cols)
+    while lo < nb:
+        cut = slice(lo, lo + step)
+        partner = _column_partners(F, R[cut])
+        ok = (partner < cols) & (idx >= after[cut, None]) & (idx <= last)
+        hit = np.flatnonzero(ok.any(axis=1))
+        if len(hit):
+            b, s = hit[0], int(ok[hit[0]].argmax())
+            return (*P[lo + b].tolist(), s, int(partner[b, s]))
+        lo, step = lo + step, 2 * step
+    return None
+
+
+def _column_partners(F: FieldSpec, R) -> np.ndarray:
+    """Least partner of each column of a (batch, m, cols) stack: the least
+    later column u of the same matrix with columns s and u dependent, that
+    is s + 1 for a zero column s, else the next column parallel to s or the
+    next zero column; cols where there is none.
+
+    A column's class key is the column scaled so that its first nonzero
+    entry is 1, packed into ceil(m / (63 // bits)) int64 words of 63 // bits
+    entries, `bits` the bit length of q - 1; a zero column keeps its zeros.
+    Two nonzero columns are parallel exactly when their keys agree.  Stable
+    argsorts along each matrix, one per word from the last, order the
+    columns by key and then by index, so a column's next in class is the
+    one after it in that order when the keys agree.
+    """
+    nb, m, cols = R.shape
+    bi, idx = np.arange(nb)[:, None], np.arange(cols)
+    pivot = R[bi, (R != 0).argmax(axis=1), idx]  # (batch, cols): first nonzero entry
+    zero = pivot == 0
+    unit = F.vdiv_nz(R, pivot[:, None, :])  # a zero pivot reads as 1, so a zero column stays zero
+    bits = (F.q - 1).bit_length()
+    per = 63 // bits
+    shifts = np.arange(per, dtype=np.int64)[:, None] * bits
+    words = [(unit[:, lo:lo + per] << shifts[:min(per, m - lo)]).sum(axis=1) for lo in range(0, m, per)]
+    order = np.argsort(words[-1], axis=1, kind="stable")
+    for w in reversed(words[:-1]):
+        order = order[bi, np.argsort(w[bi, order], axis=1, kind="stable")]
+    same = np.logical_and.reduce([key[:, 1:] == key[:, :-1] for key in (w[bi, order] for w in words)])
+    partner = np.full((nb, cols), cols)
+    partner[bi, order[:, :-1]] = np.where(same, order[:, 1:], cols)
+    if zero.any():
+        next_zero = np.minimum.accumulate(np.where(zero, idx, cols)[:, :0:-1], axis=1)[:, ::-1]
+        partner[:, :-1] = np.minimum(partner[:, :-1], next_zero)
+        partner = np.where(zero, idx + 1, partner)
+    return partner

@@ -458,24 +458,27 @@ def test_support_scan_runs_through_coordinate_zero(monkeypatch):
     # starts a smallest gap at 0: the C(16, 5) 7-sets through {0, 1} and the
     # C(15, 5) through {0, 2} but not 1, not all C(17, 6) through 0 nor all
     # C(18, 7).  The walk runs on the 17 columns past coordinate 0, its root
-    # keeps columns 0 and 1, and each 5-column prefix it reaches decides the
-    # 6-sets that add one later column
+    # keeps columns 0 and 1, and it stops at the 4-column prefixes: each one
+    # it reaches is a pencil that decides the 6-sets that add two later
+    # columns
     ctx = cyc_context(19, 18)
     code = code_from_defining_set(ctx, ctx.exponent_set(range(1, 11)))
     assert code.n - code.k == 10
     shapes, decided = [], []
     prefix_walk = linalg.prefix_walk
 
-    def counting_walk(F, A, size, chunk, lead):
-        shapes.append((np.shape(A), size, lead))
-        for P, R in prefix_walk(F, A, size, chunk, lead):
-            if P.shape[1] == size - 1:
-                decided.append(int((np.shape(A)[1] - 1 - P[:, -1]).sum()))
+    def counting_walk(F, A, size, chunk, lead, deepest):
+        shapes.append((np.shape(A), size, lead, deepest))
+        for P, R in prefix_walk(F, A, size, chunk, lead, deepest):
+            assert P.shape[1] <= deepest
+            if P.shape[1] == deepest:
+                later = np.shape(A)[1] - 1 - P[:, -1]
+                decided.append(int((later * (later - 1) // 2).sum()))
             yield P, R
 
     monkeypatch.setattr(linalg, "prefix_walk", counting_walk)
     assert not has_weight_at_most(code, 7)
-    assert shapes == [((9, 17), 6, 2)]
+    assert shapes == [((9, 17), 6, 2, 4)]
     assert sum(decided) == comb(16, 5) + comb(15, 5) == 7371
 
 

@@ -245,6 +245,165 @@ def test_first_dependent_columns_lead_matches_the_filtered_scan(F):
                     assert got == want, (M.tolist(), t, lead, chunk)
 
 
+@pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF({F.p}^{F.m})")
+def test_prefix_walk_deepest_keeps_the_shallower_nodes(F):
+    # a walk stopped at `deepest` visits exactly the full walk's nodes of at
+    # most that many columns, with the same rows, still in lex order of batches
+    rng = np.random.default_rng(2129 + F.q)
+    for A in scan_matrices(F, rng, 15):
+        cols = A.shape[1]
+        for size in range(1, cols + 1):
+            full = {tuple(p): r for P, R in linalg.prefix_walk(F, A, size)
+                    for p, r in zip(P.tolist(), R)}
+            for deepest in range(size):
+                for chunk in (1, 3, 1024):
+                    got, firsts = {}, []
+                    for P, R in linalg.prefix_walk(F, A, size, chunk, None, deepest):
+                        firsts.append(tuple(P[0].tolist()))
+                        got.update((tuple(p), r) for p, r in zip(P.tolist(), R))
+                    assert set(got) == {p for p in full if len(p) <= deepest}, (A.tolist(), size, deepest)
+                    assert all(np.array_equal(got[p], full[p]) for p in got)
+                    assert firsts == sorted(firsts)
+
+
+def first_filtered(F, M, t, lead):
+    """The lex-first dependent t-set that starts below `lead`, by rank."""
+    return next((c for c in itertools.combinations(range(M.shape[1]), t)
+                 if c[0] < lead and len(linalg.rref(F, M[:, list(c)])[1]) < t), None)
+
+
+def with_parallel_columns(F, rng, M):
+    """M with a few columns replaced by multiples of others, one of them zero."""
+    M = M.copy()
+    cols = M.shape[1]
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = rng.integers(cols, size=2)
+        M[:, j] = F.vmul(M[:, i], int(rng.integers(F.q)))
+    return M
+
+
+@pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF({F.p}^{F.m})")
+def test_root_pencil_matches_the_filtered_scan_at_every_lead(F):
+    # t = 2: the pencil is the root, and its pairs are cut at `lead`
+    rng = np.random.default_rng(2203 + F.q)
+    for M in scan_matrices(F, rng, 60):
+        rows, cols = M.shape
+        if rows < 2 or cols < 2:
+            continue
+        M = with_parallel_columns(F, rng, M)
+        want = reference_first_dependent_columns(F, M, 2)
+        for chunk in (1, 3, 1024):
+            assert linalg.first_dependent_columns(F, M, 2, chunk) == want, (M.tolist(), chunk)
+            for lead in range(1, cols + 1):
+                got = linalg.first_dependent_columns(F, M, 2, chunk, lead=lead)
+                assert got == first_filtered(F, M, 2, lead), (M.tolist(), lead, chunk)
+
+
+# (columns, lex-first dependent pair) over GF(19), a = (1, 2, 3), b = (4, 5, 7)
+PAIR_CASES = [
+    ([(1, 2, 3), (4, 5, 7), (2, 4, 6), (0, 0, 0), (4, 5, 7)], (0, 2)),  # zero after a parallel pair
+    ([(1, 2, 3), (4, 5, 7), (0, 0, 0), (2, 4, 6)], (0, 2)),  # zero before the parallel column
+    ([(1, 2, 3), (4, 5, 7), (12, 15, 2), (0, 0, 0)], (0, 3)),  # zero partner beats a later pair
+    ([(0, 0, 0), (1, 2, 3), (4, 5, 7)], (0, 1)),  # a zero column's partner is the next column
+    ([(1, 2, 3), (0, 0, 0), (0, 0, 0)], (0, 1)),
+    ([(1, 2, 3), (4, 5, 7), (3, 6, 9)], (0, 2)),
+    ([(1, 2, 3), (4, 5, 7), (1, 2, 4)], None),
+]
+
+
+@pytest.mark.parametrize("columns,pair", PAIR_CASES)
+def test_pencil_partner_is_the_nearer_of_its_class_and_a_zero(columns, pair):
+    # at the root (t = 2) and one level down (t = 3, under the prefix {0}
+    # of a unit column whose rows leave these columns as they are)
+    F = field_create(19, 1)
+    M = np.array(columns, dtype=np.int64).T
+    assert reference_first_dependent_columns(F, M, 2) == pair
+    lifted = np.zeros((4, len(columns) + 1), dtype=np.int64)
+    lifted[0] = np.arange(1, len(columns) + 2)
+    lifted[1:, 1:] = M
+    want = None if pair is None else (0, *(c + 1 for c in pair))
+    assert reference_first_dependent_columns(F, lifted, 3) == want
+    for chunk in (1, 3, 1024):
+        assert linalg.first_dependent_columns(F, M, 2, chunk) == pair
+        assert linalg.first_dependent_columns(F, lifted, 3, chunk) == want
+
+
+def test_wide_pencil_keys_match_the_reference(monkeypatch):
+    # GF(2^10) with 7 and 8 rows at the pencil: the class key takes two
+    # 63-bit words.  Columns that agree with another on the first word's
+    # rows only, or on the second's only, are not parallel
+    F = field_create(2, 10)
+    classed = []
+
+    def recording(F, R, real=linalg._column_partners):
+        classed.append(R.shape[1])
+        return real(F, R)
+
+    monkeypatch.setattr(linalg, "_column_partners", recording)
+    rng = np.random.default_rng(2221)
+    for _ in range(12):
+        M = rng.integers(1, F.q, size=(8, 10))
+        M[:, 2] = M[:, 0]
+        M[7, 2] = F.vadd(M[7, 2], 1)  # first word agrees with column 0
+        M[:, 4] = F.vmul(M[:, 1], int(rng.integers(2, F.q)))
+        M[3, 4] = F.vadd(M[3, 4], 1)  # second word agrees with column 1's
+        M[:, 6] = F.vmul(M[:, 1], int(rng.integers(2, F.q)))  # column 4 sits between 1 and 6
+        M = with_parallel_columns(F, rng, M)
+        for t in (2, 3, 4):
+            want = reference_first_dependent_columns(F, M, t)
+            for chunk in (1, 3, 1024):
+                assert linalg.first_dependent_columns(F, M, t, chunk) == want, (M.tolist(), t, chunk)
+            for lead in (1, 3):
+                assert linalg.first_dependent_columns(F, M, t, lead=lead) == first_filtered(F, M, t, lead)
+    assert max(classed) * F.m > 63
+
+
+def test_pencil_batch_hit_past_its_first_node(monkeypatch):
+    # the depth-1 pencils of a 3-column scan form one batch; its first node
+    # {0} has no pair, and the hit is {1} with the pair (2, 3)
+    F = field_create(19, 1)
+    M = np.random.default_rng(2237).integers(1, F.q, size=(4, 7))
+    M[:, 3] = F.vadd(M[:, 1], M[:, 2])
+    assert reference_first_dependent_columns(F, M, 3) == (1, 2, 3)
+    batches = []
+    prefix_walk = linalg.prefix_walk
+
+    def recording_walk(*args):
+        for P, R in prefix_walk(*args):
+            batches.append([tuple(p) for p in P.tolist()])
+            yield P, R
+
+    monkeypatch.setattr(linalg, "prefix_walk", recording_walk)
+    for chunk in (1, 3, 1024):
+        assert linalg.first_dependent_columns(F, M, 3, chunk) == (1, 2, 3), chunk
+    assert batches[-1][:2] == [(0,), (1,)]
+
+
+def test_pencil_scan_stops_at_the_first_slice_with_a_pair(monkeypatch):
+    # column 2 is zero under the prefix {0, 1}, the first of several hundred
+    # depth-2 pencils of one batch: only the first slice is classed
+    F = field_create(19, 1)
+    M = np.random.default_rng(2251).integers(1, F.q, size=(6, 30))
+    M[:, 2] = F.vadd(M[:, 0], M[:, 1])
+    classed, pencils = [], []
+    prefix_walk = linalg.prefix_walk
+
+    def recording_walk(*args):
+        for P, R in prefix_walk(*args):
+            if P.shape[1] == 2:
+                pencils.append(len(P))
+            yield P, R
+
+    def recording(F, R, real=linalg._column_partners):
+        classed.append(len(R))
+        return real(F, R)
+
+    monkeypatch.setattr(linalg, "prefix_walk", recording_walk)
+    monkeypatch.setattr(linalg, "_column_partners", recording)
+    assert linalg.first_dependent_columns(F, M, 4) == (0, 1, 2, 3)
+    assert pencils[0] > 300 and classed == [1024 // 30]
+
+
 def reference_children(F, P, R, size, chunk, stop):
     """The division-free pivot step: child rows lead*R[r] - R[r, s]*R[piv]."""
     nb, m, cols = R.shape
