@@ -116,7 +116,8 @@ class CycContext:
         # which ambient elements lie in GF(q), for the generator check
         self.in_base = np.zeros(self.field.q, dtype=bool)
         self.in_base[self.field.subfield_elements(q)] = True
-        # per-context caches: codes by (exponents, base), run bounds by
+        # per-context caches: codes by (exponents, base), each holding its
+        # min_distance results by (budget, witness, upper); run bounds by
         # exponents, anchor dual words by (exponents, budget), and the run
         # bound's unit steps and inverses
         self._code_cache: dict = {}
@@ -221,7 +222,7 @@ def support_orbit(support, n: int) -> list[tuple[int, tuple[int, ...]]]:
     return sorted(((s, tuple(sorted((i + s) % n for i in sup))) for s in range(period)), key=lambda e: e[1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistanceResult:
     lower: int
     upper: int
@@ -248,6 +249,7 @@ class CyclicCode:
         self.k = ctx.n - len(defining)
         self._dual: Optional[CyclicCode] = None
         self._gen_matrix: Optional[np.ndarray] = None
+        self._distances: dict = {}  # min_distance results by (budget, witness, upper)
 
     # -- basic structure ----------------------------------------------------
 
@@ -343,7 +345,10 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
     """Build the cyclic code whose generator vanishes exactly on S's roots.
 
     Codes are immutable and cached per context, so repeated requests (duals,
-    complements, sweep revisits) share one object and its lazy matrices.
+    complements, sweep revisits) share one object, its lazy matrices and its
+    `min_distance` results.  The dual of the code of S is the code of
+    -(Z_n minus S), the complement-set code of -S, so a walk over defining
+    sets meets a code more than once and settles it once.
     """
     if base not in ("subfield", "extension"):
         raise ValueError("base must be 'subfield' or 'extension'")
@@ -377,8 +382,18 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
 
 def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, witness=None,
                  upper: Optional[int] = None) -> DistanceResult:
+    """The distance of `code` within `budget`, exact or a certified sandwich.
+    It depends on (budget, witness, upper) alone, so the code keeps it under
+    that key; the budget is checked first, and a call that raises keeps nothing."""
+    check_budget(code.n, budget)
+    key = (budget, witness, upper)
+    if key not in code._distances:
+        code._distances[key] = _distance(code, budget, witness, upper)
+    return code._distances[key]
+
+
+def _distance(code: CyclicCode, budget: int, witness, upper: Optional[int]) -> DistanceResult:
     n, k = code.n, code.k
-    check_budget(n, budget)
     if k == 0:
         return DistanceResult(0, 0, None, "sandwich", undefined=True)
     bch_val, _w = bounds.bch_lower(code.defining)

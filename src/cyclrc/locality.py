@@ -112,8 +112,9 @@ def anchor_dual_word(anchor: ExponentSet, budget: int = DEFAULT_BUDGET):
 
 
 def run_code_distance(run: ExponentSet, budget: int = DEFAULT_BUDGET) -> int:
-    """The exact distance of the run's ambient code, settled within `budget`
-    on every call, so the answer depends on the budget alone."""
+    """The exact distance of the run's ambient code, settled within `budget`.
+    `min_distance` keeps each code's result under its budget, so a repeated
+    call reads it back and the answer still depends on the budget alone."""
     res = min_distance(code_from_defining_set(run.ctx, run, base="extension"), budget)
     if res.exact is None:
         raise BudgetExceededInconclusive("run-code distance not settled within budget")

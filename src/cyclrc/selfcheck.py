@@ -1,8 +1,8 @@
 """Exhaustive small-length sweep backing the structural identities.
 
 One walk visits every union of cyclotomic cosets for a fixed list of (q, n)
-pairs, settles each set's distances once with exact oracles, and confirms
-that
+pairs, settles the distances of each set's codes with exact oracles, and
+confirms that
 
 * the dual distance equals the distance of the complement-set code,
 * the base-field code and the ambient-field code with the same defining set
@@ -101,8 +101,10 @@ def _random_subgroup_sets(budget: int, seed: int = 20240817) -> list[CheckResult
 def run_sweeps(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     """The walk over each pair's closed sets, then the random sets.  A set's
     dual, complement, base-field, ambient-field and, when the criterion fires,
-    ambient dual distance are each settled once; the lines of the three
-    identities come out one identity after another."""
+    ambient dual distance are read off its codes; the dual of one set's code
+    is the complement code of another set, and each code keeps its distance,
+    so every distinct code is settled once across the whole walk.  The lines
+    of the three identities come out one identity after another."""
     dual_complement, field_jump, sound = [], [], []
     for q, n in SWEEP_PAIRS:
         ctx = cyc_context(q, n)

@@ -1,7 +1,10 @@
+import gc
 import itertools
 import os
 import subprocess
 import sys
+import weakref
+from dataclasses import FrozenInstanceError
 from math import comb
 
 import numpy as np
@@ -9,12 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclrc import cyclic as cy
-from cyclrc import linalg
+from cyclrc import linalg, selfcheck
+from cyclrc.bounds import BettiSalaWitness
 from cyclrc.constructions import ConstructionRequest, build
 from cyclrc.field import FieldSpec, field_create
 from cyclrc.cyclic import (
+    DEFAULT_BUDGET,
     BoundInversion,
     BudgetExceededInconclusive,
+    BudgetTooSmall,
+    CycContext,
     DistanceResult,
     NotQClosed,
     all_cyclotomic_cosets,
@@ -929,6 +936,130 @@ def test_inverted_distance_result_raises_named_error():
     )
     out = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "raised"
+
+
+# a binary [21,7,8] code: the run bound is 5, the run-plus-blocks witness
+# lifts the lower bound to 6, and the default budget settles 8 where budget
+# 2000 leaves it open
+MEMO_SET = (1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15, 16, 18)
+MEMO_WITNESS = BettiSalaWitness(u=7, b=1, m=1, delta=3)
+
+
+def _memo_code(ctx=None):
+    ctx = ctx or CycContext(2, 21)
+    return code_from_defining_set(ctx, ctx.exponent_set(MEMO_SET))
+
+
+def _spy_settle(monkeypatch):
+    """Record (exponents, base, lower, upper, budget) of every _settle call."""
+    calls = []
+    settle = cy._settle
+
+    def spy(code, lower, upper, budget, want_words):
+        calls.append((code.defining.exps, code.base_q, lower, upper, budget))
+        return settle(code, lower, upper, budget, want_words)
+
+    monkeypatch.setattr(cy, "_settle", spy)
+    return calls
+
+
+def test_min_distance_second_call_reads_the_memo(monkeypatch):
+    calls = _spy_settle(monkeypatch)
+    code = _memo_code()
+    first = min_distance(code)
+    assert (first.exact, first.method) == (8, "exhaustive")
+    assert min_distance(code) is first
+    assert len(calls) == 1
+
+
+def test_min_distance_memo_keys_budget_witness_and_upper(monkeypatch):
+    args = [(DEFAULT_BUDGET, None, None), (2000, None, None), (DEFAULT_BUDGET, MEMO_WITNESS, None),
+            (DEFAULT_BUDGET, None, 10)]
+    cold = [min_distance(_memo_code(), *a) for a in args]  # each in a fresh context
+    assert len(set(cold)) == len(args)  # each argument moves the result
+    calls = _spy_settle(monkeypatch)
+    code = _memo_code()
+    for _ in range(2):
+        assert [min_distance(code, *a) for a in args] == cold
+    assert len(calls) == len(set(calls)) == len(args)
+
+
+def test_min_distance_at_a_budget_does_not_depend_on_history():
+    # README's run code: budget 2000 leaves its distance open, the default
+    # budget settles it
+    def run_code():
+        ctx = CycContext(2, 31)
+        return code_from_defining_set(ctx, ctx.exponent_set([5, 9, 10, 18, 20]), base="extension")
+
+    small_first, default_first = run_code(), run_code()
+    before = min_distance(small_first, 2000)
+    settled = min_distance(small_first)
+    assert min_distance(default_first) == settled and settled.exact == 3
+    after = min_distance(default_first, 2000)
+    assert after == before and after.exact is None
+
+
+def test_min_distance_refusals_raise_on_every_call():
+    code = _memo_code()
+    for error, kwargs in ((BudgetTooSmall, {"budget": 21 * 21 - 1}), (BoundInversion, {"upper": 4})):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                min_distance(code, **kwargs)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]  # raised afresh, not replayed
+
+
+def test_a_call_that_raises_leaves_nothing_in_the_memo(monkeypatch):
+    code = _memo_code()
+
+    def fail(*_args, **_kwargs):
+        raise RuntimeError("transient")
+
+    monkeypatch.setattr(cy, "_settle", fail)
+    with pytest.raises(RuntimeError):
+        min_distance(code)
+    monkeypatch.undo()
+    assert min_distance(code) == min_distance(_memo_code())
+
+
+def test_distance_result_is_frozen():
+    res = min_distance(_memo_code())
+    with pytest.raises(FrozenInstanceError):
+        res.exact = 7
+
+
+def test_the_memo_lives_and_dies_with_its_context(monkeypatch):
+    calls = _spy_settle(monkeypatch)
+    ctx = CycContext(2, 21)
+    min_distance(_memo_code(ctx))
+    min_distance(_memo_code())  # another context settles its own copy
+    assert len(calls) == 2
+    gone = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert gone() is None  # no module-level table keeps the context's codes
+
+
+@pytest.mark.parametrize("q, n", [(2, 15), (3, 13), (4, 15)])
+def test_dual_code_is_the_complement_code_of_the_negated_set(q, n):
+    ctx = CycContext(q, n)
+    for S in selfcheck.closed_sets(ctx):
+        for base in ("subfield", "extension"):
+            code = code_from_defining_set(ctx, S, base=base)
+            assert code.dual_code() is code_from_defining_set(ctx, S.negate(), base=base).complement_code()
+
+
+def test_sweep_walk_settles_each_code_once(monkeypatch):
+    # the (3, 13) walk of run_sweeps in a fresh context: a set's dual code
+    # is another set's complement code, and every revisit reads the memo
+    calls = _spy_settle(monkeypatch)
+    monkeypatch.setattr(selfcheck, "SWEEP_PAIRS", ((3, 13),))
+    monkeypatch.setattr(selfcheck, "cyc_context", CycContext)
+    monkeypatch.setattr(selfcheck, "_random_subgroup_sets", lambda budget: [])
+    results = selfcheck.run_sweeps()
+    assert len(results) == 3 and all(r.ok for r in results)
+    assert calls and len(calls) == len(set(calls))
 
 
 def reference_shift_set(support, n):
