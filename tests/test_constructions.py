@@ -156,6 +156,25 @@ def test_nonoptimal_point_returned_with_flag_down():
     assert o["d_lower"] >= 6  # the run-blocks witness value survives
 
 
+@pytest.mark.parametrize("req,optimal", [
+    (ConstructionRequest(family="T41", q=127, n=126, delta=5, t=1, m=2, tails=(7,)), True),
+    (ConstructionRequest(family="T48", q=89, n=88, delta=5, m=3), False),
+    (ConstructionRequest(family="P49", q=121, n=40, delta=10), True),
+    (ConstructionRequest(family="P410", q=127, n=42, delta=10, t=1), True),
+    (ConstructionRequest(family="T51", q=128, n=129, delta=6, t=61, m=8, tails=(68,)), False),
+    (ConstructionRequest(family="C56", q=128, n=43, delta=6, m=8), False),
+    (ConstructionRequest(family="T58", q=128, n=43, delta=7, t=-3, m=6, tails=(24,)), False),
+    (ConstructionRequest(family="C511", q=32, n=33, delta=7, m=8), False),
+], ids=lambda x: getattr(x, "family", None))
+def test_erasure_tolerance_costs_no_budget(req, optimal):
+    # the run code's distance proves each group's erasure tolerance, so a
+    # request whose column scan on h0's support would cost over 10^8 ops
+    # builds at the default budget and verifies after a JSON round trip
+    cert = json.loads(json.dumps(build(req).certificate))
+    assert {status for _, status, _ in verify_certificate(cert)} == {"agree"}
+    assert cert["optimality"]["optimal"] is optimal
+
+
 def test_request_json_roundtrip():
     req = ConstructionRequest(family="C52", q=49, n=50, delta=6, r=5, i=1, ell=1, case=3)
     d = json.loads(json.dumps(req.to_dict()))

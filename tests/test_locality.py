@@ -280,10 +280,10 @@ def test_verify_locality_exhaustive_single_hint():
 @pytest.mark.parametrize("q,n", [(2, 15), (2, 21), (4, 15), (3, 13), (2, 31)])
 def test_translate_row_check_implies_the_punctured_distance(q, n):
     # differential: the shared locality check against the punctured
-    # parity-check scan on h0's support, on random dual words of anchor
-    # codes and q-closed runs, the consecutive {0} and random unions of
-    # cosets on at most n/3 exponents; whenever h0 is no lighter than the
-    # run distance, both hold
+    # parity-check scan on h0's support and against the column scan on h0's
+    # translate rows, on random dual words of anchor codes and q-closed
+    # runs, the consecutive {0} and random unions of cosets on at most n/3
+    # exponents; whenever h0 is no lighter than the run distance, all hold
     rng = np.random.default_rng(q * 1000 + n)
     ctx = cyc_context(q, n)
     F = ctx.field
@@ -310,24 +310,28 @@ def test_translate_row_check_implies_the_punctured_distance(q, n):
                 assert set(statuses.values()) == {"agree"}, found
                 support = record["evidence"]["h0_support"]
                 assert punctured_distance_at_least(code, support, record["delta"]), (anchor.exps, run.exps, word)
+                # the retired column scan on h0's translate rows, which the
+                # run distance now proves
+                rows = F.vmul(ctx.root_powers(run.exps, range(n)), np.array([word], dtype=np.int64))
+                assert check_delta_independence(F, rows[:, support], record["delta"]), (anchor.exps, run.exps, word)
                 checked += 1
     assert checked >= 20
 
 
-def test_independence_scan_priced_against_the_budget():
-    # C44 q=19 n=18: the scan on h0's 10 coordinates costs C(10, 3) * 3 * 3 * 3
-    # = 3240 ops, and the run code closes at its sandwich, so a budget above
-    # n^2 = 324 but below that leaves only the punctured distances open
+def test_punctured_distances_cost_no_budget_past_the_run_distance():
+    # C44 q=19 n=18: the retired scan on h0's 10 coordinates cost C(10, 3) *
+    # 3 * 3 * 3 = 3240 ops, and the run code closes at its sandwich, so at a
+    # budget above n^2 = 324 but below that every line still agrees, and the
+    # product route builds with the anchor dual's subgroup witness
     res = build(ConstructionRequest(family="C44", q=19, n=18, delta=4, t=1, m=5, tails=(8,)))
     code, cert = res.code, res.certificate["locality"]
     anchor, run = (code.ctx.exponent_set(cert["evidence"][key]) for key in ("anchor_exponents", "run_exponents"))
     assert linalg.column_scan_cost(cert["dA_perp"], len(run), cert["delta"] - 1) == 3240
-    lines = {claim: status for claim, status, _ in check_locality_record(code, cert, 3239)}
-    assert lines.pop("punctured distances") == "inconclusive"
-    assert set(lines.values()) == {"agree"}
+    assert {status for _, status, _ in check_locality_record(code, cert, 3239)} == {"agree"}
     assert record_holds(code, cert)
-    with pytest.raises(BudgetExceededInconclusive, match="independence scan"):
-        locality_from_product(anchor, run, code, 3239)
+    record = locality_from_product(anchor, run, code, 3239)
+    assert (record["dA_perp"], record["r"], record["delta"]) == (18, 15, 4)
+    assert record["evidence"]["dual_exact"] is False
 
 
 def test_run_distance_at_a_budget_does_not_depend_on_history():
