@@ -9,19 +9,21 @@ own.  `search` expands a parameter grid deterministically into one row per
 constructed code.  Exit codes follow the scripting contract: `construct`
 0 optimal, 2 not optimal; `verify` 0 every claim agrees, 2 some claim
 inconclusive within the budget; 1 errors, disagreements and malformed input.
-An invocation builds only its own subcommand's parser.
+Each subcommand's arguments are declared once, in `OPTIONS`.  A well-formed
+call is read off that table without importing argparse; help, abbreviated or
+`--flag=value` options, values starting with "-" and every usage error go to
+the argparse parser built from the same table, which prints all their text.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import itertools
 import json
 import math
 import sys
 from dataclasses import MISSING, fields
+from types import SimpleNamespace
 
 from .constructions import (
     FAMILY_NAMES,
@@ -45,26 +47,38 @@ NAMED_ERRORS = (FieldError, BudgetExceededInconclusive, BudgetTooSmall, Construc
 GRID_KEYS = tuple("tail" if f.name == "tails" else f.name for f in fields(ConstructionRequest))
 # the request fields without a default, which every grid block must name
 REQUIRED_GRID_KEYS = tuple(f.name for f in fields(ConstructionRequest) if f.default is MISSING)
-# the subcommands, in the order of the full parser's usage line
-COMMANDS = ("construct", "verify", "search", "table", "selftest")
+
+
+def _type_error(message: str) -> Exception:
+    """The error a type function raises for argparse to print as
+    `argument --flag: <message>`."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
 
 
 def _budget(value: str) -> int:
-    b = float(value)
+    try:
+        b = float(value)
+    except ValueError:
+        raise _type_error(f"{value}: not a number") from None
     if not MIN_BUDGET <= b < math.inf:
-        raise argparse.ArgumentTypeError(f"budget must be finite and at least {MIN_BUDGET}")
+        raise _type_error(f"budget must be finite and at least {MIN_BUDGET}")
     return int(b)
 
 
 def _field_size(value: str) -> int:
     """Field sizes as plain integers or p^m strings (e.g. 5^3) with p >= 2,
     m >= 1 and p^m at most the field size cap."""
-    if "^" not in value:
-        return int(value)
-    p, m = (int(part) for part in value.split("^", 1))
+    try:
+        if "^" not in value:
+            return int(value)
+        p, m = (int(part) for part in value.split("^", 1))
+    except ValueError:
+        raise _type_error(f"{value}: need an integer or p^m") from None
     # p >= 2 bounds m by log2 of the cap, so the power stays small
     if not (2 <= p <= SIZE_CAP and 1 <= m < SIZE_CAP.bit_length()) or p**m > SIZE_CAP:
-        raise argparse.ArgumentTypeError(f"{value}: need p >= 2, m >= 1 and p^m <= {SIZE_CAP}")
+        raise _type_error(f"{value}: need p >= 2, m >= 1 and p^m <= {SIZE_CAP}")
     return p**m
 
 
@@ -100,6 +114,17 @@ def _read_json(path: str):
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nesting too deep to decode", text, 0) from None
+
+
+def _csv_text(rows: list[dict]) -> str:
+    """The rows as CSV text under CSV_HEADER."""
+    import csv
+
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=CSV_HEADER)
+    w.writeheader()
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def _result_row(cert: dict) -> dict:
@@ -157,11 +182,7 @@ def cmd_construct(args) -> int:
     if fmt == "json":
         _emit(json.dumps(res.certificate, indent=2, sort_keys=True) + "\n", args.output)
     elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=CSV_HEADER)
-        w.writeheader()
-        w.writerow(_result_row(res.certificate))
-        _emit(buf.getvalue(), args.output)
+        _emit(_csv_text([_result_row(res.certificate)]), args.output)
     else:
         _emit(_pretty_build(res), args.output)
     return 0 if res.certificate["optimality"]["optimal"] else 2
@@ -252,11 +273,7 @@ def cmd_search(args) -> int:
     if fmt == "json":
         _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.output)
     else:
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=CSV_HEADER)
-        w.writeheader()
-        w.writerows(rows)
-        _emit(buf.getvalue(), args.output)
+        _emit(_csv_text(rows), args.output)
     if skipped:
         print(f"skipped {skipped} grid points with violated hypotheses", file=sys.stderr)
     return 1 if failed else 0
@@ -295,77 +312,136 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser with every subcommand, or with only `command`'s
-    when it names one.  The usage line lists every subcommand either way."""
-    if command not in COMMANDS:
-        command = None
+_BUDGET = (("--budget",), dict(type=_budget, default=DEFAULT_BUDGET))
+_OUTPUT = (("--output", "-o"), {})
+# Each subcommand's help line and arguments, in usage order.  An argument is
+# (option strings, `add_argument` keywords); a name without a leading "-" is a
+# positional.
+OPTIONS = {
+    "construct": ("build one family request and emit its certificate", (
+        (("--family",), dict(required=True, choices=FAMILY_NAMES)),
+        (("--q",), dict(required=True, type=_field_size, help="field size, 125 or 5^3")),
+        (("--n",), dict(required=True, type=int)),
+        (("--delta",), dict(required=True, type=int)),
+        (("--r",), dict(type=int)),
+        (("--b",), dict(type=int, default=1)),
+        (("--t",), dict(type=int, default=0)),
+        (("--m",), dict(type=int)),
+        (("--tail",), dict(type=int, action="append", help="tail exponent (repeatable)")),
+        (("--i",), dict(type=int)),
+        (("--ell",), dict(type=int)),
+        (("--j",), dict(type=int)),
+        (("--case",), dict(type=int)),
+        (("--mu",), dict(type=int)),
+        _BUDGET,
+        (("--format",), dict(choices=("json", "csv", "pretty"))),
+        _OUTPUT,
+    )),
+    "verify": ("re-derive every claim in a certificate", (
+        (("certificate",), {}),
+        _BUDGET,
+    )),
+    "search": ("expand a parameter grid into one row per constructed code", (
+        (("--grid",), dict(required=True, help="JSON grid config")),
+        _BUDGET,
+        (("--format",), dict(choices=("json", "csv"))),
+        _OUTPUT,
+    )),
+    "table": ("render search rows or certificates as an aligned table", (
+        (("results",), {}),
+        _OUTPUT,
+    )),
+    "selftest": ("golden corpus plus the structural sweeps", (
+        _BUDGET,
+        (("--golden-only",), dict(action="store_true")),
+    )),
+}
+# the subcommands, in the order of the parser's usage line
+COMMANDS = tuple(OPTIONS)
+
+
+def _handler(command: str):
+    """The subcommand's handler, read off the module when called, so that a
+    wrapper set on the module attribute sees the call."""
+    return {"construct": cmd_construct, "verify": cmd_verify, "search": cmd_search,
+            "table": cmd_table, "selftest": cmd_selftest}[command]
+
+
+def _dest(names: tuple[str, ...]) -> str:
+    """argparse's attribute name for an argument: its first name without
+    leading dashes, with "-" as "_"."""
+    return names[0].lstrip("-").replace("-", "_")
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives `argv`, read off `OPTIONS`, or None when
+    argparse must parse it.  Accepts only a subcommand followed by its exact
+    option strings and values not starting with "-", where every value
+    converts and passes its choices, every required argument is present and
+    no positional is left over or missing."""
+    if not argv or argv[0] not in OPTIONS:
+        return None
+    arguments = OPTIONS[argv[0]][1]
+    options = {name: (names, kw) for names, kw in arguments for name in names if name[0] == "-"}
+    positionals = [(names, kw) for names, kw in arguments if names[0][0] != "-"]
+    values = {_dest(names): kw.get("default", False if kw.get("action") == "store_true" else None)
+              for names, kw in arguments}
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            names, kw = options[token]
+            if kw.get("action") == "store_true":
+                values[_dest(names)] = True
+                continue
+            token = next(tokens, "-")  # a flag without its value defers too
+        elif positionals:
+            names, kw = positionals.pop(0)
+        else:
+            return None
+        if token[:1] == "-":
+            return None
+        try:
+            value = kw.get("type", str)(token)
+        except Exception:  # argparse calls it again and reports the error
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        dest = _dest(names)
+        values[dest] = [*(values[dest] or ()), value] if kw.get("action") == "append" else value
+        seen.add(names)
+    if positionals or any(kw.get("required") and names not in seen for names, kw in arguments):
+        return None
+    return SimpleNamespace(command=argv[0], **values, func=_handler(argv[0]))
+
+
+def build_parser():
+    """The argparse parser of `OPTIONS`, with every subcommand."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="cyclrc",
         description="Construct and certify cyclic locally repairable codes from structured zero sets.",
     )
-    # argparse names the subcommand argument by its metavar in error text, so
-    # the full parser keeps the default, its list of choices
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    if command in (None, "construct"):
-        c = sub.add_parser("construct", help="build one family request and emit its certificate")
-        c.add_argument("--family", required=True, choices=FAMILY_NAMES)
-        c.add_argument("--q", required=True, type=_field_size, help="field size, 125 or 5^3")
-        c.add_argument("--n", required=True, type=int)
-        c.add_argument("--delta", required=True, type=int)
-        c.add_argument("--r", type=int)
-        c.add_argument("--b", type=int, default=1)
-        c.add_argument("--t", type=int, default=0)
-        c.add_argument("--m", type=int)
-        c.add_argument("--tail", type=int, action="append", help="tail exponent (repeatable)")
-        c.add_argument("--i", type=int)
-        c.add_argument("--ell", type=int)
-        c.add_argument("--j", type=int)
-        c.add_argument("--case", type=int)
-        c.add_argument("--mu", type=int)
-        c.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-        c.add_argument("--format", choices=("json", "csv", "pretty"))
-        c.add_argument("--output", "-o")
-        c.set_defaults(func=cmd_construct)
-
-    if command in (None, "verify"):
-        v = sub.add_parser("verify", help="re-derive every claim in a certificate")
-        v.add_argument("certificate")
-        v.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-        v.set_defaults(func=cmd_verify)
-
-    if command in (None, "search"):
-        s = sub.add_parser("search", help="expand a parameter grid into one row per constructed code")
-        s.add_argument("--grid", required=True, help="JSON grid config")
-        s.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-        s.add_argument("--format", choices=("json", "csv"))
-        s.add_argument("--output", "-o")
-        s.set_defaults(func=cmd_search)
-
-    if command in (None, "table"):
-        t = sub.add_parser("table", help="render search rows or certificates as an aligned table")
-        t.add_argument("results")
-        t.add_argument("--output", "-o")
-        t.set_defaults(func=cmd_table)
-
-    if command in (None, "selftest"):
-        st = sub.add_parser("selftest", help="golden corpus plus the structural sweeps")
-        st.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-        st.add_argument("--golden-only", action="store_true")
-        st.set_defaults(func=cmd_selftest)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, (help_text, arguments) in OPTIONS.items():
+        p = sub.add_parser(command, help=help_text)
+        for names, kw in arguments:
+            p.add_argument(*names, **kw)
+        p.set_defaults(func=_handler(command))
     return ap
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags; the scripting contract reserves 2
-        # for constructed-but-not-optimal, so parse failures become 1
-        return 0 if exc.code in (0, None) else 1
+    args = _match(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on bad flags; the scripting contract reserves 2
+            # for constructed-but-not-optimal, so parse failures become 1
+            return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cyclrc import cli, constructions, linalg
 from cyclrc.cli import main
@@ -755,9 +758,12 @@ def test_verify_rejects_every_perturbed_leaf(capsys, tmp_path, name):
 
 
 USAGE = "usage: cyclrc [-h] {construct,verify,search,table,selftest} ..."
-# argv that end in help, a usage error or a handler's error, each with its exit
-# and a piece of its output; each prints and exits the same whether `main`
-# builds one subcommand's parser or all five
+# well formed for argparse, but a value starting with "-" is left to it
+DEFERRED = [[*C42_ARGV, "--t", "-3"], [*C42_ARGV, "-o", "-"]]
+# argv that end in help, a usage error, a handler's error or a flag form only
+# argparse reads, each with its exit and a piece of its output; each prints and
+# exits the same whether `main` tries the option table first or goes straight
+# to argparse
 PARSER_CASES = [
     (["--help"], 0, USAGE),
     (["-h"], 0, USAGE),
@@ -769,6 +775,10 @@ PARSER_CASES = [
     (["construct", "--family", "C42"], 1, "error: the following arguments are required: --q, --n, --delta"),
     ([*C42_ARGV, "--budget", "1e3"], 1, "error: argument --budget: budget must be finite"),
     ([*C42_ARGV[:4], "5^0", *C42_ARGV[5:]], 1, "error: argument --q: 5^0: need p >= 2"),
+    ([*C42_ARGV[:4], "abc", *C42_ARGV[5:]], 1, "error: argument --q: abc: need an integer or p^m\n"),
+    ([*C42_ARGV[:4], "5^x", *C42_ARGV[5:]], 1, "error: argument --q: 5^x: need an integer or p^m\n"),
+    ([*C42_ARGV, "--budget", "abc"], 1, "error: argument --budget: abc: not a number\n"),
+    *((argv, 0, '"request": {') for argv in DEFERRED),
 ]
 
 
@@ -777,16 +787,91 @@ PARSER_CASES = [
 ])
 def test_one_subcommand_parser_prints_as_the_full_parser(capsys, monkeypatch, argv, exit, piece):
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-    own = run_cli(capsys, *argv)
-    assert own[0] == exit and piece in own[1] + own[2]
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert run_cli(capsys, *argv) == own
+    first = run_cli(capsys, *argv)
+    assert first[0] == exit and piece in first[1] + first[2]
+    assert "_field_size" not in first[2] and "_budget" not in first[2]
+    monkeypatch.setattr(cli, "_match", lambda argv: None)
+    assert run_cli(capsys, *argv) == first
 
 
-def test_verify_adds_only_its_own_parser(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("argv", DEFERRED, ids=" ".join)
+def test_matcher_defers_values_starting_with_a_dash(argv):
+    assert cli._match(argv) is None
+    assert cli.build_parser().parse_args(argv).family == "C42"
+
+
+# option strings of every subcommand, forms only argparse reads, and values
+# that argparse reads in more than one way or refuses
+ANY_FLAG = sorted({name for _, arguments in cli.OPTIONS.values() for names, _ in arguments for name in names}
+                  | {"-h", "--help", "--fam", "--q=19", "-o-"})
+VALUES = ["", "-3", "-", "--", "5^3", "1e9", "nan", "19", "2", "C42", "json", "pretty", "x.json", "1e7"]
+# each subcommand's well-formed arguments, in chunks that may come in any order
+WELL_FORMED = {
+    "construct": [C42_ARGV[i:i + 2] for i in range(1, len(C42_ARGV), 2)],
+    "verify": [["cert.json"]],
+    "search": [["--grid", "grid.json"]],
+    "table": [["rows.json"]],
+    "selftest": [],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand's well-formed chunks, some repeated, mixed with flags and
+    values, shuffled, with up to two tokens cut off the end."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", "-h"]))
+    base = WELL_FORMED.get(command, [])
+    own = [name for names, _ in cli.OPTIONS.get(command, ("", ()))[1] for name in names if name[0] == "-"]
+    flag = st.sampled_from(own) | st.sampled_from(ANY_FLAG) if own else st.sampled_from(ANY_FLAG)
+    extra = st.tuples(flag, st.sampled_from(VALUES)).map(list) | st.sampled_from(ANY_FLAG + VALUES).map(
+        lambda token: [token])
+    chunks = [*base, *draw(st.lists(st.sampled_from(base), max_size=2) if base else st.just([])),
+              *draw(st.lists(extra, max_size=3))]
+    tokens = [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+    return [command, *tokens[:len(tokens) - draw(st.integers(0, 2))]]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=cli_argv())
+def test_matcher_agrees_with_argparse(argv):
+    ns = cli._match(argv)
+    if ns is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"matched argv that argparse refuses: {argv}")
+    assert vars(ns) == vars(expected)
+
+
+@pytest.mark.parametrize("argv", [
+    C42_ARGV,
+    [*C42_ARGV, "--tail", "3", "--tail", "4", "--format", "csv", "-o", "out.csv", "--budget", "1e9"],
+    ["verify", "--budget", "1e7", "cert.json"],
+    ["search", "--grid", "grid.json", "--format", "json", "--output", "rows.json"],
+    ["table", "rows.json", "-o", "table.txt"],
+    ["selftest"],
+    ["selftest", "--golden-only", "--budget", "1e7"],
+], ids=" ".join)
+def test_matcher_reads_well_formed_argv(argv):
+    assert vars(cli._match(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--grid", "grid.json", "--format", "pretty"],
+    [*C42_ARGV[:2], "C43", *C42_ARGV[3:]],
+    [*C42_ARGV, "--format"],
+    [*C42_ARGV, "extra"],
+    ["table"],
+], ids=" ".join)
+def test_matcher_leaves_usage_errors_to_argparse(capsys, argv):
+    assert cli._match(argv) is None
+    assert run_cli(capsys, *argv)[0] == 1
+
+
+def test_well_formed_calls_add_no_parser(capsys, monkeypatch, tmp_path):
     path = tmp_path / "cert.json"
-    assert run_cli(capsys, *C42_ARGV, "--format", "json", "-o", str(path))[0] == 0
     added = []
     real = argparse._SubParsersAction.add_parser
 
@@ -795,11 +880,26 @@ def test_verify_adds_only_its_own_parser(capsys, monkeypatch, tmp_path):
         return real(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run_cli(capsys, *C42_ARGV, "--format", "json", "-o", str(path))[0] == 0
     assert run_cli(capsys, "verify", str(path))[0] == 0
-    assert added == ["verify"]
-    added.clear()
+    assert added == []
     assert run_cli(capsys, "bogus")[0] == 1
     assert added == list(cli.COMMANDS)
+
+
+def test_well_formed_calls_import_no_argparse_gettext_or_csv(tmp_path):
+    path = tmp_path / "cert.json"
+    script = (
+        "import sys\n"
+        "from cyclrc.cli import main\n"
+        f"for argv in ({[*C42_ARGV, '--format', 'json', '-o', str(path)]!r}, ['verify', {str(path)!r}]):\n"
+        "    code = main(argv)\n"
+        "    loaded = sorted({'argparse', 'gettext', 'csv'} & set(sys.modules))\n"
+        "    if code or loaded:\n"
+        "        sys.exit(f'{argv[0]}: exit {code}, loaded {loaded}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_main_calls_the_handlers_as_module_attributes(capsys, monkeypatch):
