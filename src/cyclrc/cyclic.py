@@ -28,7 +28,11 @@ Minimum distances and minimum-weight words come from one dispatcher,
   rows vanishing on it; their combination that vanishes at a last point t
   vanishes exactly at the common zeros and where t's ratio of the two
   evaluations recurs, so one sort of those ratios counts every last point
-  at once,
+  at once; the Frobenius map phi(c)[p*i] = c[i]^p keeps any ambient-field
+  cyclic code and its weights, so the walk visits one zero set per orbit of
+  the maps t -> p^j*t + a, from roots that lead their orbits under t -> p*t,
+  and the images of the words it finds under the powers of phi give the
+  rest,
 * a support climb that tests parity-check columns for dependence, one weight
   at a time from the lower bound up to the upper bound, on the same prefix
   walk; a cyclic shift takes every dependent set through coordinate 0, so
@@ -118,12 +122,24 @@ class CycContext:
         self.in_base[self.field.subfield_elements(q)] = True
         # per-context caches: codes by (exponents, base), each holding its
         # min_distance results by (budget, witness, upper); run bounds by
-        # exponents, anchor dual words by (exponents, budget), and the run
-        # bound's unit steps and inverses
+        # exponents, anchor dual words by (exponents, budget), the run
+        # bound's unit steps and inverses, and the Frobenius orbit leaders
         self._code_cache: dict = {}
         self._bch_cache: dict = {}
         self._unit_steps: Optional[tuple[list[int], np.ndarray]] = None
         self._dual_word_cache: dict = {}
+        self._leaders: Optional[np.ndarray] = None
+
+    def frobenius_leaders(self) -> np.ndarray:
+        """The least point of each orbit t, p*t, p^2*t, ... mod n, indexed by
+        point t; built once per context."""
+        if self._leaders is None:
+            lead = x = np.arange(self.n)
+            for _ in range(ord_mod(self.p, self.n) - 1):
+                x = x * self.p % self.n
+                lead = np.minimum(lead, x)
+            self._leaders = lead
+        return self._leaders
 
     def root_powers(self, exps, mults) -> np.ndarray:
         """Matrix alpha^(e*i) for e in exps (rows) and i in mults (cols)."""
@@ -501,6 +517,9 @@ def _settle(code: CyclicCode, lower: int, upper: int, budget: int, want_words: b
         exhaustive = float(code.base_q**k) * n
     except OverflowError:
         exhaustive = float("inf")
+    # the zero-core scan walks one zero set per Frobenius orbit, but is still
+    # priced at every (k-2)-set of the n-1 points past 0 on purpose, for the
+    # same reason
     zero_core = float("inf")
     if code.base_q == code.ctx.field.q and k >= 2:
         zero_core = float(comb(n - 1, k - 2)) * (k * (k - 1) ** 2 + n * k)
@@ -710,23 +729,56 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     zero (`_ratio_classes`); the word of a winning class is formed from its
     first point.
 
-    The walk starts from the smallest gap.  The points whose column of the
-    rows vanishing at 0 is zero are zeros of every word that vanishes at 0;
-    they form a subgroup H, the multiples of m = n/|H|, and every codeword
-    takes one value on each coset of H.  So a word with z zeros vanishes on
-    z/|H| residues mod m, two cyclically consecutive ones of which lie at
-    most m*|H|/z = n/z apart.  A minimum-weight word has at least two residues, as for
-    k >= 3 some word vanishes at 0, on H and at a point off H, on 2|H|
-    points.  Its shift that moves the first residue of a smallest gap to 0
-    vanishes at 0 and next at g <= n // z, off H, so g's column is nonzero;
-    the lex-first basis of its zeros past 0 then starts at g, and that
-    basis's first k-3 points are a prefix the walk reaches and counts the
-    word at.  As z >= k-1, the root keeps the points up to n // (k-1), and
-    the walk stops at the first batch that starts past n // best_zero: no
-    later batch starts a word with best_zero zeros or more.  The words found
-    reach every minimum-weight orbit, so the shifts that move one of their
-    zeros to coordinate 0 are all the minimum-weight words that vanish
-    there, and those are returned, normalised, sorted and distinct.
+    The walk starts from the smallest gap, and walks one zero set per orbit
+    of the maps t -> p^j*t + a, p the characteristic.  The points whose
+    column of the rows vanishing at 0 is zero are zeros of every word that
+    vanishes at 0; they form a subgroup H, the multiples of m = n/|H|, and
+    every codeword takes one value on each coset of H.  So a word with z
+    zeros vanishes on z/|H| residues mod m, two cyclically consecutive ones
+    of which lie at most m*|H|/z = n/z apart.  A minimum-weight word has at
+    least two residues, as for k >= 3 some word vanishes at 0, on H and at a
+    point off H, on 2|H| points.
+
+    The map.  A word evaluates f = sum of c_j x^(N_j) over the nonzero
+    exponents N_j at the points alpha^t, and phi, with phi(c)[p*i] = c[i]^p,
+    takes it to the word of the f with coefficients c_j^p, since
+    f(alpha^(t/p))^p = sum of c_j^p alpha^(t*N_j), on the same exponents
+    whatever the defining set.  So phi maps the code onto itself, keeps
+    weights and maps zero sets by t -> p*t, as the shifts do by t -> t + a,
+    and H is closed under both.
+
+    The normalisation.  Let Z be the zero set of a minimum-weight word, z =
+    |Z|, and among the differences b - a of Z off H take one whose leader
+    l, the least point of its orbit under t -> p*t (`frobenius_leaders`),
+    is least, l = p^j*(b - a).  Then Z' = p^j*(Z - a) is the zero set of a
+    minimum-weight word through 0 and l.  The differences of Z' are p^j
+    times those of Z, so each one off H has a leader of at least l; a point
+    of Z' off H is a difference with 0, so none lies strictly between 0 and
+    l.  A smallest gap of Z's residues is a difference off H of at most n //
+    z, so l <= n // z <= n // (k-1).
+
+    The walk.  The points of Z' strictly between 0 and l are in H, so their
+    columns are zero and the lex-first basis of Z' past 0 starts at l.  Its
+    first k-3 points are a prefix that the walk reaches and counts the word
+    at: its root l is a leader below the lead n // (k-1) + 1, and each later
+    point s and each s - P_i, for an earlier point P_i, is a point or a
+    difference of Z' off H, as the basis is independent, so its leader is at
+    least l.  So the root keeps only leaders and a child P + s under root l
+    is kept only if s and every s - P_i have a leader of at least l
+    (`_orbit_cut`); under root 1 every child passes.  H needs no exception:
+    the column of s is zero when s is in H and parallel to P_i's when s -
+    P_i is, as every word scales by one factor along a coset of H, and the
+    walk visits no such child.  A word with best_zero zeros or more is
+    counted under a root of at most n // best_zero, in a batch that starts
+    no later, so the walk stops at the first batch that starts past n //
+    best_zero.  When p = 1 mod n each orbit is one point, and the scan runs
+    with no cut.
+
+    The words.  The words found reach every minimum-weight orbit under the
+    maps t -> p^j*t + a, so their images under phi^j, for j below the order
+    of p mod n, reach every shift orbit, and the shifts that move one of
+    their zeros to coordinate 0 are all the minimum-weight words that
+    vanish there; those are returned, normalised, sorted and distinct.
     """
     F, ctx = code.field, code.ctx
     n, k = code.n, code.k
@@ -747,7 +799,9 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     # the evaluation rows vanishing at point 0: V's row 0 is all ones, so the
     # pivot step on it subtracts the first row of V.T from the others
     at_zero = F.vsub(V.T[1:], V.T[0])
-    for P, E in linalg.prefix_walk(F, at_zero, k - 2, chunk, n // (k - 1) + 1):
+    orbits = ctx.p % n != 1
+    keep = _orbit_cut(ctx.frobenius_leaders()) if orbits else None
+    for P, E in linalg.prefix_walk(F, at_zero, k - 2, chunk, n // (k - 1) + 1, keep=keep):
         if P.shape[1] and P[0, 0] > n // best_zero:
             break
         if P.shape[1] < k - 3:
@@ -774,8 +828,42 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     if not best_words:
         return d, []
     words = _distinct_words(F, np.concatenate(best_words)[:, rev])
+    if orbits:
+        words = _distinct_words(F, _frobenius_images(F, words))
     w, z = np.nonzero(words == 0)  # each word shifted by each of its zeros to 0
     return d, list(_distinct_words(F, words[w[:, None], (z[:, None] + np.arange(n)) % n]))
+
+
+def _orbit_cut(leaders: np.ndarray):
+    """The zero-core walk's `keep`: a root is the leader of its Frobenius
+    orbit, and a child P + s under root l needs s and each s - P_i mod n to
+    have a leader of at least l.  Every leader is at least 1, so a batch of
+    children under root 1 is kept without a look."""
+    n = len(leaders)
+
+    def keep(P, parent, s):
+        if not P.shape[1]:
+            return leaders[s] == s
+        if (P[:, 0] == 1).all():
+            return None
+        Pp = P[parent]
+        return np.minimum(leaders[s], leaders[(s[:, None] - Pp) % n].min(axis=1)) >= Pp[:, 0]
+
+    return keep
+
+
+def _frobenius_images(F: FieldSpec, words: np.ndarray) -> np.ndarray:
+    """The words and their images under phi, phi^2, ... up to the order of p
+    mod n, where phi(c)[p*i mod n] = c[i]^p."""
+    n, p = words.shape[1], F.p
+    to = np.arange(n) * p % n
+    images = [words]
+    for _ in range(ord_mod(p, n) - 1):
+        c = images[-1]
+        image = np.empty_like(c)
+        image[:, to] = np.where(c == 0, 0, F.vpow_gen(F._log[c] * p))
+        images.append(image)
+    return np.concatenate(images)
 
 
 def _distinct_words(F: FieldSpec, words):

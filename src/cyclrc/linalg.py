@@ -23,17 +23,18 @@ column scan classes the columns of each (t-2)-column prefix's rows by their
 projective point, so a dependent t-set through the prefix is a pair of
 parallel columns or one with a zero column.  Both take a `lead`, the bound
 on the first column, which the cyclic scans set by the smallest cyclic
-gap.  `column_scan_cost` is the scan's work estimate, one
-elimination per t-subset, kept as it was: the strategy ranking and the
-budget refusals built on it stay put until the cost model is recalibrated
-(an open ROADMAP item).
+gap, and the zero-core scan adds a `keep` filter on children, which walks
+one zero set per Frobenius orbit.  `column_scan_cost` is the scan's work
+estimate, one elimination per t-subset, kept as it was: the strategy
+ranking and the budget refusals built on it stay put until the cost model
+is recalibrated (an open ROADMAP item).
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from math import comb
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -182,11 +183,11 @@ _BATCH_ELEMS = 1 << 18
 
 
 def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024, lead: Optional[int] = None,
-                deepest: Optional[int] = None):
+                deepest: Optional[int] = None, keep: Optional[Callable] = None):
     """Depth-first walk, in lex order, over the column sets of A that are
     independent, extend to `size` columns, hold at most `deepest` columns
-    (default: size - 1) and, but for the empty set, start below column
-    `lead` (default: any column).
+    (default: size - 1), but for the empty set start below column `lead`
+    (default: any column), and pass `keep` (default: every set).
 
     A node is such a set P with rows R = Y A for a basis Y of
     the y whose y A vanishes on P; column s of R is then zero exactly when
@@ -202,9 +203,13 @@ def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024, lead: Optional[in
     batch, fewer where their parents' rows would pass _BATCH_ELEMS
     elements, and comes before its children's batches, so batches come in
     lex order of their first node.  `lead` cuts only the root's children to
-    the columns s < lead; every deeper step is unchanged.  The column scan
-    stops at `deepest` = size - 2, where it reads the last level off
-    pencils, so no node it is given lacks the columns to complete a set.
+    the columns s < lead; every deeper step is unchanged.  `keep(P, parent,
+    s)` sees one batch's columns P and the candidate children P[parent] + s
+    before any is eliminated, and returns a mask of those to walk, or None
+    for all of them; a child it drops is not visited, nor anything below it.
+    The column scan stops at `deepest` = size - 2, where it reads the last
+    level off pencils, so no node it is given lacks the columns to complete
+    a set.
     """
     A = np.asarray(A, dtype=np.int64)
     cols = A.shape[1]
@@ -219,18 +224,21 @@ def prefix_walk(F: FieldSpec, A, size: int, chunk: int = 1024, lead: Optional[in
         depth = node[0].shape[1]
         if depth < deepest:
             stop = cols if depth or lead is None else lead
-            pending.append(_children(F, *node, size, chunk, stop))
+            pending.append(_children(F, *node, size, chunk, stop, keep))
 
 
-def _children(F: FieldSpec, P, R, size: int, chunk: int, stop: int):
+def _children(F: FieldSpec, P, R, size: int, chunk: int, stop: int, keep: Optional[Callable]):
     """The batches of independent children of one `prefix_walk` batch whose
-    new column lies below `stop`."""
+    new column lies below `stop` and that `keep` keeps."""
     nb, m, cols = R.shape
     depth = P.shape[1]
     first = P[:, -1] + 1 if depth else np.zeros(nb, dtype=np.int64)
     counts = np.maximum(min(cols - size + depth + 1, stop) - first, 0)
     parent = np.repeat(np.arange(nb), counts)
     col = np.arange(len(parent)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    mask = None if keep is None else keep(P, parent, col)
+    if mask is not None:
+        parent, col = parent[mask], col[mask]
     step = max(1, min(chunk, _BATCH_ELEMS // max(1, m * cols)))
     for lo in range(0, len(parent), step):
         b, s = parent[lo:lo + step], col[lo:lo + step]

@@ -724,15 +724,31 @@ def test_forced_zero_codes_have_their_subgroup(q, n, nonzeros):
     assert forced.tolist() == list(range(0, n, n // len(forced)))
 
 
+# anchor duals with long Frobenius orbits: the C56 n33 dual, [33, 7] over
+# GF(2^10) with p = 2 of order 10 mod 33, and the [17, 7] dual over GF(2^8),
+# of order 8 mod 17
+LONG_ORBIT_ANCHORS = [(32, 33, [0, 14, 15, 16, 17, 18, 19]), (16, 17, [0, 1, 2, 8, 14, 15, 16])]
+
+
+def long_orbit_duals():
+    for q, n, anchor in LONG_ORBIT_ANCHORS:
+        ctx = cyc_context(q, n)
+        yield code_from_defining_set(ctx, ctx.exponent_set(anchor), base="extension").dual_code()
+
+
 # the walk serves k >= 3; below that the scan reads its one core directly
 @pytest.mark.parametrize(
     "code", [c for c in random_ambient_codes(2311, 4) if c.k >= 3]
-    + [*anchor_duals(), *(ambient_code(*c) for c in FORCED_ZERO_CODES)],
+    + [*anchor_duals(), *(ambient_code(*c) for c in FORCED_ZERO_CODES), *long_orbit_duals()],
     ids=lambda c: f"{c.ctx.q}-{c.n}-k{c.k}-{'.'.join(map(str, c.defining.complement().exps))}")
 def test_zero_core_scan_matches_the_unrestricted_walk(code):
-    # the smallest-gap cut and the shifted words give the unrestricted
-    # walk's distance and exactly its word list, however the walk batches
-    for chunk in (1, 3, None):
+    # the smallest-gap cut, the walk over one zero set per Frobenius orbit
+    # and the expanded, shifted words give the unrestricted walk's distance
+    # and exactly its word list, however the walk batches; the reference
+    # walks 35,960 prefixes on n33, so the long orbits run at the default
+    # chunk only
+    long_orbit = code.n in (17, 33)
+    for chunk in (None,) if long_orbit else (1, 3, None):
         kw = {} if chunk is None else {"chunk": chunk}
         want = reference_zero_core_scan(code, want_words=True, **kw)
         got = cy._zero_core_scan(code, want_words=True, **kw)
@@ -772,20 +788,90 @@ def test_dependent_support_cut_matches_the_unrestricted_walk(code):
 def test_n33_zero_core_walk_starts_from_the_smallest_gap(monkeypatch):
     # the n33 anchor dual's scan walked 35,960 prefixes through 0; cut to a
     # first point of at most 33 // 6 and stopped once a batch starts past
-    # 33 // 10, it walks 14,353
+    # 33 // 10, it walked 14,353; with one zero set per Frobenius orbit, its
+    # roots the orbit leaders 1, 3 and 5 and its children cut by their
+    # differences' leaders, it walks 4,717
     ctx = cyc_context(32, 33)
     dual = code_from_defining_set(ctx, ctx.exponent_set([0, 14, 15, 16, 17, 18, 19]), base="extension").dual_code()
     nodes = []
     prefix_walk = linalg.prefix_walk
 
-    def counting_walk(*args):
-        for P, R in prefix_walk(*args):
+    def counting_walk(*args, **kwargs):
+        for P, R in prefix_walk(*args, **kwargs):
             nodes.append(len(P))
             yield P, R
 
     monkeypatch.setattr(linalg, "prefix_walk", counting_walk)
     assert cy._zero_core_scan(dual, want_words=True)[0] == 23
-    assert sum(nodes) <= 15000
+    assert sum(nodes) <= 4717
+
+
+def reference_frobenius(F, word, n):
+    """phi(word)[p*i mod n] = word[i]^p, one element at a time."""
+    out = [0] * n
+    for i, x in enumerate(word):
+        out[i * F.p % n] = F.pow(int(x), F.p)
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", [2401, 2402])
+def test_frobenius_maps_every_ambient_code_onto_itself(seed):
+    # phi keeps the code whatever its defining set: the image of every
+    # generator row is a codeword of the row's weight, and its powers, which
+    # `_frobenius_images` lists up to the order of p mod n, return to the row
+    rng = np.random.default_rng(seed)
+    for q, n in [*DIFF_CONTEXTS, (32, 33), (16, 17)]:
+        ctx = cyc_context(q, n)
+        F = ctx.field
+        for k in range(1, min(n, 8)):
+            nonzeros = rng.choice(n, size=k, replace=False)
+            code = code_from_defining_set(ctx, ctx.exponent_set(nonzeros).complement(), base="extension")
+            G = code.generator_matrix()
+            images = [reference_frobenius(F, row, n) for row in G]
+            assert code.dual_code().is_orthogonal(images), (q, n, sorted(nonzeros))
+            assert [np.count_nonzero(r) for r in images] == [np.count_nonzero(r) for r in G]
+            order = cy.ord_mod(F.p, n)
+            got = cy._frobenius_images(F, G).reshape(order, len(G), n)
+            assert np.array_equal(got[0], G) and np.array_equal(got[1 % order], images if order > 1 else G)
+            assert np.array_equal(np.stack([reference_frobenius(F, r, n) for r in got[-1]]), G)
+
+
+@pytest.mark.parametrize(
+    "code", [*long_orbit_duals(), *anchor_duals(), *(ambient_code(*c) for c in FORCED_ZERO_CODES),
+             *(c for c in random_ambient_codes(2311, 4) if c.k >= 4)],
+    ids=lambda c: f"{c.ctx.q}-{c.n}-k{c.k}-{'.'.join(map(str, c.defining.complement().exps))}")
+def test_zero_core_walk_keeps_one_zero_set_per_orbit(code, monkeypatch):
+    # every root child of the scan's walk is a Frobenius orbit leader below
+    # the lead n // (k-1) + 1, and under a root l > 1 every point of a prefix
+    # and every difference of a later point with an earlier one has a leader
+    # of at least l and is no forced zero, whose column would be zero or
+    # parallel to the earlier point's; when p = 1 mod n the walk is uncut
+    n, k, ctx = code.n, code.k, code.ctx
+    leaders = ctx.frobenius_leaders()
+    V = ctx.root_powers(range(n), list(code.defining.complement().exps))
+    forced = ~code.field.vsub(V.T[1:], V.T[0]).any(axis=0)
+    nodes, keeps = [], []
+    prefix_walk = linalg.prefix_walk
+
+    def recording_walk(*args, **kwargs):
+        keeps.append(kwargs.get("keep"))
+        for P, R in prefix_walk(*args, **kwargs):
+            nodes.extend(P.tolist())
+            yield P, R
+
+    monkeypatch.setattr(linalg, "prefix_walk", recording_walk)
+    cy._zero_core_scan(code, want_words=True)
+    assert len(keeps) == 1 and (keeps[0] is None) == (ctx.p % n == 1)
+    if keeps[0] is None:
+        return
+    roots = {P[0] for P in nodes if P}
+    assert all(leaders[r] == r and r <= n // (k - 1) for r in roots), roots
+    if n == 33:  # the leaders of Z_33 under doubling below 33 // 6 + 1
+        assert roots == {1, 3, 5}
+    for P in nodes:
+        if P and P[0] > 1:
+            diffs = [(b - a) % n for i, b in enumerate(P) for a in [0, *P[:i]]]
+            assert all(leaders[x] >= P[0] and not forced[x] for x in diffs), P
 
 
 def test_n33_anchor_dual_settles_by_zero_core():
@@ -837,7 +923,9 @@ def test_scan_kernel_elements_stay_at_their_bounds(monkeypatch):
     # products per element of the walk's rows and added the offset to every
     # word made 5.44M vmul elements in the scan and 234M vadd elements in
     # the enumeration, and the scan's walk over every prefix through 0,
-    # before it started from the smallest gap, 2.90M
+    # before it started from the smallest gap, 2.90M; its walk over one zero
+    # set per shift, before one per Frobenius orbit, made 1.15M vmul and
+    # 1.01M vadd elements
     counts = {}
     for name in ("vadd", "vsub", "vneg", "vmul", "vdiv_nz"):
         def counted(F, *args, _kernel=getattr(FieldSpec, name), _name=name):
@@ -846,7 +934,7 @@ def test_scan_kernel_elements_stay_at_their_bounds(monkeypatch):
             return out
         monkeypatch.setattr(FieldSpec, name, counted)
     bounds = {
-        "zero_core": {"vadd": 1025000, "vsub": 68500, "vneg": 31200, "vmul": 1160000, "vdiv_nz": 492000},
+        "zero_core": {"vadd": 333500, "vsub": 25500, "vneg": 10200, "vmul": 384000, "vdiv_nz": 197000},
         "exhaustive": {"vadd": 425983, "vsub": 15847, "vneg": 30848, "vmul": 5620, "vdiv_nz": 2762},
     }
     ctx = cyc_context(32, 33)

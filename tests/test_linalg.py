@@ -266,6 +266,37 @@ def test_prefix_walk_deepest_keeps_the_shallower_nodes(F):
                     assert firsts == sorted(firsts)
 
 
+@pytest.mark.parametrize("F", SCAN_FIELDS, ids=lambda F: f"GF({F.p}^{F.m})")
+def test_prefix_walk_keep_drops_the_subtrees_it_rejects(F):
+    # a walk filtered by `keep` visits exactly the full walk's nodes whose
+    # every step passed the filter, with the same rows, still in lex order of
+    # batches; a None from `keep` passes the whole batch
+    rng = np.random.default_rng(2161 + F.q)
+
+    def passes(prefix, s):
+        return not prefix or (s + prefix[0] + len(prefix)) % 3 != 1
+
+    def keep(P, parent, s):
+        if not P.shape[1]:
+            return None
+        return np.array([passes(p, c) for p, c in zip(P[parent].tolist(), s.tolist())], dtype=bool)
+
+    for A in scan_matrices(F, rng, 15):
+        cols = A.shape[1]
+        for size in range(1, cols + 1):
+            full = {tuple(p): r for P, R in linalg.prefix_walk(F, A, size)
+                    for p, r in zip(P.tolist(), R)}
+            want = {p for p in full if all(passes(p[:i], p[i]) for i in range(len(p)))}
+            for chunk in (1, 3, 1024):
+                got, firsts = {}, []
+                for P, R in linalg.prefix_walk(F, A, size, chunk, keep=keep):
+                    firsts.append(tuple(P[0].tolist()))
+                    got.update((tuple(p), r) for p, r in zip(P.tolist(), R))
+                assert set(got) == want, (A.tolist(), size)
+                assert all(np.array_equal(got[p], full[p]) for p in got)
+                assert firsts == sorted(firsts)
+
+
 def first_filtered(F, M, t, lead):
     """The lex-first dependent t-set that starts below `lead`, by rank."""
     return next((c for c in itertools.combinations(range(M.shape[1]), t)
@@ -404,7 +435,7 @@ def test_pencil_scan_stops_at_the_first_slice_with_a_pair(monkeypatch):
     assert pencils[0] > 300 and classed == [1024 // 30]
 
 
-def reference_children(F, P, R, size, chunk, stop):
+def reference_children(F, P, R, size, chunk, stop, keep=None):
     """The division-free pivot step: child rows lead*R[r] - R[r, s]*R[piv]."""
     nb, m, cols = R.shape
     depth = P.shape[1]
@@ -412,6 +443,9 @@ def reference_children(F, P, R, size, chunk, stop):
     counts = np.maximum(min(cols - size + depth + 1, stop) - first, 0)
     parent = np.repeat(np.arange(nb), counts)
     col = np.arange(len(parent)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    mask = None if keep is None else keep(P, parent, col)
+    if mask is not None:
+        parent, col = parent[mask], col[mask]
     step = max(1, min(chunk, linalg._BATCH_ELEMS // max(1, m * cols)))
     for lo in range(0, len(parent), step):
         b, s = parent[lo:lo + step], col[lo:lo + step]
