@@ -771,8 +771,9 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     walk visits no such child.  A word with best_zero zeros or more is
     counted under a root of at most n // best_zero, in a batch that starts
     no later, so the walk stops at the first batch that starts past n //
-    best_zero.  When p = 1 mod n each orbit is one point, and the scan runs
-    with no cut.
+    best_zero.  When p = 1 mod n each orbit is one point and j = 0: the
+    shift alone puts 0 and the least difference off H into Z', and the
+    child cut still holds.
 
     The words.  The words found reach every minimum-weight orbit under the
     maps t -> p^j*t + a, so their images under phi^j, for j below the order
@@ -799,8 +800,7 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     # the evaluation rows vanishing at point 0: V's row 0 is all ones, so the
     # pivot step on it subtracts the first row of V.T from the others
     at_zero = F.vsub(V.T[1:], V.T[0])
-    orbits = ctx.p % n != 1
-    keep = _orbit_cut(ctx.frobenius_leaders()) if orbits else None
+    keep = _orbit_cut(ctx.frobenius_leaders())
     for P, E in linalg.prefix_walk(F, at_zero, k - 2, chunk, n // (k - 1) + 1, keep=keep):
         if P.shape[1] and P[0, 0] > n // best_zero:
             break
@@ -828,8 +828,7 @@ def _zero_core_scan(code: CyclicCode, want_words: bool = False, chunk: int = 102
     if not best_words:
         return d, []
     words = _distinct_words(F, np.concatenate(best_words)[:, rev])
-    if orbits:
-        words = _distinct_words(F, _frobenius_images(F, words))
+    words = _distinct_words(F, _frobenius_images(F, words))
     w, z = np.nonzero(words == 0)  # each word shifted by each of its zeros to 0
     return d, list(_distinct_words(F, words[w[:, None], (z[:, None] + np.arange(n)) % n]))
 

@@ -845,7 +845,8 @@ def test_zero_core_walk_keeps_one_zero_set_per_orbit(code, monkeypatch):
     # the lead n // (k-1) + 1, and under a root l > 1 every point of a prefix
     # and every difference of a later point with an earlier one has a leader
     # of at least l and is no forced zero, whose column would be zero or
-    # parallel to the earlier point's; when p = 1 mod n the walk is uncut
+    # parallel to the earlier point's; when p = 1 mod n every point leads
+    # its orbit, and the cut is by the differences alone
     n, k, ctx = code.n, code.k, code.ctx
     leaders = ctx.frobenius_leaders()
     V = ctx.root_powers(range(n), list(code.defining.complement().exps))
@@ -861,9 +862,7 @@ def test_zero_core_walk_keeps_one_zero_set_per_orbit(code, monkeypatch):
 
     monkeypatch.setattr(linalg, "prefix_walk", recording_walk)
     cy._zero_core_scan(code, want_words=True)
-    assert len(keeps) == 1 and (keeps[0] is None) == (ctx.p % n == 1)
-    if keeps[0] is None:
-        return
+    assert len(keeps) == 1 and keeps[0] is not None
     roots = {P[0] for P in nodes if P}
     assert all(leaders[r] == r and r <= n // (k - 1) for r in roots), roots
     if n == 33:  # the leaders of Z_33 under doubling below 33 // 6 + 1
@@ -872,6 +871,29 @@ def test_zero_core_walk_keeps_one_zero_set_per_orbit(code, monkeypatch):
         if P and P[0] > 1:
             diffs = [(b - a) % n for i, b in enumerate(P) for a in [0, *P[:i]]]
             assert all(leaders[x] >= P[0] and not forced[x] for x in diffs), P
+
+
+def test_orbit_cut_prunes_when_p_is_1_mod_n(monkeypatch):
+    # at p = 1 mod n every orbit is one point, yet the cut by differences
+    # still drops children under a root l > 1: the [18, 6] GF(19) code with
+    # forced zeros walks 172 nodes instead of 221, to the same result
+    code = ambient_code(19, 18, [0, 2, 4, 8, 10, 14])
+    prefix_walk = linalg.prefix_walk
+    results, nodes = [], []
+    for cut in (True, False):
+        count = []
+
+        def counting_walk(*args, **kwargs):
+            for P, R in prefix_walk(*args, **{**kwargs, **({} if cut else {"keep": None})}):
+                count.append(len(P))
+                yield P, R
+
+        monkeypatch.setattr(linalg, "prefix_walk", counting_walk)
+        d, words = cy._zero_core_scan(code, want_words=True)
+        results.append((d, [w.tolist() for w in words]))
+        nodes.append(sum(count))
+    assert results[0] == results[1] and results[0][0] == 6
+    assert nodes == [172, 221]
 
 
 def test_n33_anchor_dual_settles_by_zero_core():
