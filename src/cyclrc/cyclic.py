@@ -46,8 +46,9 @@ walk's first point past 0 stays within that bound.
 One cost model ranks them: the enumerations by their whole cost, which must
 fit the budget, and the climb by its whole cost up to the upper bound, though
 it is admitted when its first step fits.  The climb is cut where the budget
-runs out and reports the lower bound it reached, so `min_distance` falls back
-to a certified (lower, upper) sandwich, and `min_weight_word` raises.
+runs out and reports the lower bound it reached, so the result falls back to
+a certified (lower, upper) sandwich with no word, which the code's distance
+memo keeps like any other result.
 """
 
 from __future__ import annotations
@@ -121,13 +122,11 @@ class CycContext:
         self.in_base = np.zeros(self.field.q, dtype=bool)
         self.in_base[self.field.subfield_elements(q)] = True
         # per-context caches: codes by (exponents, base), each holding its
-        # min_distance results by (budget, witness, upper); run bounds by
-        # exponents, anchor dual words by (exponents, budget), the run
-        # bound's unit steps and inverses, and the Frobenius orbit leaders
+        # distance results; run bounds by exponents, the run bound's unit
+        # steps and inverses, and the Frobenius orbit leaders
         self._code_cache: dict = {}
         self._bch_cache: dict = {}
         self._unit_steps: Optional[tuple[list[int], np.ndarray]] = None
-        self._dual_word_cache: dict = {}
         self._leaders: Optional[np.ndarray] = None
 
     def frobenius_leaders(self) -> np.ndarray:
@@ -240,11 +239,15 @@ def support_orbit(support, n: int) -> list[tuple[int, tuple[int, ...]]]:
 
 @dataclass(frozen=True)
 class DistanceResult:
+    """A distance, exact or a certified sandwich; `word` is the canonical
+    minimum-weight word of a word query that an exact strategy settled."""
+
     lower: int
     upper: int
     exact: Optional[int]
     method: str
     undefined: bool = False
+    word: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if not self.undefined and self.exact is not None:
@@ -252,6 +255,8 @@ class DistanceResult:
                 raise BoundInversion(
                     f"exact distance {self.exact} outside [{self.lower}, {self.upper}] ({self.method})"
                 )
+        if self.word is not None and (self.exact is None or sum(map(bool, self.word)) != self.exact):
+            raise InvariantViolated(f"a word of weight {sum(map(bool, self.word))} for distance {self.exact}")
 
 
 class CyclicCode:
@@ -265,7 +270,7 @@ class CyclicCode:
         self.k = ctx.n - len(defining)
         self._dual: Optional[CyclicCode] = None
         self._gen_matrix: Optional[np.ndarray] = None
-        self._distances: dict = {}  # min_distance results by (budget, witness, upper)
+        self._distances: dict = {}  # distance results by (budget, witness, upper, word wanted)
 
     # -- basic structure ----------------------------------------------------
 
@@ -362,7 +367,7 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
 
     Codes are immutable and cached per context, so repeated requests (duals,
     complements, sweep revisits) share one object, its lazy matrices and its
-    `min_distance` results.  The dual of the code of S is the code of
+    distance results.  The dual of the code of S is the code of
     -(Z_n minus S), the complement-set code of -S, so a walk over defining
     sets meets a code more than once and settles it once.
     """
@@ -398,23 +403,35 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
 
 def min_distance(code: CyclicCode, budget: int = DEFAULT_BUDGET, witness=None,
                  upper: Optional[int] = None) -> DistanceResult:
-    """The distance of `code` within `budget`, exact or a certified sandwich.
-    It depends on (budget, witness, upper) alone, so the code keeps it under
-    that key; the budget is checked first, and a call that raises keeps nothing."""
+    """The distance of `code` within `budget`, exact or a certified sandwich."""
+    return _memo(code, budget, witness, upper, False)
+
+
+def min_weight_word(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> DistanceResult:
+    """`min_distance` plus, when an exact strategy fits, the canonical
+    minimum-weight word: leading coefficient 1 and the lexicographically
+    smallest support of all minimum-weight codewords and their shifts."""
+    return _memo(code, budget, None, None, True)
+
+
+def _memo(code: CyclicCode, budget: int, witness, upper: Optional[int], want_word: bool) -> DistanceResult:
+    """The result depends on (budget, witness, upper, word wanted) alone, so
+    the code keeps it under that key; the budget is checked first, and a call
+    that raises keeps nothing.  A word query skips the lower == upper shortcut
+    and so may differ in method: neither kind answers the other."""
     check_budget(code.n, budget)
-    key = (budget, witness, upper)
+    key = (budget, witness, upper, want_word)
     if key not in code._distances:
-        code._distances[key] = _distance(code, budget, witness, upper)
+        code._distances[key] = _distance(code, *key)
     return code._distances[key]
 
 
-def _distance(code: CyclicCode, budget: int, witness, upper: Optional[int]) -> DistanceResult:
+def _distance(code: CyclicCode, budget: int, witness, upper: Optional[int],
+              want_word: bool) -> DistanceResult:
     n, k = code.n, code.k
     if k == 0:
         return DistanceResult(0, 0, None, "sandwich", undefined=True)
-    bch_val, _w = bounds.bch_lower(code.defining)
-    lower = bch_val
-    lower_tag = "bch"
+    lower, lower_tag = bounds.bch_lower(code.defining)[0], "bch"
     if witness is not None:
         bs = bounds.betti_sala_lower(code.defining, witness)
         if bs > lower:
@@ -427,39 +444,20 @@ def _distance(code: CyclicCode, budget: int, witness, upper: Optional[int]) -> D
         upper_tag = "singleton_like"
     if lower > upper:
         raise BoundInversion(f"bound inversion: {lower} ({lower_tag}) > {upper} ({upper_tag})")
-    if lower == upper:
+    if lower == upper and not want_word:
         return DistanceResult(lower, upper, lower, "sandwich")
-    d, _, method, reached = _settle(code, lower, upper, budget, want_words=False)
+    d, words, method, reached = _settle(code, lower, upper, budget, want_words=want_word)
     if d is not None:
-        return DistanceResult(lower, upper, d, method)
+        word = _canonical_word(code.field, words) if want_word else None
+        return DistanceResult(lower, upper, d, method, word=word)
     if reached == upper:
         return DistanceResult(reached, upper, upper, "sandwich")
     return DistanceResult(reached, upper, None, lower_tag if reached == lower else "low_weight")
 
 
-def min_weight_word(code: CyclicCode, budget: int = DEFAULT_BUDGET):
-    """Exact minimum weight plus a canonical achieving word.
-
-    Returns (d, word, support) with the word scaled to leading coefficient 1
-    and the support lexicographically smallest among all minimum-weight
-    codewords (including cyclic shifts).  Raises if no exact strategy fits.
-    """
-    n, k = code.n, code.k
-    if k == 0:
-        raise ValueError("zero code has no nonzero codeword")
-    bch_val, _ = bounds.bch_lower(code.defining)
-    d, words, _, _ = _settle(code, bch_val, n - k + 1, budget, want_words=True)
-    if d is None:
-        raise BudgetExceededInconclusive(
-            f"no exact minimum-weight strategy fits budget {budget} for [{n},{k}]"
-        )
-    sup, word = _canonical_word(code.field, words)
-    return d, word, sup
-
-
-def _canonical_word(F: FieldSpec, words):
-    """(support, word) with the lexicographically smallest support among the
-    words and all their cyclic shifts, the word scaled to leading coefficient 1.
+def _canonical_word(F: FieldSpec, words) -> tuple[int, ...]:
+    """The word with the lexicographically smallest support among the words
+    and all their cyclic shifts, scaled to leading coefficient 1.
 
     A shift that moves support point i to 0 lists the support as the partial
     sums of its cyclic gap sequence read from i, so shifted supports compare
@@ -474,8 +472,8 @@ def _canonical_word(F: FieldSpec, words):
         shifted = tuple(np.roll((sup - sup[j]) % n, -j).tolist())
         if best is None or shifted < best[0]:
             best = shifted, w, -int(sup[j]) % n
-    sup, word, shift = best
-    return sup, _normalize_word(F, np.roll(word, shift))
+    _, word, shift = best
+    return tuple(_normalize_word(F, np.roll(word, shift)).tolist())
 
 
 def _least_rotation(seq: list[int]) -> int:

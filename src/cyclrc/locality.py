@@ -72,7 +72,7 @@ def check_delta_independence(F, M, delta: int) -> bool:
     return linalg.first_dependent_columns(F, M, t) is None
 
 
-def _subgroup_word(ctx, ell: int, t: int) -> np.ndarray:
+def _subgroup_word(ctx, ell: int, t: int) -> tuple[int, ...]:
     """Dual word from summing the rows of the order-ell coset matrix."""
     n = ctx.n
     scal = ell % ctx.p  # the element ell * 1 is the constant ell mod p, whose index is ell mod p
@@ -80,40 +80,31 @@ def _subgroup_word(ctx, ell: int, t: int) -> np.ndarray:
         raise InvariantViolated(f"coset order {ell} is divisible by the characteristic {ctx.p}")
     word = np.zeros(n, dtype=np.int64)
     word[::ell] = ctx.field.vmul(scal, ctx.root_powers([t], range(0, n, ell))[0])
-    return word
+    return tuple(word.tolist())
 
 
 def anchor_dual_word(anchor: ExponentSet, budget: int = DEFAULT_BUDGET):
     """Low-weight dual codeword of the anchor's ambient code, as (word,
     support, weight, exact).  exact=True: the weight is the exact dual
-    distance (subgroup-run criterion or an affordable exact oracle), the
-    support lexicographically canonical; exact=False: the subgroup-coset word
-    is only an upper witness."""
-    ctx = anchor.ctx
-    # the fallback depends on the budget, so the budget is part of the key
-    key = (anchor.exps, budget)
-    if key in ctx._dual_word_cache:
-        return ctx._dual_word_cache[key]
-    n = ctx.n
+    distance, by the subgroup-run criterion, whose subgroup-coset word need
+    not have the least support, or by an exact oracle, whose word is
+    `min_weight_word`'s canonical one (the dual code's memo keeps it);
+    exact=False: the subgroup-coset word is only an upper witness."""
+    ctx, n = anchor.ctx, anchor.ctx.n
     exact_val = bounds.exact_dual_distance(anchor)
     cosets = bounds.subgroup_coset_in(anchor)
-    exact = True
     if exact_val is not None:
         # the criterion's value is n/ell for one of these cosets
         word = _subgroup_word(ctx, *next((e, t) for e, t in cosets if n // e == exact_val))
     else:
-        dual = code_from_defining_set(ctx, anchor, base="extension").dual_code()
-        try:
-            word = min_weight_word(dual, budget)[1]
-        except BudgetExceededInconclusive:
-            if not cosets:
-                raise BudgetExceededInconclusive(
-                    f"no affordable dual-distance oracle and no subgroup witness for n={n}"
-                )
-            word, exact = _subgroup_word(ctx, *cosets[0]), False  # largest order = lightest witness word
-    support = tuple(int(i) for i in np.flatnonzero(word))
-    result = ctx._dual_word_cache[key] = (word, support, len(support), exact)
-    return result
+        word = min_weight_word(code_from_defining_set(ctx, anchor, base="extension").dual_code(), budget).word
+    exact = word is not None
+    if not exact:
+        if not cosets:
+            raise BudgetExceededInconclusive(f"no affordable dual-distance oracle and no subgroup witness for n={n}")
+        word = _subgroup_word(ctx, *cosets[0])  # largest order = lightest witness word
+    support = tuple(i for i, x in enumerate(word) if x)
+    return word, support, len(support), exact
 
 
 def run_code_distance(run: ExponentSet, budget: int = DEFAULT_BUDGET) -> int:
@@ -146,7 +137,7 @@ def locality_from_product(
     if run.ctx is not ctx or target.ctx is not ctx:
         raise ValueError("anchor, run and target must share one context")
     word, _, _, dual_exact = anchor_dual_word(anchor, budget)
-    found, record = rederive_locality(target, anchor, run, [int(x) for x in word], dual_exact, budget)
+    found, record = rederive_locality(target, anchor, run, list(word), dual_exact, budget)
     for claim, status, detail in found:
         if status == "inconclusive":
             raise BudgetExceededInconclusive(detail)

@@ -23,6 +23,7 @@ from cyclrc.cyclic import (
     BudgetTooSmall,
     CycContext,
     DistanceResult,
+    InvariantViolated,
     NotQClosed,
     all_cyclotomic_cosets,
     code_from_defining_set,
@@ -493,12 +494,13 @@ def test_min_weight_word_properties():
     ctx = cyc_context(2, 31)
     A = ctx.exponent_set([0, 1, 2, 4, 8, 16])
     dual = code_from_defining_set(ctx, A, base="extension").dual_code()
-    d, word, sup = min_weight_word(dual)
-    assert d == 15 and len(sup) == 15
-    assert int(word[sup[0]]) == 1  # leading normalization
+    res = min_weight_word(dual)
+    sup = [i for i, x in enumerate(res.word) if x]
+    assert res.exact == 15 and len(sup) == 15
+    assert res.word[sup[0]] == 1  # leading normalization
     # membership: orthogonal to the primal generator matrix
     G = code_from_defining_set(ctx, A, base="extension").generator_matrix()
-    assert not linalg.mat_vec(ctx.field, G, np.asarray(word)).any()
+    assert not linalg.mat_vec(ctx.field, G, np.asarray(res.word)).any()
 
 
 # (q, n) with small ambient fields: binary, prime and odd-characteristic
@@ -545,10 +547,9 @@ def test_strategy_cross_agreement_ambient(code):
         found["zero_core"] = cy._zero_core_scan(code, want_words=True)
     assert {d for d, _ in found.values()} == {d_ex}, (code.defining.exps, found)
     assert min_distance(code).exact == d_ex
-    d, word, sup = min_weight_word(code)
-    assert d == d_ex
-    pairs = [cy._canonical_word(F, words) for _, words in found.values()] + [(sup, word)]
-    canonical = {(s, tuple(int(x) for x in w)) for s, w in pairs}
+    res = min_weight_word(code)
+    assert res.exact == d_ex
+    canonical = {cy._canonical_word(F, words) for _, words in found.values()} | {res.word}
     assert len(canonical) == 1, (code.defining.exps, canonical)
 
 
@@ -995,7 +996,7 @@ def test_zero_core_words_do_not_import_numpy_ma():
         "ctx = cyc_context(16, 17)\n"
         "code = code_from_defining_set(ctx, ctx.exponent_set([0, 1, 2, 8, 14, 15, 16]), base='extension')\n"
         "before = 'numpy.ma' in sys.modules\n"
-        "d, _, _ = min_weight_word(code.dual_code())\n"
+        "d = min_weight_word(code.dual_code()).exact\n"
         "print(d, before, 'numpy.ma' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(cy.__file__))
@@ -1023,8 +1024,7 @@ def test_zero_core_settles_codes_with_many_degenerate_cores(q, n, exps, d):
     assert (res.exact, res.method) == (d, "zero_core")
     climb_d, climb_word, _ = cy._support_climb(code, 1, n - code.k + 1, CLIMB_BUDGET)
     assert climb_d == d
-    pairs = [cy._canonical_word(code.field, ws) for ws in (words, [climb_word])]
-    assert len({(s, tuple(int(x) for x in w)) for s, w in pairs}) == 1
+    assert len({cy._canonical_word(code.field, ws) for ws in (words, [climb_word])}) == 1
 
 
 def test_serialization_shape():
@@ -1039,13 +1039,20 @@ def test_serialization_shape():
 def test_inverted_distance_result_raises_named_error():
     with pytest.raises(BoundInversion):
         DistanceResult(lower=5, upper=3, exact=4, method="sandwich")
-    # the check is not an assert, so it holds under python -O as well
+    # a word must weigh the exact distance
+    with pytest.raises(InvariantViolated):
+        DistanceResult(3, 5, 4, "zero_core", word=(1, 0, 1))
+    with pytest.raises(InvariantViolated):
+        DistanceResult(3, 5, None, "bch", word=(1, 0, 1))
+    # the checks are not asserts, so they hold under python -O as well
     probe = (
-        "from cyclrc.cyclic import BoundInversion, DistanceResult\n"
-        "try:\n    DistanceResult(5, 3, 4, 'sandwich')\nexcept BoundInversion:\n    print('raised')\n"
+        "from cyclrc.cyclic import BoundInversion, DistanceResult, InvariantViolated\n"
+        "for args in ((5, 3, 4, 'sandwich'), (3, 5, 4, 'zero_core', False, (1, 0, 1))):\n"
+        "    try:\n        DistanceResult(*args)\n    except InvariantViolated as e:\n"
+        "        print(type(e).__name__)\n"
     )
     out = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.split() == ["BoundInversion", "InvariantViolated"]
 
 
 # a binary [21,7,8] code: the run bound is 5, the run-plus-blocks witness
@@ -1061,12 +1068,13 @@ def _memo_code(ctx=None):
 
 
 def _spy_settle(monkeypatch):
-    """Record (exponents, base, lower, upper, budget) of every _settle call."""
+    """Record (exponents, base, lower, upper, budget, want_words) of every
+    _settle call."""
     calls = []
     settle = cy._settle
 
     def spy(code, lower, upper, budget, want_words):
-        calls.append((code.defining.exps, code.base_q, lower, upper, budget))
+        calls.append((code.defining.exps, code.base_q, lower, upper, budget, want_words))
         return settle(code, lower, upper, budget, want_words)
 
     monkeypatch.setattr(cy, "_settle", spy)
@@ -1077,9 +1085,13 @@ def test_min_distance_second_call_reads_the_memo(monkeypatch):
     calls = _spy_settle(monkeypatch)
     code = _memo_code()
     first = min_distance(code)
-    assert (first.exact, first.method) == (8, "exhaustive")
+    assert (first.exact, first.method, first.word) == (8, "exhaustive", None)
     assert min_distance(code) is first
     assert len(calls) == 1
+    with_word = min_weight_word(code)
+    assert (with_word.exact, with_word.method, sum(map(bool, with_word.word))) == (8, "exhaustive", 8)
+    assert min_weight_word(code) is with_word
+    assert len(calls) == 2
 
 
 def test_min_distance_memo_keys_budget_witness_and_upper(monkeypatch):
@@ -1087,11 +1099,19 @@ def test_min_distance_memo_keys_budget_witness_and_upper(monkeypatch):
             (DEFAULT_BUDGET, None, 10)]
     cold = [min_distance(_memo_code(), *a) for a in args]  # each in a fresh context
     assert len(set(cold)) == len(args)  # each argument moves the result
+    # word queries at the default budget and at one that cuts the climb
+    cold_words = [min_weight_word(_memo_code(), b) for b in (DEFAULT_BUDGET, 2000)]
+    assert cold_words[0] != cold[0] and cold_words[0].word is not None
+    assert cold_words[1].exact is None and cold_words[1].word is None
     calls = _spy_settle(monkeypatch)
     code = _memo_code()
     for _ in range(2):
         assert [min_distance(code, *a) for a in args] == cold
-    assert len(calls) == len(set(calls)) == len(args)
+        assert [min_weight_word(code, b) for b in (DEFAULT_BUDGET, 2000)] == cold_words
+    # one _settle per key: the word and distance entries at one budget are
+    # distinct, and the cut word query is stored, so its repeat climbs no more
+    assert len(calls) == len(set(calls)) == len(args) + 2
+    assert len(code._distances) == len(args) + 2
 
 
 def test_min_distance_at_a_budget_does_not_depend_on_history():
@@ -1248,6 +1268,6 @@ def test_canonical_word_matches_n_shift_loop(code, words):
     # the orbit's first entry per word picks the same (support, word) as
     # trying all n shifts of every word
     assert words
-    sup, word = cy._canonical_word(code.field, words)
+    word = cy._canonical_word(code.field, words)
     ref_sup, ref_word = reference_canonical_word(code.field, words)
-    assert sup == ref_sup and word.tolist() == ref_word.tolist()
+    assert tuple(i for i, x in enumerate(word) if x) == ref_sup and word == tuple(ref_word.tolist())

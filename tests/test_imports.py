@@ -1,9 +1,14 @@
 """Every name a cyclrc module imports is used in that module."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+from cyclrc.cyclic import DEFAULT_BUDGET, cyc_context
+from cyclrc.locality import anchor_dual_word
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cyclrc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -153,3 +158,20 @@ def test_every_self_attribute_is_read():
     assert assigned, "no attribute assignments found; the walk is broken"
     unread = sorted(name for name in assigned if name.rsplit(".", 1)[1] not in read)
     assert not unread, f"attributes stored on self that no src module reads: {', '.join(unread)}"
+
+
+def test_every_traced_function_resolves():
+    # the benchmark's tracer (perfbench/trace_layers.py) patches these names
+    # with getattr and reads anchor_dual_word's exact flag at index 3, so a
+    # rename or a reshaped result would break its traced runs
+    path = SRC.parents[1] / "perfbench" / "trace_layers.py"
+    spec = importlib.util.spec_from_file_location("trace_layers", path)
+    trace_layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_layers)
+    missing = [f"{module}.{name}" for module, name, _ in trace_layers.FUNCTIONS
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert not missing, f"traced functions missing from src: {', '.join(missing)}"
+    ctx = cyc_context(13, 12)
+    # the criterion, the exact oracle and the subgroup fallback
+    for exps, budget in (([0, 3, 9], DEFAULT_BUDGET), ([0, 1, 2], DEFAULT_BUDGET), ([0, 1, 2], 144)):
+        assert type(anchor_dual_word(ctx.exponent_set(exps), budget)[3]) is bool

@@ -3,13 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
-from cyclrc import linalg
+from cyclrc import cyclic, linalg
 from cyclrc.constructions import ConstructionRequest, build
-from cyclrc.cyclic import all_cyclotomic_cosets, code_from_defining_set, cyc_context, min_distance, product_set
+from cyclrc.cyclic import (
+    DEFAULT_BUDGET,
+    CycContext,
+    all_cyclotomic_cosets,
+    code_from_defining_set,
+    cyc_context,
+    min_distance,
+    min_weight_word,
+    product_set,
+)
 from cyclrc.locality import (
     BudgetExceededInconclusive,
     DistanceOrderingViolated,
     ProductNotContained,
+    anchor_dual_word,
     check_delta_independence,
     check_locality_record,
     locality_from_product,
@@ -355,3 +365,38 @@ def test_run_distance_at_a_budget_does_not_depend_on_history():
     assert reports[0] == reports[1]
     lines = {claim: (status, detail) for claim, status, detail in reports[0]}
     assert lines["locality r and delta"] == ("inconclusive", "run-code distance not settled within budget")
+
+
+def test_anchor_dual_word_by_the_criterion_keeps_the_subgroup_word():
+    # the subgroup-run criterion settles this anchor dual at weight 6 with a
+    # subgroup-coset word, whose support is not the dual's canonical one;
+    # certificates carry the criterion's word, so a change of h0 shows here
+    ctx = cyc_context(13, 12)
+    A = ctx.exponent_set([0, 3, 9])
+    _, support, weight, exact = anchor_dual_word(A)
+    assert (support, weight, exact) == ((0, 2, 4, 6, 8, 10), 6, True)
+    res = min_weight_word(code_from_defining_set(ctx, A, base="extension").dual_code())
+    assert res.exact == 6 and tuple(i for i, x in enumerate(res.word) if x) == (0, 1, 4, 5, 8, 9)
+
+
+def test_anchor_dual_word_reads_the_dual_codes_memo(monkeypatch):
+    # budget n^2 fits no exact oracle on this anchor dual, so the subgroup
+    # word stands in; the dual code keeps both answers, word or none, and a
+    # repeated anchor settles nothing again
+    settled = []
+    settle = cyclic._settle
+
+    def spy(code, *args, **kwargs):
+        settled.append(code.defining.exps)
+        return settle(code, *args, **kwargs)
+
+    monkeypatch.setattr(cyclic, "_settle", spy)
+    ctx = CycContext(13, 12)
+    A = ctx.exponent_set([0, 1, 2])
+    for budget, weight, exact in ((144, 12, False), (DEFAULT_BUDGET, 10, True)):
+        for _ in range(2):
+            word, support, w, e = anchor_dual_word(A, budget)
+            assert (w, e) == (weight, exact) and support == tuple(i for i, x in enumerate(word) if x)
+    dual = code_from_defining_set(ctx, A, base="extension").dual_code()
+    assert [min_weight_word(dual, b).word is None for b in (144, DEFAULT_BUDGET)] == [True, False]
+    assert len(settled) == 2
