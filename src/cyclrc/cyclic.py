@@ -300,16 +300,6 @@ class CyclicCode:
         """Generator matrix of the dual; full rank n-k."""
         return self.dual_code().generator_matrix()
 
-    def encode(self, msg) -> np.ndarray:
-        msg = [int(x) for x in msg]
-        if len(msg) != self.k:
-            raise ValueError(f"message length {len(msg)} differs from k={self.k}")
-        mp = Polynomial.make(self.field, msg)
-        cw = mp * self.gen
-        out = np.zeros(self.n, dtype=np.int64)
-        out[: len(cw.coeffs)] = cw.coeffs
-        return out
-
     def to_dict(self) -> dict:
         return {
             "q": self.base_q,

@@ -2,17 +2,20 @@
 
 Elements are canonical integer indices in 0..q-1: the base-p digits of the
 index are the polynomial-basis coordinates (constant term = least significant
-digit).  Construction has one GF(p)[x] product: it finds the reducing
-polynomial and the generator, and gives the map "multiply by g" from which
-numpy builds the antilog table by doubling.  Multiplication runs on log/antilog
-tables.  Addition is XOR in characteristic 2, a sum mod p in prime fields and,
-in odd extensions, the Zech-logarithm law a + b = a * (1 + b/a), or, when
-q <= 1024, a gather from the q x q table of digitwise sums mod p.  So
-everything vectorizes over numpy index arrays, and there is one arithmetic:
-the scalar ops are the vector kernels applied to one element.  Two calls with the same (p, m) always
-produce identical arithmetic: the reducing polynomial is the first monic
-irreducible in index order and the generator is the smallest index of full
-multiplicative order.
+digit).  Construction reads the reducing polynomial and the generator from a
+constant table (a prime field finds its least generator by integer powers).
+It forms the map "multiply by g" with one GF(p)[x] product per basis element,
+and numpy builds the antilog table from it by doubling.  The table is not
+trusted: the antilog table must hold q-1 distinct nonzero powers, which proves
+the polynomial irreducible and the generator primitive.  Multiplication runs
+on log/antilog tables.  Addition is XOR in characteristic 2, a sum mod p in
+prime fields and, in odd extensions, the Zech-logarithm law
+a + b = a * (1 + b/a), or, when q <= 1024, a gather from the q x q table of
+digitwise sums mod p.  So everything vectorizes over numpy index arrays, and
+there is one arithmetic: the scalar ops are the vector kernels applied to one
+element.  Two calls with the same (p, m) always produce identical arithmetic:
+the table records the first monic irreducible in index order and the smallest
+index of full multiplicative order.
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ class SizeCapExceeded(FieldError):
 
 
 class DivisionByZero(FieldError):
-    pass
-
-
-class MixedFields(FieldError):
     pass
 
 
@@ -100,7 +99,7 @@ def prime_power_split(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# GF(p) polynomial helpers used only during field construction.
+# GF(p) polynomial helpers that build the map "multiply by g".
 # Polynomials are low-to-high coefficient lists over Z_p.
 
 
@@ -126,67 +125,6 @@ def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
-def _ppowmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _pmod(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b over GF(p); b nonzero."""
-    a = _ptrim(list(a))
-    db = len(b)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= db:
-        lead = (a[-1] * inv_lead) % p
-        if lead:
-            off = len(a) - db
-            for j in range(db):
-                a[off + j] = (a[off + j] - lead * b[j]) % p
-        a.pop()
-        _ptrim(a)
-    return a
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: f (monic, degree m) irreducible over GF(p)."""
-    m = len(f) - 1
-    if m == 1:
-        return True
-    if f[0] == 0:
-        return False
-    x = [0, 1]
-    xq = _ppowmod(x, p**m, f, p)
-    # x^(p^m) == x mod f
-    if _ptrim([(a - b) % p for a, b in _zip_pad(xq, x)]):
-        return False
-    for t in factorize(m):
-        xs = _ppowmod(x, p ** (m // t), f, p)
-        diff = _ptrim([(a - b) % p for a, b in _zip_pad(xs, x)])
-        g = _pgcd(f, diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
-
-
 def _coeffs(idx: int, p: int, m: int) -> list[int]:
     """The m base-p digits of an element index, constant term first."""
     out = []
@@ -196,19 +134,87 @@ def _coeffs(idx: int, p: int, m: int) -> list[int]:
     return out
 
 
-def _find_modulus(p: int, m: int) -> tuple[int, ...]:
-    """First monic irreducible of degree m over GF(p) in index order."""
-    if m == 1:
-        return (0, 1)
-    for idx in range(p**m):
-        f = _coeffs(idx, p, m) + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
-    raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
+def _prime_generator(p: int) -> int:
+    """The least generator of GF(p)*: no power a^((p-1)/r) for a prime r | p-1
+    is 1.  GF(2)* is {1}."""
+    primes = list(factorize(p - 1))
+    return next((a for a in range(2, p) if all(pow(a, (p - 1) // r, p) != 1 for r in primes)), 1)
+
+
+# (p, m) -> (modulus index, generator index) for every extension field under
+# the cap: p prime, m >= 2, p^m <= SIZE_CAP.  The reducing polynomial is x^m
+# plus the polynomial whose coefficients are the base-p digits of its index.
+# Each entry is what a search finds: the first monic irreducible in index
+# order and the smallest index of full multiplicative order.  FieldSpec
+# proves every entry it reads (see its docstring).
+_EXTENSIONS = {
+    (2, 2): (3, 2), (2, 3): (3, 2), (2, 4): (3, 2), (2, 5): (5, 2), (2, 6): (3, 2), (2, 7): (3, 2), (2, 8): (27, 3),
+    (2, 9): (3, 7), (2, 10): (9, 2), (2, 11): (5, 2), (2, 12): (9, 3), (2, 13): (27, 2), (2, 14): (33, 7),
+    (2, 15): (3, 2), (2, 16): (43, 3), (2, 17): (9, 2), (2, 18): (9, 10), (2, 19): (39, 2), (2, 20): (9, 2),
+    (3, 2): (1, 4), (3, 3): (7, 3), (3, 4): (5, 3), (3, 5): (7, 3), (3, 6): (5, 3), (3, 7): (11, 5), (3, 8): (11, 38),
+    (3, 9): (64, 3), (3, 10): (19, 34), (3, 11): (11, 5), (3, 12): (11, 14), (5, 2): (2, 6), (5, 3): (6, 9),
+    (5, 4): (2, 6), (5, 5): (21, 10), (5, 6): (7, 5), (5, 7): (6, 9), (5, 8): (2, 6), (7, 2): (1, 9), (7, 3): (2, 22),
+    (7, 4): (8, 12), (7, 5): (10, 9), (7, 6): (2, 8), (7, 7): (43, 14), (11, 2): (1, 15), (11, 3): (15, 11),
+    (11, 4): (13, 11), (11, 5): (2, 13), (13, 2): (2, 15), (13, 3): (2, 15), (13, 4): (2, 17), (13, 5): (54, 13),
+    (17, 2): (3, 19), (17, 3): (20, 17), (17, 4): (3, 307), (19, 2): (1, 22), (19, 3): (2, 29), (19, 4): (27, 21),
+    (23, 2): (1, 25), (23, 3): (26, 23), (23, 4): (25, 31), (29, 2): (2, 30), (29, 3): (33, 30), (29, 4): (2, 30),
+    (31, 2): (1, 35), (31, 3): (3, 34), (31, 4): (32, 34), (37, 2): (2, 41), (37, 3): (2, 75), (41, 2): (3, 43),
+    (41, 3): (42, 44), (43, 2): (1, 45), (43, 3): (3, 45), (47, 2): (1, 49), (47, 3): (51, 47), (53, 2): (2, 54),
+    (53, 3): (58, 53), (59, 2): (1, 62), (59, 3): (60, 63), (61, 2): (2, 63), (61, 3): (2, 67), (67, 2): (1, 74),
+    (67, 3): (2, 73), (71, 2): (1, 79), (71, 3): (72, 75), (73, 2): (5, 76), (73, 3): (2, 77), (79, 2): (1, 85),
+    (79, 3): (2, 81), (83, 2): (1, 93), (83, 3): (88, 84), (89, 2): (3, 91), (89, 3): (93, 91), (97, 2): (5, 101),
+    (97, 3): (2, 102), (101, 2): (2, 102), (101, 3): (102, 104), (103, 2): (1, 105), (107, 2): (1, 109),
+    (109, 2): (2, 111), (113, 2): (3, 117), (127, 2): (1, 135), (131, 2): (1, 134), (137, 2): (3, 145),
+    (139, 2): (1, 143), (149, 2): (2, 152), (151, 2): (1, 160), (157, 2): (2, 159), (163, 2): (1, 170),
+    (167, 2): (1, 169), (173, 2): (2, 174), (179, 2): (1, 182), (181, 2): (2, 185), (191, 2): (1, 201),
+    (193, 2): (5, 198), (197, 2): (2, 200), (199, 2): (1, 212), (211, 2): (1, 215), (223, 2): (1, 225),
+    (227, 2): (1, 229), (229, 2): (2, 231), (233, 2): (3, 241), (239, 2): (1, 247), (241, 2): (7, 248),
+    (251, 2): (1, 256), (257, 2): (3, 259), (263, 2): (1, 265), (269, 2): (2, 278), (271, 2): (1, 276),
+    (277, 2): (2, 279), (281, 2): (3, 285), (283, 2): (1, 285), (293, 2): (2, 294), (307, 2): (1, 316),
+    (311, 2): (1, 315), (313, 2): (5, 316), (317, 2): (2, 327), (331, 2): (1, 337), (337, 2): (5, 356),
+    (347, 2): (1, 351), (349, 2): (2, 353), (353, 2): (3, 360), (359, 2): (1, 370), (367, 2): (1, 370),
+    (373, 2): (2, 375), (379, 2): (1, 382), (383, 2): (1, 385), (389, 2): (2, 390), (397, 2): (2, 399),
+    (401, 2): (3, 405), (409, 2): (7, 419), (419, 2): (1, 423), (421, 2): (2, 425), (431, 2): (1, 435),
+    (433, 2): (5, 436), (439, 2): (1, 448), (443, 2): (1, 445), (449, 2): (3, 465), (457, 2): (5, 462),
+    (461, 2): (2, 469), (463, 2): (1, 465), (467, 2): (1, 469), (479, 2): (1, 483), (487, 2): (1, 490),
+    (491, 2): (1, 496), (499, 2): (1, 502), (503, 2): (1, 509), (509, 2): (2, 510), (521, 2): (3, 523),
+    (523, 2): (1, 525), (541, 2): (2, 545), (547, 2): (1, 549), (557, 2): (2, 560), (563, 2): (1, 565),
+    (569, 2): (3, 573), (571, 2): (1, 574), (577, 2): (5, 581), (587, 2): (1, 593), (593, 2): (3, 595),
+    (599, 2): (1, 610), (601, 2): (7, 603), (607, 2): (1, 609), (613, 2): (2, 615), (617, 2): (3, 629),
+    (619, 2): (1, 622), (631, 2): (1, 636), (641, 2): (3, 647), (643, 2): (1, 647), (647, 2): (1, 649),
+    (653, 2): (2, 659), (659, 2): (1, 669), (661, 2): (2, 663), (673, 2): (5, 678), (677, 2): (2, 678),
+    (683, 2): (1, 685), (691, 2): (1, 695), (701, 2): (2, 704), (709, 2): (2, 711), (719, 2): (1, 723),
+    (727, 2): (1, 729), (733, 2): (2, 735), (739, 2): (1, 748), (743, 2): (1, 745), (751, 2): (1, 755),
+    (757, 2): (2, 759), (761, 2): (3, 763), (769, 2): (7, 771), (773, 2): (2, 774), (787, 2): (1, 789),
+    (797, 2): (2, 798), (809, 2): (3, 815), (811, 2): (1, 814), (821, 2): (2, 822), (823, 2): (1, 826),
+    (827, 2): (1, 831), (829, 2): (2, 831), (839, 2): (1, 843), (853, 2): (2, 855), (857, 2): (3, 859),
+    (859, 2): (1, 865), (863, 2): (1, 868), (877, 2): (2, 881), (881, 2): (3, 887), (883, 2): (1, 888),
+    (887, 2): (1, 889), (907, 2): (1, 909), (911, 2): (1, 915), (919, 2): (1, 925), (929, 2): (3, 934),
+    (937, 2): (5, 941), (941, 2): (2, 942), (947, 2): (1, 953), (953, 2): (3, 957), (967, 2): (1, 969),
+    (971, 2): (1, 974), (977, 2): (3, 981), (983, 2): (1, 985), (991, 2): (1, 1004), (997, 2): (2, 1000),
+    (1009, 2): (11, 1018), (1013, 2): (2, 1019), (1019, 2): (1, 1025), (1021, 2): (2, 1035),
+}
 
 
 class FieldSpec:
     """GF(p^m) with log/antilog multiplication and Zech-logarithm addition.
+
+    Construction reads the reducing polynomial f and the generator g from
+    `_EXTENSIONS` (m >= 2) or finds the least generator of GF(p)* (m = 1),
+    then builds the antilog table and refuses to go on unless the powers
+    g^0..g^(q-2) are q-1 distinct nonzero residues mod f.  That one check
+    proves f irreducible and g primitive, so a wrong table entry raises
+    FieldError and is never used.  Let R = GF(p)[x]/(f), with q elements.
+    The q-1 powers are then all the nonzero elements of R.
+    - If g is a unit, so is each of its powers: R has q-1 units and is a
+      field, and g has order q-1 in its multiplicative group.
+    - If g is not a unit, it is a zero divisor: g*y = 0 for some nonzero y.
+      That y is a power g^j with j <= q-2, so g^(q-1) = 0 and g is
+      nilpotent.  Its ideals gR > g^2R > ... shrink strictly until they
+      reach 0 (g^k = g^(k+1) r gives g^k (1 - g r) = 0, and 1 - g r is a
+      unit), each by at least one of the m dimensions, so g^m = 0.  For
+      m >= 2, m <= q-2, so a zero would be among the powers: impossible.
+      For m = 1, R = GF(p) is a field and g = 0 fails at once.
 
     Characteristic 2 adds by XOR and prime fields by a sum mod p.  Odd
     extensions add by a + b = a * (1 + b/a): one gather from the Zech table
@@ -217,8 +223,8 @@ class FieldSpec:
     once, and addition is a single gather from it.  Negation gathers from
     `_neg_table`.  The
     kernels (`vadd`, `vsub`, `vneg`, `vmul`, `vdiv_nz`, `vpow_gen`) take
-    numpy index arrays or plain ints alike; the scalar ops `inv` and `pow`
-    call one of them on one element and return an int.
+    numpy index arrays or plain ints alike; the scalar op `pow` calls one
+    of them on one element and returns an int.
 
     Attributes
     ----------
@@ -238,24 +244,16 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = _find_modulus(p, m)
-        self.generator = self._find_generator()
+        if m == 1:
+            self.modulus, self.generator = (0, 1), _prime_generator(p)
+        else:
+            f, self.generator = _EXTENSIONS[p, m]
+            self.modulus = (*_coeffs(f, p, m), 1)
         self._build_mul_tables()
         self._build_add_tables()
         self._subfield_cache: dict[int, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
-
-    def _find_generator(self) -> int:
-        order = self.q - 1
-        if order == 1:
-            return 1
-        primes = list(factorize(order))
-        for a in range(2, self.q):
-            g = _coeffs(a, self.p, self.m)
-            if all(_ppowmod(g, order // r, self.modulus, self.p) != [1] for r in primes):
-                return a
-        raise FieldError("no generator found (impossible for a field)")
 
     def _build_mul_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
@@ -331,11 +329,6 @@ class FieldSpec:
             self._add_table = table
 
     # -- scalar ops: one element through a vector kernel ------------------
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return int(self.vdiv_nz(1, a))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:

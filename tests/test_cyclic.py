@@ -37,6 +37,7 @@ from cyclrc.cyclic import (
     product_set,
     support_orbit,
 )
+from reference_algebra import encode
 
 
 def test_context_alpha_order():
@@ -120,7 +121,7 @@ def test_codeword_roots_and_shift_closure_randomized():
         code = code_from_defining_set(ctx, ctx.exponent_set(exps))
         sub = code.base_elements
         msg = sub[rng.integers(0, len(sub), code.k)]
-        cw = code.encode(msg)
+        cw = encode(code, msg)
         for j in code.defining.exps:
             acc = 0
             for i, root in enumerate(ctx.root_powers([j], range(n))[0]):
@@ -1044,15 +1045,19 @@ def test_inverted_distance_result_raises_named_error():
         DistanceResult(3, 5, 4, "zero_core", word=(1, 0, 1))
     with pytest.raises(InvariantViolated):
         DistanceResult(3, 5, None, "bch", word=(1, 0, 1))
-    # the checks are not asserts, so they hold under python -O as well
+    # the checks are not asserts, so they hold under python -O as well; so
+    # does the field construction check that refuses a reducible modulus
     probe = (
+        "from cyclrc import field\n"
         "from cyclrc.cyclic import BoundInversion, DistanceResult, InvariantViolated\n"
         "for args in ((5, 3, 4, 'sandwich'), (3, 5, 4, 'zero_core', False, (1, 0, 1))):\n"
         "    try:\n        DistanceResult(*args)\n    except InvariantViolated as e:\n"
         "        print(type(e).__name__)\n"
+        "field._EXTENSIONS[2, 4] = (1, field._EXTENSIONS[2, 4][1])  # x^4 + 1 = (x + 1)^4\n"
+        "try:\n    field.FieldSpec(2, 4)\nexcept field.FieldError as e:\n    print(type(e).__name__)\n"
     )
     out = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["BoundInversion", "InvariantViolated"]
+    assert out.stdout.split() == ["BoundInversion", "InvariantViolated", "FieldError"]
 
 
 # a binary [21,7,8] code: the run bound is 5, the run-plus-blocks witness

@@ -1,23 +1,27 @@
 import hashlib
 import json
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cyclrc import field
 from cyclrc.field import (
+    SIZE_CAP,
     DivisionByZero,
+    FieldError,
     FieldSpec,
-    MixedFields,
     NonPrime,
     NotASubfield,
     OrderNotDividing,
     SizeCapExceeded,
     field_create,
+    is_prime,
     ord_mod,
     primitive_nth_root,
 )
-from cyclrc.poly import Polynomial
+from reference_algebra import MixedFields, find_generator, find_modulus, poly_add, poly_make
 
 def multiplicative_order(F, a):
     return next(e for e in range(1, F.q) if F.pow(a, e) == 1)
@@ -76,7 +80,7 @@ def test_field_laws_randomized(p, m):
     assert np.array_equal(lhs, rhs)
     nz = a.copy()
     nz[nz == 0] = 1
-    inv = np.array([F.inv(int(x)) for x in nz[:200]])
+    inv = np.array([F.pow(int(x), -1) for x in nz[:200]])
     assert np.all(F.vmul(nz[:200], inv) == 1)
 
 
@@ -94,7 +98,7 @@ def test_scalar_vector_agree(p, m):
             assert kernel(x, y) == kernel(np.array([x]), np.array([y]))[0]
         assert F.vneg(x) == F.vneg(np.array([x]))[0]
         if x:
-            assert type(F.inv(x)) is int and F.vmul(x, F.inv(x)) == 1
+            assert type(F.pow(x, -1)) is int and F.vmul(x, F.pow(x, -1)) == 1
             assert type(F.pow(x, k)) is int and F.vmul(F.pow(x, k), F.pow(x, -k)) == 1
             assert F.pow(x, k + 1) == F.vmul(F.pow(x, k), x)
             assert F.pow(x, k + 10**30 * (F.q - 1)) == F.pow(x, k)  # beyond int64
@@ -160,6 +164,42 @@ def test_field_tables_pinned():
         assert table_digest(field_create(p, m)) == digest, name
 
 
+def test_extension_table_matches_reference_search():
+    # each entry is what the polynomial searches find: the first monic
+    # irreducible in index order and the smallest index of full order
+    for (p, m), (f, g) in field._EXTENSIONS.items():
+        modulus = find_modulus(p, m)
+        assert (*field._coeffs(f, p, m), 1) == modulus, (p, m)
+        assert g == find_generator(p, m, modulus), (p, m)
+
+
+def test_extension_table_covers_every_field_under_cap():
+    wanted = {(p, m) for p in range(2, isqrt(SIZE_CAP) + 1) if is_prime(p)
+              for m in range(2, SIZE_CAP.bit_length()) if p**m <= SIZE_CAP}
+    assert set(field._EXTENSIONS) == wanted and len(wanted) == 242
+
+
+def test_prime_generator_matches_reference_search():
+    primes = [p for p in range(2, 1 << 15) if is_prime(p)]
+    for p in primes:
+        assert field._prime_generator(p) == find_generator(p, 1, (0, 1)), p
+    assert field._prime_generator(2) == 1
+
+
+def test_tampered_table_entry_is_refused(monkeypatch):
+    # FieldSpec directly: field_create would hand back its cached instance
+    f, g = field._EXTENSIONS[2, 4]
+    low = field_create(2, 4).pow(g, 3)  # order 5
+    monkeypatch.setitem(field._EXTENSIONS, (2, 4), (1, g))  # x^4 + 1 = (x + 1)^4
+    with pytest.raises(FieldError):
+        FieldSpec(2, 4)
+    monkeypatch.setitem(field._EXTENSIONS, (2, 4), (f, low))
+    with pytest.raises(FieldError):
+        FieldSpec(2, 4)
+    monkeypatch.undo()
+    assert FieldSpec(2, 4).generator == g
+
+
 def test_identity_laws_all_elements():
     F = field_create(3, 2)
     for x in range(F.q):
@@ -184,12 +224,12 @@ def test_element_ops_and_mixed_fields():
     x = 5
     assert F.vmul(x, 1) == 5
     assert F.vadd(x, 0) == 5
-    assert F.vmul(x, F.inv(x)) == 1
+    assert F.vmul(x, F.pow(x, -1)) == 1
     assert F.pow(x, 7) == 1  # multiplicative group order
     with pytest.raises(MixedFields):
-        _ = Polynomial.make(F, [x]) + Polynomial.make(G, [1])
+        poly_add(poly_make(F, [x]), poly_make(G, [1]))
     with pytest.raises(DivisionByZero):
-        F.inv(0)
+        F.pow(0, -1)
 
 
 def test_fermat_in_prime_field():

@@ -57,8 +57,8 @@ def test_no_unused_imports(path):
 
 
 # patched by name by `perfbench/trace_layers.py` (they go once the tracer no
-# longer patches them), and the reference encoder of the tests
-UNREFERENCED_ALLOWED = {"batch_det", "batch_nullvec", "batch_rank", "mat_vec", "rank", "CyclicCode.encode"}
+# longer patches them)
+UNREFERENCED_ALLOWED = {"batch_det", "batch_nullvec", "batch_rank", "mat_vec", "rank"}
 FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
