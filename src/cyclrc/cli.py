@@ -37,6 +37,7 @@ from .constructions import (
 )
 from .cyclic import DEFAULT_BUDGET, BudgetExceededInconclusive, BudgetTooSmall
 from .field import SIZE_CAP, FieldError
+from .poly import pretty
 
 CSV_HEADER = ["family", "q", "n", "r", "delta", "k", "d", "optimal", "divides"]
 MIN_BUDGET = 10**6
@@ -152,7 +153,7 @@ def _pretty_build(res: BuildResult) -> str:
         f"family {o['family']}, distance method {o['distance_method']}, "
         f"bound value {o['singleton_like_value']}, (r+delta-1) {'|' if o['divides'] else 'does not divide'} n",
         f"defining exponents: {list(res.code.defining.exps)}",
-        f"generator: {res.code.gen.pretty()}",
+        f"generator: {pretty(res.code.gen)}",
         f"repair groups ({len(loc['groups'])}, {loc['evidence']['group_mode']}): "
         f"sizes <= {loc['r'] + loc['delta'] - 1}",
     ]
@@ -356,8 +357,6 @@ OPTIONS = {
         (("--golden-only",), dict(action="store_true")),
     )),
 }
-# the subcommands, in the order of the parser's usage line
-COMMANDS = tuple(OPTIONS)
 
 
 def _handler(command: str):

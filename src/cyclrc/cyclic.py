@@ -62,7 +62,7 @@ import numpy as np
 
 from . import bounds, linalg
 from .field import FieldSpec, field_create, ord_mod, prime_power_split, primitive_nth_root
-from .poly import Polynomial, product_from_roots
+from .poly import product_from_roots
 
 DEFAULT_BUDGET = 10**8
 
@@ -262,11 +262,11 @@ class DistanceResult:
 class CyclicCode:
     """Cyclic code fixed by a complete defining set of root exponents."""
 
-    def __init__(self, ctx: CycContext, defining: ExponentSet, base_q: int, gen: Polynomial):
+    def __init__(self, ctx: CycContext, defining: ExponentSet, base_q: int, gen: tuple[int, ...]):
         self.ctx = ctx
         self.defining = defining
         self.base_q = base_q
-        self.gen = gen
+        self.gen = gen  # low-to-high generator coefficients
         self.k = ctx.n - len(defining)
         self._dual: Optional[CyclicCode] = None
         self._gen_matrix: Optional[np.ndarray] = None
@@ -290,7 +290,7 @@ class CyclicCode:
         if self._gen_matrix is None:
             n, k = self.n, self.k
             G = np.zeros((k, n), dtype=np.int64)
-            cs = np.array(self.gen.coeffs, dtype=np.int64)
+            cs = np.array(self.gen, dtype=np.int64)
             for i in range(k):
                 G[i, i : i + len(cs)] = cs
             self._gen_matrix = G
@@ -305,7 +305,7 @@ class CyclicCode:
             "q": self.base_q,
             "n": self.n,
             "defining_exponents": list(self.defining.exps),
-            "generator_coeffs": list(self.gen.coeffs),
+            "generator_coeffs": list(self.gen),
             "k": self.k,
         }
 
@@ -324,7 +324,7 @@ class CyclicCode:
         rows = np.asarray(rows, dtype=np.int64)
         doubled = np.concatenate([rows, rows], axis=1)
         acc = np.zeros(rows.shape, dtype=np.int64)
-        for j, c in enumerate(self.gen.coeffs):
+        for j, c in enumerate(self.gen):
             if c:
                 acc = F.vadd(acc, F.vmul(c, doubled[:, j : j + n]))
         return not acc.any()
@@ -340,7 +340,7 @@ class CyclicCode:
                 base="subfield" if self.base_q == self.ctx.q else "extension",
             )
             # the zero dual (k = n) has g = x^n - 1, which no length-n row holds
-            if dual.k and not self.is_orthogonal([dual.gen._array(self.n)]):
+            if dual.k and not self.is_orthogonal([dual.gen + (0,) * (self.n - len(dual.gen))]):
                 raise CoefficientLeak("dual generator is not orthogonal to the code")
             self._dual = dual
         return self._dual
@@ -377,10 +377,10 @@ def code_from_defining_set(ctx: CycContext, S: ExponentSet, base: str = "subfiel
     base_q = ctx.q if base == "subfield" else ctx.field.q
     if base == "subfield":
         # one gather of the context's mask, where np.isin took ten times as long
-        inside = ctx.in_base[np.array(gen.coeffs, dtype=np.int64)]
+        inside = ctx.in_base[np.array(gen, dtype=np.int64)]
         if not inside.all():
             raise CoefficientLeak(
-                f"generator coefficient {gen.coeffs[inside.argmin()]} escapes GF({ctx.q}) despite closed defining set"
+                f"generator coefficient {gen[inside.argmin()]} escapes GF({ctx.q}) despite closed defining set"
             )
     code = CyclicCode(ctx, S, base_q, gen)
     ctx._code_cache[(S.exps, base)] = code

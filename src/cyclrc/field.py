@@ -4,18 +4,19 @@ Elements are canonical integer indices in 0..q-1: the base-p digits of the
 index are the polynomial-basis coordinates (constant term = least significant
 digit).  Construction reads the reducing polynomial and the generator from a
 constant table (a prime field finds its least generator by integer powers).
-It forms the map "multiply by g" with one GF(p)[x] product per basis element,
-and numpy builds the antilog table from it by doubling.  The table is not
-trusted: the antilog table must hold q-1 distinct nonzero powers, which proves
-the polynomial irreducible and the generator primitive.  Multiplication runs
-on log/antilog tables.  Addition is XOR in characteristic 2, a sum mod p in
-prime fields and, in odd extensions, the Zech-logarithm law
-a + b = a * (1 + b/a), or, when q <= 1024, a gather from the q x q table of
-digitwise sums mod p.  So everything vectorizes over numpy index arrays, and
-there is one arithmetic: the scalar ops are the vector kernels applied to one
-element.  Two calls with the same (p, m) always produce identical arithmetic:
-the table records the first monic irreducible in index order and the smallest
-index of full multiplicative order.
+It forms the map "multiply by g" from g's digits, each next row shifted up
+one digit and reduced by the monic modulus, and numpy builds the antilog
+table from it by doubling.  The table is not trusted: the antilog table must
+hold q-1 distinct nonzero powers, which proves the polynomial irreducible and
+the generator primitive.  Multiplication runs on log/antilog tables.
+Addition is XOR in characteristic 2, a sum mod p in prime fields and, in odd
+extensions, the Zech-logarithm law a + b = a * (1 + b/a), or, when
+q <= 1024, a gather from the q x q table of digitwise sums mod p.  So
+everything vectorizes over numpy index arrays, and there is one arithmetic:
+the scalar ops are the vector kernels applied to one element.  Two calls
+with the same (p, m) always produce identical arithmetic: the table records
+the first monic irreducible in index order and the smallest index of full
+multiplicative order.
 """
 
 from __future__ import annotations
@@ -96,33 +97,6 @@ def prime_power_split(q: int) -> tuple[int, int]:
         raise NonPrime(f"{q} is not a prime power")
     p, m = next(iter(fac.items()))
     return p, m
-
-
-# ---------------------------------------------------------------------------
-# GF(p) polynomial helpers that build the map "multiply by g".
-# Polynomials are low-to-high coefficient lists over Z_p.
-
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce mod f (monic)
-    df = len(f) - 1
-    while len(out) > df:
-        lead = out.pop()
-        if lead:
-            for j in range(df):
-                out[-df + j] = (out[-df + j] - lead * f[j]) % p
-    return _ptrim(out)
 
 
 def _coeffs(idx: int, p: int, m: int) -> list[int]:
@@ -261,14 +235,16 @@ class FieldSpec:
         # Antilog table by doubling: once `digits` holds the digits of
         # g^0..g^(L-1) and `step` the GF(p)-linear map "multiply by g^L" (row
         # j = g^L x^j), digits @ step gives g^L..g^(2L-1), written in place.
-        # The dtype is the narrowest that holds a row-times-column sum
-        # m(p-1)^2 before the reduction.
+        # Row 0 of the first step is g's digits, and row j is row j-1 times
+        # x: its digits move up one place and its x^m term leaves by the
+        # monic modulus.  The dtype is the narrowest that holds a
+        # row-times-column sum m(p-1)^2 before the reduction.
         dt = next(t for t in (np.int8, np.int16, np.int32, np.int64) if m * (p - 1) ** 2 <= np.iinfo(t).max)
-        g = _coeffs(self.generator, p, m)
         step = np.zeros((m, m), dtype=dt)
+        row = _coeffs(self.generator, p, m)
         for j in range(m):
-            row = _pmulmod(g, [0] * j + [1], self.modulus, p)
-            step[j, : len(row)] = row
+            step[j] = row
+            row = [(a - row[-1] * f) % p for a, f in zip([0, *row[:-1]], self.modulus)]
         digits = np.zeros((n1, m), dtype=dt)
         digits[0, 0] = 1
         done = 1
@@ -403,12 +379,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(GF({self.p}^{self.m}), modulus={list(self.modulus)})"
-
-    def __hash__(self):
-        return hash((self.p, self.m))
-
-    def __eq__(self, other):
-        return self is other
 
 
 @lru_cache(maxsize=None)

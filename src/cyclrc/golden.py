@@ -29,6 +29,7 @@ from .cyclic import (
     product_set,
 )
 from .locality import check_locality_record, locality_from_product, verify_locality_exhaustive
+from .poly import pretty
 
 
 @dataclass
@@ -145,7 +146,7 @@ def _check_product(entry: dict, budget: int):
     code = code_from_defining_set(ctx, ab)
     yield "dimension", code.k == exp["k"], f"{code.k} vs {exp['k']}"
     if "generator" in exp:
-        yield "generator coefficients", list(code.gen.coeffs) == exp["generator"], code.gen.pretty()
+        yield "generator coefficients", list(code.gen) == exp["generator"], pretty(code.gen)
     loc = locality_from_product(anchor, run, code, budget)
     for check, key, want in (("anchor dual distance", "dA_perp", "anchor_dual"), ("run distance", "dB", "run_distance"),
                              ("locality r", "r", "r"), ("locality delta", "delta", "delta")):

@@ -65,8 +65,6 @@ def check_delta_independence(F, M, delta: int) -> bool:
     (`punctured_distance_at_least`)."""
     M = np.asarray(M, dtype=np.int64)
     t = delta - 1
-    if t == 0:
-        return True
     if M.shape[1] < t:
         return False
     return linalg.first_dependent_columns(F, M, t) is None

@@ -6,20 +6,42 @@
   must record exactly what they find, and the prime fields' generator must
   agree with `find_generator`.  Polynomials here are low-to-high coefficient
   lists over Z_p.
-* Polynomial ring arithmetic over a FieldSpec on the field's vector kernels
-  (at most two kernel calls per row of a product or quotient step of a
-  division), and the encoder of a cyclic code built on it.
+* Polynomial ring arithmetic over a FieldSpec by scalar loops, one field
+  operation per pair of coefficients on plain ints, and the encoder of a
+  cyclic code built on it.  Polynomials there are tuples of element
+  indices, low-to-high with no trailing zeros, as `cyclrc.poly` makes them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cyclrc.field import DivisionByZero, FieldError, _coeffs, _pmulmod, _ptrim, factorize
-from cyclrc.poly import Polynomial
+from cyclrc.field import DivisionByZero, FieldError, _coeffs, factorize
 
 # ---------------------------------------------------------------------------
 # the field searches
+
+
+def ptrim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    # reduce mod f (monic)
+    df = len(f) - 1
+    while len(out) > df:
+        lead = out.pop()
+        if lead:
+            for j in range(df):
+                out[-df + j] = (out[-df + j] - lead * f[j]) % p
+    return ptrim(out)
 
 
 def ppowmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
@@ -27,15 +49,15 @@ def ppowmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     base = list(a)
     while e:
         if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
+            result = pmulmod(result, base, f, p)
+        base = pmulmod(base, base, f, p)
         e >>= 1
     return result
 
 
 def pmod(a: list[int], b: list[int], p: int) -> list[int]:
     """a mod b over GF(p); b nonzero."""
-    a = _ptrim(list(a))
+    a = ptrim(list(a))
     db = len(b)
     inv_lead = pow(b[-1], p - 2, p)
     while len(a) >= db:
@@ -45,12 +67,12 @@ def pmod(a: list[int], b: list[int], p: int) -> list[int]:
             for j in range(db):
                 a[off + j] = (a[off + j] - lead * b[j]) % p
         a.pop()
-        _ptrim(a)
+        ptrim(a)
     return a
 
 
 def pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
+    a, b = ptrim(list(a)), ptrim(list(b))
     while b:
         a, b = b, pmod(a, b, p)
     return a
@@ -72,11 +94,11 @@ def is_irreducible(f: list[int], p: int) -> bool:
     x = [0, 1]
     xq = ppowmod(x, p**m, f, p)
     # x^(p^m) == x mod f
-    if _ptrim([(a - b) % p for a, b in zip_pad(xq, x)]):
+    if ptrim([(a - b) % p for a, b in zip_pad(xq, x)]):
         return False
     for t in factorize(m):
         xs = ppowmod(x, p ** (m // t), f, p)
-        diff = _ptrim([(a - b) % p for a, b in zip_pad(xs, x)])
+        diff = ptrim([(a - b) % p for a, b in zip_pad(xs, x)])
         if len(pgcd(f, diff, p)) - 1 > 0:
             return False
     return True
@@ -110,76 +132,45 @@ def find_generator(p: int, m: int, modulus) -> int:
 # polynomial ring arithmetic
 
 
-class MixedFields(FieldError):
-    pass
+def trim(coeffs) -> tuple[int, ...]:
+    """The coefficients as a tuple of ints, trailing zeros dropped."""
+    return tuple(ptrim([int(c) for c in coeffs]))
 
 
-def check_same_field(a: Polynomial, b: Polynomial) -> None:
-    if b.spec is not a.spec:
-        raise MixedFields("polynomials live in different fields")
+def poly_add(F, a, b) -> tuple[int, ...]:
+    return trim(F.vadd(x, y) for x, y in zip_pad(a, b))
 
 
-def poly_make(spec, coeffs) -> Polynomial:
-    """The polynomial with these coefficients, trailing zeros dropped."""
-    cs = np.asarray(coeffs, dtype=np.int64)
-    nz = np.flatnonzero(cs)
-    return Polynomial(spec, tuple(cs[: nz[-1] + 1].tolist()) if nz.size else ())
+def poly_sub(F, a, b) -> tuple[int, ...]:
+    return trim(F.vsub(x, y) for x, y in zip_pad(a, b))
 
 
-def poly_zero(spec) -> Polynomial:
-    return Polynomial(spec, ())
+def poly_mul(F, a, b) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = int(F.vadd(out[i + j], F.vmul(x, y)))
+    return trim(out)
 
 
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    check_same_field(a, b)
-    n = max(len(a.coeffs), len(b.coeffs))
-    return poly_make(a.spec, a.spec.vadd(a._array(n), b._array(n)))
-
-
-def poly_neg(a: Polynomial) -> Polynomial:
-    return Polynomial(a.spec, tuple(a.spec.vneg(a._array()).tolist()))
-
-
-def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
-    return poly_add(a, poly_neg(b))
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    check_same_field(a, b)
-    F = a.spec
-    if a.is_zero() or b.is_zero():
-        return poly_zero(F)
-    # one row of products per coefficient of the shorter factor, each
-    # added into the output at its offset
-    a, b = sorted((a, b), key=lambda f: len(f.coeffs))
-    rows = F.vmul(a._array()[:, None], b._array()[None, :])
-    out = np.zeros(len(a.coeffs) + len(b.coeffs) - 1, dtype=np.int64)
-    width = len(b.coeffs)
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out[i : i + width] = F.vadd(out[i : i + width], rows[i])
-    return poly_make(F, out)
-
-
-def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    check_same_field(a, b)
-    F = a.spec
-    if b.is_zero():
+def poly_divmod(F, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(quotient, remainder) of a by b: each step clears the remainder's top
+    coefficient with a multiple of b."""
+    if not b:
         raise DivisionByZero("polynomial division by zero")
-    # divide by the monic associate b / lead(b): each step's quotient
-    # coefficient is then the remainder's top coefficient, and the true
-    # quotient is that one scaled by 1 / lead(b)
-    db = b.degree
-    lead_inv = F.pow(b.coeffs[-1], -1)
-    low = F.vmul(b._array()[:db], lead_inv)  # the monic divisor below x^db
-    rem = a._array()
-    quo = np.zeros(max(0, len(rem) - db), dtype=np.int64)
+    db = len(b) - 1
+    lead_inv = F.pow(b[-1], -1)
+    rem = list(a)
+    quo = [0] * max(0, len(rem) - db)
     for top in range(len(rem) - 1, db - 1, -1):
-        c = int(rem[top])
+        c = int(F.vmul(rem[top], lead_inv))
         if c:
             quo[top - db] = c
-            rem[top - db : top] = F.vsub(rem[top - db : top], F.vmul(c, low))
-    return poly_make(F, F.vmul(quo, lead_inv)), poly_make(F, rem[:db])
+            for j in range(db + 1):
+                rem[top - db + j] = int(F.vsub(rem[top - db + j], F.vmul(c, b[j])))
+    return trim(quo), trim(rem[:db])
 
 
 def encode(code, msg) -> np.ndarray:
@@ -187,7 +178,7 @@ def encode(code, msg) -> np.ndarray:
     msg = [int(x) for x in msg]
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} differs from k={code.k}")
-    cw = poly_mul(poly_make(code.field, msg), code.gen)
+    cw = poly_mul(code.field, trim(msg), code.gen)
     out = np.zeros(code.n, dtype=np.int64)
-    out[: len(cw.coeffs)] = cw.coeffs
+    out[: len(cw)] = cw
     return out

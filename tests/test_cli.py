@@ -767,7 +767,7 @@ DEFERRED = [[*C42_ARGV, "--t", "-3"], [*C42_ARGV, "-o", "-"]]
 PARSER_CASES = [
     (["--help"], 0, USAGE),
     (["-h"], 0, USAGE),
-    *(([command, "-h"], 0, f"usage: cyclrc {command} [-h]") for command in cli.COMMANDS),
+    *(([command, "-h"], 0, f"usage: cyclrc {command} [-h]") for command in cli.OPTIONS),
     ([], 1, "cyclrc: error: the following arguments are required: command\n"),
     (["bogus"], 1, "cyclrc: error: argument command: invalid choice: 'bogus'"),
     (["verify", "a", "b"], 1, f"{USAGE}\ncyclrc: error: unrecognized arguments: b\n"),
@@ -819,7 +819,7 @@ WELL_FORMED = {
 def cli_argv(draw):
     """A subcommand's well-formed chunks, some repeated, mixed with flags and
     values, shuffled, with up to two tokens cut off the end."""
-    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", "-h"]))
+    command = draw(st.sampled_from([*cli.OPTIONS, "bogus", "-h"]))
     base = WELL_FORMED.get(command, [])
     own = [name for names, _ in cli.OPTIONS.get(command, ("", ()))[1] for name in names if name[0] == "-"]
     flag = st.sampled_from(own) | st.sampled_from(ANY_FLAG) if own else st.sampled_from(ANY_FLAG)
@@ -884,7 +884,7 @@ def test_well_formed_calls_add_no_parser(capsys, monkeypatch, tmp_path):
     assert run_cli(capsys, "verify", str(path))[0] == 0
     assert added == []
     assert run_cli(capsys, "bogus")[0] == 1
-    assert added == list(cli.COMMANDS)
+    assert added == list(cli.OPTIONS)
 
 
 def test_well_formed_calls_import_no_argparse_gettext_or_csv(tmp_path):
